@@ -135,24 +135,6 @@ def nullspace(rows, ncols: int) -> list[Vec]:
     return basis
 
 
-def solve_exact(rows, rhs):
-    """One solution x of A x = b, or None if the system is inconsistent.
-
-    Free variables are set to 0; pivoting is deterministic.
-    """
-    m = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs, strict=True)]
-    if not m:
-        raise ValueError("empty system needs an explicit treatment by the caller")
-    ncols = len(m[0]) - 1
-    reduced, pivots = rref(m, ncols + 1)
-    if ncols in pivots:  # pivot in the augmented column: 0 = 1
-        return None
-    x = [Fraction(0)] * ncols
-    for row, p in zip(reduced, pivots):
-        x[p] = row[ncols]
-    return tuple(x)
-
-
 def in_span(vectors: list[Vec], target: Vec) -> bool:
     """True iff target lies in the linear span of the given vectors."""
     if is_zero_vec(target):

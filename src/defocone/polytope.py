@@ -1,14 +1,15 @@
 """Vertex-described polytopes with exact face detection.
 
-Edges are found by a small LP per vertex pair: the pair is an edge exactly
-when the midpoint cannot draw positive weight from any other vertex in a
-convex representation.  A supporting-functional test (strictness encoded
-by the scale-invariance trick, see the LP module) is provided alongside
-and used to cross-check the midpoint route on small inputs.
-
 Facets come from ray enumeration of the dual of the homogenization cone,
 computed inside the affine hull so lower-dimensional inputs (zonotopes on
-hyperplanes) work unchanged.
+hyperplanes) work unchanged; their outward normals are taken inside the
+span of the hull, so each one is a true supporting functional.
+
+Edges are read off the facet incidences by the combinatorial adjacency
+test of double description: two vertices span an edge exactly when the
+facets containing both meet in those two vertices only.  The test is exact
+and uses no linear programming; LPs remain only in the vertex check of
+`polytope`, which is the input trust boundary.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .ddcore import dd_rays
 from .errors import InputError, ResourceLimitError
 from .exact import Vec, rref, vec_dot, vec_sub
 from .framework import Framework, edge_key
-from .simplex import OPTIMAL, LinearProgram, feasible, solve
+from .simplex import LinearProgram, feasible
 
 MAX_VERTICES = 200
 MAX_DIM = 8
@@ -83,28 +84,15 @@ def hull_frame(p: PolytopeV):
     """(base point, affine-hull direction basis) and hull coordinates.
 
     Hull coordinates of x solve x - base = sum y_i b_i; returned as a map
-    aligned with vertex order.
+    aligned with vertex order.  The basis is the reduced row echelon form
+    of the vertex differences, so b_i is 1 at its pivot column and 0 at the
+    others, and y_i is simply x - base read at the pivot column of b_i.
     """
     base = p.coords[0]
     diffs = [vec_sub(c, base) for c in p.coords[1:]]
-    basis, _ = rref(diffs, p.dim) if diffs else ([], [])
-    h = len(basis)
-    # solve the (overdetermined, consistent) systems once via rref of [B^T | diffs]
-    cols = [tuple(b[i] for b in basis) for i in range(p.dim)]  # rows of B^T
-    ys = []
-    for c in p.coords:
-        target = vec_sub(c, base)
-        if h == 0:
-            ys.append(())
-            continue
-        aug = [list(row) + [target[i]] for i, row in enumerate(cols)]
-        reduced, pivots = rref(aug, h + 1)
-        assert h not in pivots
-        y = [Fraction(0)] * h
-        for row, piv in zip(reduced, pivots):
-            y[piv] = row[h]
-        ys.append(tuple(y))
-    return base, tuple(tuple(b) for b in basis), tuple(ys)
+    basis, pivots = rref(diffs, p.dim) if diffs else ([], [])
+    ys = tuple(tuple(c[k] - base[k] for k in pivots) for c in p.coords)
+    return base, tuple(tuple(b) for b in basis), ys
 
 
 def hull_dim(p: PolytopeV) -> int:
@@ -113,59 +101,53 @@ def hull_dim(p: PolytopeV) -> int:
 
 @lru_cache(maxsize=None)
 def edges(p: PolytopeV) -> tuple[tuple[str, str], ...]:
-    """All 1-faces, as sorted label pairs."""
+    """All 1-faces, as sorted label pairs.
+
+    u and v span an edge exactly when the facets containing both meet in
+    {u, v} alone; the meet of no facets is every vertex, so a segment has
+    its edge.  A pair on fewer than h - 1 common facets (h the hull
+    dimension) is skipped, since every edge lies on at least that many.
+    """
     n = len(p.vertex_ids)
     if n < 2:
         return ()
     _check_guard(n, p.dim)
+    h = hull_dim(p)
+    index = {v: i for i, v in enumerate(p.vertex_ids)}
+    masks = [sum(1 << index[v] for v in f.vertex_ids) for f in facets(p)]
+    on = [{k for k, m in enumerate(masks) if m >> i & 1} for i in range(n)]
+    everything = (1 << n) - 1
     out = []
     for i in range(n):
         for j in range(i + 1, n):
-            if _midpoint_is_edge(p, i, j):
+            common = on[i] & on[j]
+            if len(common) < h - 1:
+                continue
+            meet = everything
+            for k in common:
+                meet &= masks[k]
+            if meet == (1 << i) | (1 << j):
                 out.append(edge_key(p.vertex_ids[i], p.vertex_ids[j]))
     return tuple(sorted(out))
-
-
-def _midpoint_is_edge(p: PolytopeV, i: int, j: int) -> bool:
-    others = [k for k in range(len(p.coords)) if k not in (i, j)]
-    if not others:
-        return True
-    half = Fraction(1, 2)
-    m = tuple(half * (a + b) for a, b in zip(p.coords[i], p.coords[j]))
-    order = [i, j] + others
-    d = p.dim
-    eq = [(tuple(p.coords[k][t] for k in order), m[t]) for t in range(d)]
-    eq.append(((Fraction(1),) * len(order), Fraction(1)))
-    obj = (Fraction(0), Fraction(0)) + (Fraction(1),) * len(others)
-    res = solve(LinearProgram(n=len(order), objective=obj, maximize=True, eq=eq, nonneg=True))
-    assert res.status == OPTIMAL  # the midpoint itself is always representable
-    return res.value == 0
-
-
-def edge_supporting_functional(p: PolytopeV, u: str, v: str) -> bool:
-    """Edge test via an exact supporting functional: c.u = c.v > c.w for
-    every other vertex, strictness as a gap of one after rescaling."""
-    cu, cv = p.point(u), p.point(v)
-    d = p.dim
-    eq = [(tuple(cu) + (Fraction(-1),), Fraction(0)), (tuple(cv) + (Fraction(-1),), Fraction(0))]
-    le = []
-    for w in p.vertex_ids:
-        if w in (u, v):
-            continue
-        le.append((tuple(p.point(w)) + (Fraction(-1),), Fraction(-1)))
-    return feasible(LinearProgram(n=d + 1, eq=eq, le=le))
 
 
 @dataclass(frozen=True)
 class Facet:
     vertex_ids: frozenset[str]
-    normal: Vec  # outward, ambient coordinates
+    normal: Vec  # outward, ambient coordinates, in the span of the hull basis
     offset: Fraction  # normal . x <= offset, equality exactly on the facet
 
 
 @lru_cache(maxsize=None)
 def facets(p: PolytopeV) -> tuple[Facet, ...]:
-    """Irredundant facet list within the affine hull."""
+    """Irredundant facet list within the affine hull.
+
+    A ray (beta, a') of the homogenized dual cone in hull coordinates gives
+    the facet -a'.y <= beta.  Its ambient normal n = sum c_j b_j lies in the
+    span of the hull basis and meets n.b_i = -a'_i, so G c = -a' with G the
+    Gram matrix of the basis; one elimination of [G | every -a'] solves all
+    facets at once.
+    """
     n = len(p.vertex_ids)
     if n < 2:
         return ()
@@ -174,18 +156,19 @@ def facets(p: PolytopeV) -> tuple[Facet, ...]:
     h = len(hbasis)
     rows = [(Fraction(1),) + y for y in ys]
     rays = dd_rays(rows, h + 1)
+    gram = [[vec_dot(a, b) for b in hbasis] for a in hbasis]
+    aug = [gram[i] + [-ray[1 + i] for ray in rays] for i in range(h)]
+    solved, pivots = rref(aug, h + len(rays))
+    assert pivots == list(range(h))  # the Gram matrix of a basis is invertible
     out = []
-    for ray in rays:
+    for k, ray in enumerate(rays):
         beta, aprime = ray[0], ray[1:]
         tight = frozenset(
             v for v, y in zip(p.vertex_ids, ys) if beta + vec_dot(aprime, y) == 0
         )
-        # ambient outward normal: -a' pulled back through the hull basis
-        normal = tuple(
-            -sum(aprime[i] * hbasis[i][k] for i in range(h)) for k in range(p.dim)
-        )
-        off = max(vec_dot(normal, c) for c in p.coords)
-        out.append(Facet(tight, normal, off))
+        c = [solved[j][h + k] for j in range(h)]
+        normal = tuple(sum(c[j] * hbasis[j][t] for j in range(h)) for t in range(p.dim))
+        out.append(Facet(tight, normal, vec_dot(normal, base) + beta))
     return tuple(sorted(out, key=lambda f: sorted(f.vertex_ids)))
 
 
@@ -216,13 +199,3 @@ def matroid_coordinate_test(p: PolytopeV) -> bool:
         if len({c[i] for c in p.coords}) > 2:
             return False
     return True
-
-
-@dataclass
-class VertexFacetCountReport:
-    n_vertices: int
-    n_facets: int
-    hull_dim: int
-    satisfies_bound: bool
-    indecomposable: bool
-    is_counterexample: bool

@@ -206,11 +206,11 @@ def crit_3_f_vectors(cp):
             details.append(f"P_{n},{m}: expected {want}, got {got}")
             continue
         tr = bipartite_truncation(n, m, "P")
-        lp_edges = len(edges(tr.polytope))
-        dd_facets = len(facets(tr.polytope))
-        if lp_edges != want[1] or dd_facets != want[-1]:
+        n_edges = len(edges(tr.polytope))
+        n_facets = len(facets(tr.polytope))
+        if n_edges != want[1] or n_facets != want[-1]:
             ok = False
-            details.append(f"P_{n},{m}: LP/DD cross-check {lp_edges}/{dd_facets}")
+            details.append(f"P_{n},{m}: computed edges/facets {n_edges}/{n_facets}")
         else:
             details.append(f"P_{n},{m}={got} (cross-checked)")
     return ok, "; ".join(details)

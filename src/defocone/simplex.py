@@ -2,13 +2,8 @@
 
 Textbook two-phase simplex over Fractions with Bland's pivot rule, which
 guarantees termination without perturbation.  Problem sizes here are desk
-scale (polytope face detection, nonnegativity tests on deformation cones),
-so exactness beats speed.
-
-Strict inequalities needed by face-detection callers ("supporting
-hyperplane touching exactly these vertices") are encoded by replacing
-``row.x < rhs`` with ``row.x <= rhs - 1`` after homogenizing; supporting
-functionals can be rescaled, so this loses no solutions.
+scale (the vertex check on polytope input, nonnegativity tests on
+deformation cones), so exactness beats speed.
 """
 
 from __future__ import annotations

@@ -1,23 +1,92 @@
 """Polytope face detection and the framework bridge."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from defocone.constructions import bipartite_truncation
+from defocone.constructions import (
+    bipartite_truncation,
+    complete_bipartite,
+    complete_graph,
+    graphic_matroid,
+    graphical_zonotope,
+    matroid_polytope,
+    uniform_matroid,
+)
 from defocone.corpus import corpus
 from defocone.errors import InputError
+from defocone.exact import rref, vec_dot, vec_sub
 from defocone.framework import edge_key
 from defocone.polytope import (
-    edge_supporting_functional,
     edges,
     facets,
     framework_of,
     hull_dim,
+    hull_frame,
     is_deformed_permutahedron,
     matroid_coordinate_test,
     polytope,
 )
+from defocone.simplex import OPTIMAL, LinearProgram, feasible, solve
+
+
+# ---------------------------------------------------------------------------
+# an independent LP edge oracle, to cross-check the incidence test
+
+
+def midpoint_is_edge(p, u, v):
+    """u, v span an edge exactly when their midpoint draws no weight from
+    any other vertex in a convex representation."""
+    others = [w for w in p.vertex_ids if w not in (u, v)]
+    if not others:
+        return True
+    order = [u, v] + others
+    m = tuple((a + b) / 2 for a, b in zip(p.point(u), p.point(v)))
+    eq = [(tuple(p.point(w)[t] for w in order), m[t]) for t in range(p.dim)]
+    eq.append(((Fraction(1),) * len(order), Fraction(1)))
+    obj = (Fraction(0), Fraction(0)) + (Fraction(1),) * len(others)
+    res = solve(LinearProgram(n=len(order), objective=obj, maximize=True, eq=eq, nonneg=True))
+    assert res.status == OPTIMAL  # the midpoint itself is always representable
+    return res.value == 0
+
+
+def supporting_functional_is_edge(p, u, v):
+    """Edge test via an exact supporting functional: c.u = c.v > c.w for
+    every other vertex, strictness as a gap of one after rescaling."""
+    cu, cv = p.point(u), p.point(v)
+    eq = [(tuple(cu) + (Fraction(-1),), Fraction(0)), (tuple(cv) + (Fraction(-1),), Fraction(0))]
+    le = [(tuple(p.point(w)) + (Fraction(-1),), Fraction(-1)) for w in p.vertex_ids if w not in (u, v)]
+    return feasible(LinearProgram(n=p.dim + 1, eq=eq, le=le))
+
+
+def lp_edges(p):
+    pairs = itertools.combinations(p.vertex_ids, 2)
+    return tuple(sorted(edge_key(u, v) for u, v in pairs if midpoint_is_edge(p, u, v)))
+
+
+@pytest.fixture(scope="module")
+def families():
+    """Named polytopes beyond the corpus: truncations, matroid polytopes and
+    graphical zonotopes, several of which do not span their ambient space."""
+    return {
+        "P_1,4": bipartite_truncation(1, 4, "P").polytope,
+        "Q_1,4": bipartite_truncation(1, 4, "Q").polytope,
+        "U(2,5)": matroid_polytope(uniform_matroid(2, 5)).polytope,
+        "U(3,6)": matroid_polytope(uniform_matroid(3, 6)).polytope,
+        "M(K4)": matroid_polytope(graphic_matroid(complete_graph(4))).polytope,
+        "Z(K4)": graphical_zonotope(complete_graph(4)).polytope,
+        "Z(K1,3)": graphical_zonotope(complete_bipartite(1, 3)).polytope,
+        "Z(K2,2)": graphical_zonotope(complete_bipartite(2, 2)).polytope,
+    }
+
+
+DEGENERATE = {
+    "two points": {"a": (0, 0), "b": (1, 2)},
+    "segment in R^3": {"a": (1, 0, 2), "b": (3, 1, -1)},
+    # the pentagon (0,0) (2,0) (3,2) (1,3) (-1,1) on the plane z = x + y - 2
+    "polygon in R^3": {"a": (1, 1, 0), "b": (3, 1, 2), "c": (4, 3, 5), "d": (2, 4, 4), "e": (0, 2, 0)},
+}
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +159,58 @@ def test_supporting_functional_agrees_with_midpoint_route(cp):
         p = cp[name].polytope
         es = set(edges(p))
         for u, v in itertools.combinations(p.vertex_ids, 2):
-            assert edge_supporting_functional(p, u, v) == (edge_key(u, v) in es)
+            on_edge = edge_key(u, v) in es
+            assert supporting_functional_is_edge(p, u, v) == on_edge
+            assert midpoint_is_edge(p, u, v) == on_edge
+
+
+def test_edges_match_lp_oracle_on_corpus(cp):
+    for name, e in cp.items():
+        if e.polytope is not None:
+            assert edges(e.polytope) == lp_edges(e.polytope), name
+
+
+@pytest.mark.parametrize("name", ["P_1,4", "Q_1,4", "U(2,5)", "M(K4)", "Z(K4)"])
+def test_edges_match_lp_oracle_on_families(families, name):
+    p = families[name]
+    assert edges(p) == lp_edges(p)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_edges_match_lp_oracle_on_degenerate_inputs(name):
+    p = polytope(DEGENERATE[name])
+    assert edges(p) == lp_edges(p)
+    n = len(p.vertex_ids)
+    assert len(edges(p)) == (1 if n == 2 else n)  # a segment, or a 5-gon
+
+
+def test_facet_normals_support_exactly_their_facets(cp, families):
+    polys = {name: e.polytope for name, e in cp.items() if e.polytope is not None}
+    polys.update(families)
+    polys.update({name: polytope(pts) for name, pts in DEGENERATE.items()})
+    for name, p in polys.items():
+        for f in facets(p):
+            for v, x in zip(p.vertex_ids, p.coords):
+                value = vec_dot(f.normal, x)
+                assert value <= f.offset, (name, sorted(f.vertex_ids), v)
+                assert (value == f.offset) == (v in f.vertex_ids), (name, sorted(f.vertex_ids), v)
+
+
+def test_hull_frame_coordinates_solve_the_basis_system(cp):
+    """Each vertex's hull coordinates are the unique solution of
+    B^T y = x - base, solved here one vertex at a time."""
+    for name, e in cp.items():
+        p = e.polytope
+        if p is None:
+            continue
+        base, basis, ys = hull_frame(p)
+        h = len(basis)
+        for x, y in zip(p.coords, ys):
+            target = vec_sub(x, base)
+            aug = [[b[i] for b in basis] + [target[i]] for i in range(p.dim)]
+            reduced, pivots = rref(aug, h + 1)
+            assert pivots == list(range(h)), name
+            assert y == tuple(reduced[i][h] for i in range(h)), name
 
 
 def test_deformed_permutahedron_checks(cp):

@@ -144,28 +144,57 @@ def is_simplicial_by_partition(fw: Framework):
     return True, sorted(rays)
 
 
+def factor_edges(edges, provenance: dict, side: int) -> list[Edge | None]:
+    """The product law's lift: for each edge of a product or Minkowski sum,
+    the edge of factor `side` (0 left, 1 right) it translates, or None.
+
+    `provenance` maps each vertex of the sum to its (left, right) pair of
+    factor vertices; an edge translates a factor edge when its endpoints
+    share the other factor's vertex.
+    """
+    out = []
+    for u, v in edges:
+        pu, pv = provenance[u], provenance[v]
+        out.append(edge_key(pu[side], pv[side]) if pu[1 - side] == pv[1 - side] else None)
+    return out
+
+
+def lifted_blocks(fw: Framework, provenance: dict, left: Framework, right: Framework):
+    """Each dependency block of both factors, lifted to the edges of fw
+    that translate its edges; fw is their product or sum."""
+    out = []
+    for side, factor in enumerate((left, right)):
+        source = factor_edges(fw.edges, provenance, side)
+        for block in dependency_partition(factor):
+            out.append(frozenset(e for e, f in zip(fw.edges, source) if f in block))
+    return out
+
+
 def embed_product_ray(product: Framework, factor: Framework, ray: Vec, side: str) -> Vec:
     """Lift a factor ray to the product framework's edge coordinates.
 
-    Product vertices are labeled "uL|uR"; an edge of the left factor shows
-    up once per right vertex, and symmetrically.
+    The product's vertices come in `product_framework` order, one per pair
+    of factor vertices with the left one outer; an edge of the left factor
+    shows up once per right vertex, and symmetrically.
     """
+    others = range(len(product.vertex_ids) // len(factor.vertex_ids))
+    if side == "left":
+        k, pairs = 0, itertools.product(factor.vertex_ids, others)
+    elif side == "right":
+        k, pairs = 1, itertools.product(others, factor.vertex_ids)
+    else:
+        raise InputError("side must be 'left' or 'right'")
     eidx = {e: i for i, e in enumerate(factor.edges)}
-    out = []
-    for u, v in product.edges:
-        ul, ur = u.split("|", 1)
-        vl, vr = v.split("|", 1)
-        if side == "left" and ur == vr and ul != vl:
-            out.append(ray[eidx[edge_key(ul, vl)]])
-        elif side == "right" and ul == vl and ur != vr:
-            out.append(ray[eidx[edge_key(ur, vr)]])
-        else:
-            out.append(Fraction(0))
-    return tuple(out)
+    lift = factor_edges(product.edges, dict(zip(product.vertex_ids, pairs)), k)
+    return tuple(Fraction(0) if f is None else ray[eidx[f]] for f in lift)
 
 
 def product_framework(a: Framework, b: Framework) -> Framework:
-    """Cartesian product; edges are factor edges times opposite vertices."""
+    """Cartesian product; edges are factor edges times opposite vertices.
+
+    Vertex "u|w" is the pair (u, w), in the order of
+    `itertools.product(a.vertex_ids, b.vertex_ids)`.
+    """
     ids = []
     coords = []
     for ua, ca in zip(a.vertex_ids, a.coords):
@@ -200,17 +229,6 @@ def product_report(a: Framework, b: Framework) -> ProductReport:
     """
     prod = product_framework(a, b)
     da, db, dp = dc_dimension(a), dc_dimension(b), dc_dimension(prod)
-    lifted: list[frozenset] = []
-    for factor, side in ((a, "left"), (b, "right")):
-        for block in dependency_partition(factor):
-            lift = set()
-            for u, v in prod.edges:
-                ul, ur = u.split("|", 1)
-                vl, vr = v.split("|", 1)
-                if side == "left" and ur == vr and edge_key(ul, vl) in block:
-                    lift.add((u, v))
-                if side == "right" and ul == vl and edge_key(ur, vr) in block:
-                    lift.add((u, v))
-            lifted.append(frozenset(lift))
-    got = set(dependency_partition(prod))
-    return ProductReport(da, db, dp, dp == da + db, got == set(lifted))
+    provenance = dict(zip(prod.vertex_ids, itertools.product(a.vertex_ids, b.vertex_ids)))
+    lifted = set(lifted_blocks(prod, provenance, a, b))
+    return ProductReport(da, db, dp, dp == da + db, set(dependency_partition(prod)) == lifted)

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import graphs
 from .errors import ContractError, InputError, ResourceLimitError
 from .exact import Vec, affine_rank, rank, vec_dot, vec_sub
 from .framework import Framework, edge_key, framework
@@ -200,33 +201,14 @@ def bipartite_zonotope_facet_count(n: int, m: int) -> int:
     """Number of node subsets inducing a connected subgraph whose
     complement is also connected; equals the facet count."""
     g = complete_bipartite(n, m)
+    adj = graphs.adjacency(g.nodes, g.arcs)
     count = 0
     for r in range(1, len(g.nodes)):
         for subset in itertools.combinations(g.nodes, r):
-            s = set(subset)
-            if _induced_connected(g, s) and _induced_connected(g, set(g.nodes) - s):
+            rest = [x for x in g.nodes if x not in subset]
+            if all(len(graphs.components(part, adj)) == 1 for part in (subset, rest)):
                 count += 1
     return count
-
-
-def _induced_connected(g: SimpleGraph, s: set) -> bool:
-    if not s:
-        return False
-    adj = {n: set() for n in s}
-    for u, v in g.arcs:
-        if u in s and v in s:
-            adj[u].add(v)
-            adj[v].add(u)
-    start = next(iter(sorted(s)))
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen == s
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +218,7 @@ def _induced_connected(g: SimpleGraph, s: set) -> bool:
 def _connected_partitions(g: SimpleGraph):
     """All partitions of the node set into connected parts."""
     nodes = list(g.nodes)
+    adj = graphs.adjacency(g.nodes, g.arcs)
 
     def split(rest: tuple[str, ...]):
         if not rest:
@@ -246,7 +229,7 @@ def _connected_partitions(g: SimpleGraph):
         for r in range(len(others) + 1):
             for extra in itertools.combinations(others, r):
                 part = {first, *extra}
-                if not _induced_connected(g, part):
+                if len(graphs.components(part, adj)) != 1:
                     continue
                 remaining = tuple(x for x in others if x not in part)
                 for tail in split(remaining):
@@ -469,10 +452,7 @@ def deep_truncate(p: PolytopeV, labels, zono: Zonotope | None = None) -> DeepTru
     """
     labels = tuple(labels)
     es = edges(p)
-    adj: dict[str, list[str]] = {v: [] for v in p.vertex_ids}
-    for u, v in es:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = graphs.adjacency(p.vertex_ids, es)
     stable = all(edge_key(a, b) not in es for a, b in itertools.combinations(labels, 2))
     if not stable:
         raise ContractError("truncated vertices must be pairwise non-adjacent")
@@ -490,7 +470,7 @@ def deep_truncate(p: PolytopeV, labels, zono: Zonotope | None = None) -> DeepTru
         arcs.update(
             (i, j) for i, j in itertools.combinations(incident, 2)
         )
-    comps = _component_count(nodes, arcs)
+    comps = len(graphs.components(nodes, graphs.adjacency(nodes, arcs)))
     dim = hull_dim(p)
     load_ok = True
     for i in nodes:
@@ -500,22 +480,6 @@ def deep_truncate(p: PolytopeV, labels, zono: Zonotope | None = None) -> DeepTru
         if hits > dim - 2:
             load_ok = False
     return DeepTruncation(out, labels, stable, load_ok, nodes, tuple(sorted(arcs)), comps)
-
-
-def _component_count(nodes, arcs) -> int:
-    rep = {n: n for n in nodes}
-
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for a, b in arcs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            rep[ra] = rb
-    return len({find(n) for n in nodes})
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +538,7 @@ def stack_vertex(p: PolytopeV, facet_vertex_sets, zono: Zonotope | None = None) 
     gamma = None
     if zono is not None:
         nodes = tuple(range(len(zono.generators)))
-        comps = _component_count(nodes, gamma_arcs)
+        comps = len(graphs.components(nodes, graphs.adjacency(nodes, gamma_arcs)))
         return Stacking(current, stack_points, nodes, tuple(sorted(gamma_arcs)), comps)
     return Stacking(current, stack_points, None, None, None)
 
@@ -680,19 +644,7 @@ def graphic_matroid(g: SimpleGraph) -> MatroidBases:
     n = len(g.nodes)
     trees = []
     for comb in itertools.combinations(g.arcs, n - 1):
-        sub = {a: set() for a in g.nodes}
-        for u, v in comb:
-            sub[u].add(v)
-            sub[v].add(u)
-        seen = {g.nodes[0]}
-        queue = [g.nodes[0]]
-        while queue:
-            x = queue.pop()
-            for y in sub[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) == n:
+        if len(graphs.components(g.nodes, graphs.adjacency(g.nodes, comb))) == 1:
             trees.append(frozenset(f"{u}-{v}" for u, v in comb))
     ground = tuple(sorted(f"{u}-{v}" for u, v in g.arcs))
     return MatroidBases(ground, frozenset(trees))
@@ -749,22 +701,8 @@ def matroid_polytope(mb: MatroidBases) -> MatroidPolytope:
         for i in first:
             if (first - {i}) | {j} in mb.bases:
                 arcs.add(edge_key(i, j))
-    rep = {e: e for e in order}
-
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for a, b in arcs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            rep[ra] = rb
-    groups: dict[str, set[str]] = {}
-    for e in order:
-        groups.setdefault(find(e), set()).add(e)
-    comps = tuple(sorted((frozenset(s) for s in groups.values()), key=lambda s: sorted(s)))
+    parts = graphs.components(order, graphs.adjacency(order, arcs))
+    comps = tuple(sorted((frozenset(s) for s in parts), key=sorted))
     return MatroidPolytope(mb, poly, fw, comps)
 
 
@@ -924,20 +862,13 @@ def parallelogramic_sum_report(a: PolytopeV, b: PolytopeV) -> SumFactorizationRe
     ok, reason = parallelogramic_position(a, b)
     if not ok:
         return SumFactorizationReport(False, reason)
+    from .cones import lifted_blocks
     from .framework import dc_dimension, dependency_partition
     from .polytope import framework_of
 
     s = minkowski_sum_labeled(a, b)
     fa, fb, fs = framework_of(a), framework_of(b), framework_of(s.polytope)
-    expected: list[frozenset] = []
-    for factor, fw_factor, side in ((a, fa, 0), (b, fb, 1)):
-        for block in dependency_partition(fw_factor):
-            lift = set()
-            for u, v in fs.edges:
-                pu, pv = s.provenance[u], s.provenance[v]
-                if pu[1 - side] == pv[1 - side] and edge_key(pu[side], pv[side]) in block:
-                    lift.add((u, v))
-            expected.append(frozenset(lift))
+    expected = lifted_blocks(fs, s.provenance, fa, fb)
     da, db, dsum = dc_dimension(fa), dc_dimension(fb), dc_dimension(fs)
     got = set(dependency_partition(fs))
     return SumFactorizationReport(

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import graphs
 from .errors import InputError
 from .exact import Vec, affine_rank, in_span, is_zero_vec, rank, vec_sub
 from .framework import Edge, Framework, adjacency, components, edge_key
@@ -73,41 +74,25 @@ class DeductionState:
     def __init__(self, fw: Framework):
         self.base = fw
         self.known: set[Edge] = set(fw.edges)
-        self._parent: dict[Edge, Edge] = {}
-        for e in fw.edges:
-            if not fw.is_degenerate(e):
-                self._parent[e] = e
+        self._classes = graphs.UnionFind(e for e in fw.edges if not fw.is_degenerate(e))
         self.log: list[Step] = []
 
-    # union-find ---------------------------------------------------------
+    # union-find over the non-degenerate known edges ------------------------
     def find(self, e: Edge) -> Edge:
-        p = self._parent
-        while p[e] != e:
-            p[e] = p[p[e]]
-            e = p[e]
-        return e
+        return self._classes.find(e)
 
     def tracked(self, e: Edge) -> bool:
-        return e in self._parent
+        return e in self._classes
 
     def add_edge(self, e: Edge):
         self.known.add(e)
-        if e not in self._parent:
-            self._parent[e] = e
+        self._classes.add(e)
 
     def union(self, e: Edge, f: Edge) -> bool:
-        re, rf = self.find(e), self.find(f)
-        if re == rf:
-            return False
-        lo, hi = (re, rf) if re < rf else (rf, re)
-        self._parent[hi] = lo
-        return True
+        return self._classes.union(e, f)
 
     def classes(self) -> dict[Edge, set[Edge]]:
-        out: dict[Edge, set[Edge]] = {}
-        for e in self._parent:
-            out.setdefault(self.find(e), set()).add(e)
-        return out
+        return self._classes.classes()
 
     def same_class(self, e: Edge, f: Edge) -> bool:
         return self.tracked(e) and self.tracked(f) and self.find(e) == self.find(f)
@@ -116,36 +101,16 @@ class DeductionState:
     def direction(self, e: Edge) -> Vec:
         return vec_sub(self.base.point(e[1]), self.base.point(e[0]))
 
-    def known_adjacency(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {v: [] for v in self.base.vertex_ids}
-        for u, v in sorted(self.known):
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+    def known_adjacency(self) -> dict[str, tuple[str, ...]]:
+        return graphs.adjacency(self.base.vertex_ids, self.known)
 
     def class_components(self):
         """For each class, the vertex sets of the connected pieces of its
         edge subgraph, largest first."""
         out = []
         for rep, es in sorted(self.classes().items()):
-            adj: dict[str, set[str]] = {}
-            for u, v in es:
-                adj.setdefault(u, set()).add(v)
-                adj.setdefault(v, set()).add(u)
-            seen: set[str] = set()
-            for start in sorted(adj):
-                if start in seen:
-                    continue
-                comp = {start}
-                queue = [start]
-                while queue:
-                    x = queue.pop()
-                    for y in adj[x]:
-                        if y not in comp:
-                            comp.add(y)
-                            queue.append(y)
-                seen |= comp
-                out.append((rep, frozenset(comp)))
+            adj = graphs.adjacency((), es)
+            out.extend((rep, frozenset(c)) for c in graphs.components(sorted(adj), adj))
         return sorted(out, key=lambda t: (-len(t[1]), sorted(t[1]), t[0]))
 
 
@@ -256,54 +221,20 @@ def _run_implicit_from_paths(state: DeductionState) -> bool:
     fw = state.base
     progress = False
     for rep, es in sorted(state.classes().items()):
-        adj: dict[str, set[str]] = {}
-        for u, v in es:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        seen: set[str] = set()
-        for start in sorted(adj):
-            if start in seen:
-                continue
-            comp = [start]
-            parent = {start: None}
-            queue = [start]
-            while queue:
-                x = queue.pop(0)
-                for y in sorted(adj[x]):
-                    if y not in parent:
-                        parent[y] = x
-                        comp.append(y)
-                        queue.append(y)
-            seen.update(comp)
-            for u, v in itertools.combinations(sorted(comp), 2):
+        adj = graphs.adjacency((), es)
+        for comp in graphs.components(sorted(adj), adj):
+            for u, v in itertools.combinations(comp, 2):
                 e = edge_key(u, v)
                 if e in state.known:
                     continue
                 if fw.point(u) == fw.point(v):
                     continue
-                path = _bfs_path(adj, u, v)
+                path = graphs.bfs_path(adj, u, v)
                 state.log.append(Step(IMPLICIT_FROM_PATH, {"path": path}))
                 state.add_edge(e)
                 state.union(e, rep)
                 progress = True
     return progress
-
-
-def _bfs_path(adj: dict[str, set[str]], u: str, v: str) -> list[str]:
-    parent: dict[str, str | None] = {u: None}
-    queue = [u]
-    while queue:
-        x = queue.pop(0)
-        if x == v:
-            break
-        for y in sorted(adj[x]):
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    path = [v]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return list(reversed(path))
 
 
 def _run_rigid_cycles(state: DeductionState, cfg: RuleConfig) -> bool:
@@ -369,33 +300,16 @@ def _run_projection_lifts(state: DeductionState, cfg: RuleConfig) -> bool:
     fw = state.base
     directions: list[Vec] = []
     for rep, es in sorted(state.classes().items()):
-        vecs = [state.direction(e) for e in es]
+        vecs = [state.direction(e) for e in sorted(es)]
         nz = [v for v in vecs if not is_zero_vec(v)]
         if nz and all(in_span([nz[0]], v) for v in nz):
             directions.append(nz[0])
     directions.extend(tuple(Fraction(x) for x in w) for w in cfg.extra_projection_dirs)
     progress = False
     for w in directions:
-        adj_w: dict[str, set[str]] = {v: set() for v in fw.vertex_ids}
-        for e in state.known:
-            if in_span([w], state.direction(e)):
-                adj_w[e[0]].add(e[1])
-                adj_w[e[1]].add(e[0])
-        rep_of: dict[str, str] = {}
-        for v in fw.vertex_ids:
-            if v in rep_of:
-                continue
-            comp = {v}
-            queue = [v]
-            while queue:
-                x = queue.pop()
-                for y in adj_w[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        queue.append(y)
-            lead = min(comp)
-            for x in comp:
-                rep_of[x] = lead
+        along_w = [e for e in state.known if in_span([w], state.direction(e))]
+        adj_w = graphs.adjacency(fw.vertex_ids, along_w)
+        rep_of = {x: c[0] for c in graphs.components(fw.vertex_ids, adj_w) for x in c}
         buckets: dict[tuple, list[Edge]] = {}
         for e in sorted(state.known):
             if in_span([w], state.direction(e)):
@@ -407,7 +321,11 @@ def _run_projection_lifts(state: DeductionState, cfg: RuleConfig) -> bool:
             for other in group[1:]:
                 if state.same_class(lead, other):
                     continue
-                pa, pb = _match_paths(state, adj_w, lead, other)
+                a, b = lead
+                c, d = other
+                if rep_of[a] != rep_of[c]:
+                    c, d = d, c
+                pa, pb = graphs.bfs_path(adj_w, a, c), graphs.bfs_path(adj_w, b, d)
                 state.log.append(
                     Step(
                         PROJECTION_LIFT,
@@ -423,27 +341,6 @@ def _run_projection_lifts(state: DeductionState, cfg: RuleConfig) -> bool:
                 state.union(lead, other)
                 progress = True
     return progress
-
-
-def _match_paths(state: DeductionState, adj_w, e: Edge, f: Edge):
-    a, b = e
-    c, d = f
-    reach_a = _bfs_reach(adj_w, a)
-    if c in reach_a:
-        return _bfs_path(adj_w, a, c), _bfs_path(adj_w, b, d)
-    return _bfs_path(adj_w, a, d), _bfs_path(adj_w, b, c)
-
-
-def _bfs_reach(adj, start):
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
 
 
 def _has_spanning_class(state: DeductionState) -> bool:
@@ -489,18 +386,7 @@ def flat_direction(fw: Framework, flat) -> list[Vec]:
 
 
 def _flat_connected(fw: Framework, flat) -> bool:
-    flat = set(flat)
-    adj = adjacency(fw)
-    start = min(flat)
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if y in flat and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen == flat
+    return len(graphs.components(sorted(flat), adjacency(fw))) == 1
 
 
 def _intersect_spans(spans: list[list[Vec]], dim: int) -> int:
@@ -594,6 +480,7 @@ def dim_upper_bound(state: DeductionState, flats=None) -> int | None:
     piece of the union.  None when neither applies.
     """
     fw = state.base
+    vertices = sorted(fw.vertex_ids)
     classes = sorted(state.classes().items())
     reps = [rep for rep, _ in classes]
     best = None
@@ -607,18 +494,15 @@ def dim_upper_bound(state: DeductionState, flats=None) -> int | None:
             union_edges = set()
             for i in combo:
                 union_edges |= classes[i][1]
-            comp_map = _graph_components(fw.vertex_ids, union_edges)
-            comps = {}
-            for v, lead in comp_map.items():
-                comps.setdefault(lead, set()).add(v)
-            spanning = len(comps) == 1 and set(comp_map) == set(fw.vertex_ids)
+            comps = graphs.components(vertices, graphs.adjacency(vertices, union_edges))
+            spanning = len(comps) == 1
             ok = spanning
-            witness_s = sorted(fw.vertex_ids) if spanning else None
+            witness_s = vertices if spanning else None
             if not ok and pinned:
-                for s in comps.values():
-                    if all(f & s for f in flats):
+                for s in comps:
+                    if all(f & set(s) for f in flats):
                         ok = True
-                        witness_s = sorted(s)
+                        witness_s = list(s)
                         break
             if ok:
                 best = r
@@ -637,31 +521,11 @@ def dim_upper_bound(state: DeductionState, flats=None) -> int | None:
     return best
 
 
-def _graph_components(vertices, edge_set):
-    rep = {}
-    adj: dict[str, set[str]] = {}
-    touched = set()
-    for u, v in edge_set:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-        touched.update((u, v))
-    for v in sorted(touched):
-        if v in rep:
-            continue
-        comp = {v}
-        queue = [v]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        lead = min(comp)
-        for x in comp:
-            rep[x] = lead
-    for v in vertices:
-        rep.setdefault(v, v)
-    return rep
+def _one_piece(fw: Framework, edges, s) -> bool:
+    """Does the vertex set s lie in one connected piece of the edges?"""
+    adj = graphs.adjacency(fw.vertex_ids, edges)
+    lead = {x: c[0] for c in graphs.components(fw.vertex_ids, adj) for x in c}
+    return len({lead[v] for v in s}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -676,26 +540,8 @@ def verify_certificate(fw: Framework, steps):
     merges established before it.
     """
     known: set[Edge] = set(fw.edges)
-    parent: dict[Edge, Edge] = {}
-
-    def ensure(e):
-        parent.setdefault(e, e)
-
-    for e in fw.edges:
-        if not fw.is_degenerate(e):
-            ensure(e)
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    def union(e, f):
-        re, rf = find(e), find(f)
-        if re != rf:
-            lo, hi = (re, rf) if re < rf else (rf, re)
-            parent[hi] = lo
+    classes = graphs.UnionFind(e for e in fw.edges if not fw.is_degenerate(e))
+    ensure, find, union = classes.add, classes.find, classes.union
 
     def fail(i, reason):
         return False, i, reason
@@ -796,16 +642,14 @@ def verify_certificate(fw: Framework, steps):
                 if p.get("trivial"):
                     if len(fw.vertex_ids) > 2:
                         return fail(i, "trivial conclusion on a large framework")
+                    if len(components(fw)) != 1:
+                        return fail(i, "trivial conclusion on a disconnected framework")
                     continue
                 s = set(p["S"])
                 witness = edge_key(*p["witness_edge"])
                 if witness not in known:
                     return fail(i, "witness edge not known")
-                wrep = find(witness)
-                class_edges = [e for e in parent if find(e) == wrep]
-                comp_map = _graph_components(fw.vertex_ids, class_edges)
-                leads = {comp_map[v] for v in s}
-                if len(leads) != 1:
+                if not _one_piece(fw, classes.classes()[find(witness)], s):
                     return fail(i, "S is not connected inside the witness class")
                 if affine_rank([fw.point(v) for v in s]) < 2:
                     return fail(i, "S spans less than two dimensions")
@@ -824,13 +668,11 @@ def verify_certificate(fw: Framework, steps):
                 reps_ = [find(e) for e in witness_edges]
                 if len(set(reps_)) != len(reps_):
                     return fail(i, "bound classes are not distinct")
-                union_edges = [e for e in parent if find(e) in set(reps_)]
-                comp_map = _graph_components(fw.vertex_ids, union_edges)
                 if p["S"] is None:
                     return fail(i, "missing vertex set")
                 s = set(p["S"])
-                leads = {comp_map[v] for v in s}
-                if len(leads) != 1:
+                by_root = classes.classes()
+                if not _one_piece(fw, [e for r in reps_ for e in by_root[r]], s):
                     return fail(i, "bound vertex set is not connected by the classes")
                 if p.get("flats"):
                     flats = [frozenset(f) for f in p["flats"]]

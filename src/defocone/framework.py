@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import graphs
 from .errors import ContractError, InputError
 from .exact import (
     Vec,
@@ -116,33 +117,12 @@ def validate(fw: Framework) -> list[str]:
 
 @lru_cache(maxsize=None)
 def adjacency(fw: Framework) -> dict[str, tuple[str, ...]]:
-    adj: dict[str, list[str]] = {v: [] for v in fw.vertex_ids}
-    for u, v in fw.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+    return graphs.adjacency(fw.vertex_ids, fw.edges)
 
 
 @lru_cache(maxsize=None)
 def components(fw: Framework) -> tuple[tuple[str, ...], ...]:
-    adj = adjacency(fw)
-    seen: set[str] = set()
-    comps = []
-    for root in fw.vertex_ids:
-        if root in seen:
-            continue
-        comp = [root]
-        seen.add(root)
-        queue = [root]
-        while queue:
-            x = queue.pop(0)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    return tuple(graphs.components(fw.vertex_ids, adjacency(fw)))
 
 
 def is_connected(fw: Framework) -> bool:
@@ -152,30 +132,10 @@ def is_connected(fw: Framework) -> bool:
 @lru_cache(maxsize=None)
 def spanning_forest(fw: Framework) -> tuple[dict[str, str | None], tuple[Edge, ...]]:
     """BFS forest: parent map plus the non-tree edges, deterministically."""
-    adj = adjacency(fw)
-    parent: dict[str, str | None] = {}
-    tree: set[Edge] = set()
-    for root in fw.vertex_ids:
-        if root in parent:
-            continue
-        parent[root] = None
-        queue = [root]
-        while queue:
-            x = queue.pop(0)
-            for y in adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    tree.add(edge_key(x, y))
-                    queue.append(y)
+    parent = graphs.bfs_parents(adjacency(fw), fw.vertex_ids)
+    tree = {edge_key(x, p) for x, p in parent.items() if p is not None}
     chords = tuple(e for e in fw.edges if e not in tree)
     return parent, chords
-
-
-def _tree_path(parent: dict[str, str | None], v: str) -> list[str]:
-    path = [v]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path
 
 
 @lru_cache(maxsize=None)
@@ -186,14 +146,7 @@ def cycle_basis(fw: Framework) -> tuple[tuple[str, ...], ...]:
     Count equals |E| - |V| + #components.
     """
     parent, chords = spanning_forest(fw)
-    cycles = []
-    for u, v in chords:
-        pu, pv = _tree_path(parent, u), _tree_path(parent, v)
-        su, sv = set(pu), set(pv)
-        meet = next(x for x in pu if x in sv)
-        walk = pu[: pu.index(meet) + 1] + list(reversed(pv[: pv.index(meet)]))
-        cycles.append(tuple(walk))
-    return tuple(cycles)
+    return tuple(tuple(graphs.tree_path(parent, u, v)) for u, v in chords)
 
 
 def walk_edges(walk: tuple[str, ...]):
@@ -306,22 +259,14 @@ def apply_deformation(fw: Framework, lam) -> Framework:
     if not in_span(list(ds.basis), lam):
         raise ContractError("vector violates a cycle equation")
     eidx = {e: i for i, e in enumerate(fw.edges)}
-    adj = adjacency(fw)
+    anchors = [comp[0] for comp in components(fw)]
     new: dict[str, Vec] = {}
-    for comp in components(fw):
-        anchor = min(comp)
-        new[anchor] = fw.point(anchor)
-        queue = [anchor]
-        seen = {anchor}
-        while queue:
-            x = queue.pop(0)
-            for y in adj[x]:
-                if y in seen:
-                    continue
-                seen.add(y)
-                step = vec_scale(lam[eidx[edge_key(x, y)]], vec_sub(fw.point(y), fw.point(x)))
-                new[y] = tuple(a + b for a, b in zip(new[x], step))
-                queue.append(y)
+    for y, x in graphs.bfs_parents(adjacency(fw), anchors).items():
+        if x is None:
+            new[y] = fw.point(y)
+            continue
+        step = vec_scale(lam[eidx[edge_key(x, y)]], vec_sub(fw.point(y), fw.point(x)))
+        new[y] = tuple(a + b for a, b in zip(new[x], step))
     return Framework(fw.vertex_ids, tuple(new[v] for v in fw.vertex_ids), fw.edges)
 
 
@@ -348,10 +293,7 @@ def _displacements(fw: Framework, u: str, v: str) -> list[Vec]:
     ds = deformation_space(fw)
     parent, _ = spanning_forest(fw)
     eidx = {e: i for i, e in enumerate(fw.edges)}
-    pu, pv = _tree_path(parent, u), _tree_path(parent, v)
-    meet = next(x for x in pu if x in set(pv))
-    # tree walk u -> meet -> v
-    walk = pu[: pu.index(meet) + 1] + list(reversed(pv[: pv.index(meet)]))
+    walk = graphs.tree_path(parent, u, v)
     out = []
     for b in ds.basis:
         acc = [Fraction(0)] * fw.dim
@@ -466,20 +408,10 @@ def quotient_degenerate(fw: Framework):
     Only edges declared in the framework are contracted; mere coordinate
     coincidence without an edge does not tie vertices together.
     """
-    rep = {v: v for v in fw.vertex_ids}
-
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for e in sorted(fw.degenerate_edges):
-        a, b = find(e[0]), find(e[1])
-        if a != b:
-            (lo, hi) = (a, b) if a < b else (b, a)
-            rep[hi] = lo
-    mapping = {v: find(v) for v in fw.vertex_ids}
+    classes = graphs.UnionFind(fw.vertex_ids)
+    for u, v in fw.degenerate_edges:
+        classes.union(u, v)
+    mapping = {v: classes.find(v) for v in fw.vertex_ids}
     new_ids = tuple(v for v in fw.vertex_ids if mapping[v] == v)
     coords = tuple(fw.point(v) for v in new_ids)
     edges = sorted(

@@ -165,6 +165,11 @@ def test_product_reports(cp):
     rep = product_report(tri, seg)
     assert rep.dims_add_up and rep.partition_is_lift
     assert (rep.dim_left, rep.dim_right, rep.dim_product) == (1, 1, 2)
+    # factor labels that themselves contain "|"
+    prism = product_framework(tri, seg)
+    for a, b in ((prism, seg), (seg, prism)):
+        rep = product_report(a, b)
+        assert rep.dims_add_up and rep.partition_is_lift and rep.dim_product == 3
 
 
 def test_product_ray_union(cp):
@@ -176,4 +181,12 @@ def test_product_ray_union(cp):
     rb = enumerate_rays(deformation_space(sq)).rays
     embedded = {embed_product_ray(prod, tri, r, "left") for r in ra}
     embedded |= {embed_product_ray(prod, sq, r, "right") for r in rb}
+    assert set(cone.rays) == embedded
+    # a left factor whose labels contain "|"
+    left = product_framework(tri, framework({"x": (0,), "y": (1,)}, [("x", "y")]))
+    nested = product_framework(left, sq)
+    cone = enumerate_rays(deformation_space(nested))
+    ra = enumerate_rays(deformation_space(left)).rays
+    embedded = {embed_product_ray(nested, left, r, "left") for r in ra}
+    embedded |= {embed_product_ray(nested, sq, r, "right") for r in rb}
     assert set(cone.rays) == embedded

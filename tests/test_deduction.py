@@ -1,7 +1,13 @@
 """Rule engine: saturation, conclusions, bounds, certificate replay."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import defocone
 from defocone.corpus import corpus, facet_flats
 from defocone.deduction import (
     COVERING_CONCLUSION,
@@ -141,6 +147,47 @@ def test_trivial_conclusions():
     two_points = framework({"a": (0,), "b": (1,)}, [])
     ok, _ = conclude_indecomposable(saturate(two_points), None)
     assert not ok
+    ok, step = conclude_indecomposable(saturate(point), None)
+    assert verify_certificate(point, [step])[0]
+    forged = Step(COVERING_CONCLUSION, {"trivial": True, "S": ["a", "b"], "flats": []})
+    ok, _, reason = verify_certificate(two_points, [forged])
+    assert not ok and "disconnected" in reason
+
+
+_COUNT_RANKS = """
+import json
+from defocone import corpus, deduction, exact
+
+fw = corpus.corpus()["gyrobifastigium"].framework
+calls = 0
+original = exact.rank
+
+
+def counted(*args):
+    global calls
+    calls += 1
+    return original(*args)
+
+
+exact.rank = deduction.rank = counted
+state = deduction.saturate(fw)
+print(json.dumps({"rank_calls": calls, "log": [[s.kind, s.payload] for s in state.log]}))
+"""
+
+
+def test_saturation_independent_of_hash_seed():
+    """String hashing must not steer the search: same eliminations, same log."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(defocone.__file__)))
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", _COUNT_RANKS],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        runs.append(json.loads(out.stdout))
+    assert runs[0]["rank_calls"] > 0
+    assert runs[0] == runs[1]
 
 
 def test_rule_budget_configuration(cp):

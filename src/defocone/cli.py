@@ -28,7 +28,12 @@ from .constructions import (
     uniform_matroid,
 )
 from .corpus import corpus, facet_flats
-from .deduction import conclude_indecomposable, saturate, verify_certificate
+from .deduction import (
+    COVERING_CONCLUSION,
+    conclude_indecomposable,
+    saturate,
+    verify_certificate,
+)
 from .errors import ContractError, InputError, ResourceLimitError
 from .exact import rat_str
 from .framework import (
@@ -170,13 +175,22 @@ def cmd_verify(args) -> int:
     obj = load_geometry(args.file)
     fw = _as_framework(obj)
     with open(args.certificate, "r", encoding="utf-8") as fh:
-        steps = certificate_from_obj(json.load(fh))
+        cert = json.load(fh)
+    steps = certificate_from_obj(cert)
     ok, idx, reason = verify_certificate(fw, steps)
-    if ok:
-        print(f"certificate valid ({len(steps)} steps replayed)")
-        return OK
-    print(f"invalid certificate: step {idx}: {reason}", file=sys.stderr)
-    return FAILURE
+    if not ok:
+        print(f"invalid certificate: step {idx}: {reason}", file=sys.stderr)
+        return FAILURE
+    claims = (cert.get("conclusion") or {}).get("indecomposable_proved")
+    if claims and not any(s.kind == COVERING_CONCLUSION for s in steps):
+        print(
+            "invalid certificate: conclusion claims indecomposability "
+            "but no covering conclusion was replayed",
+            file=sys.stderr,
+        )
+        return FAILURE
+    print(f"certificate valid ({len(steps)} steps replayed)")
+    return OK
 
 
 def _construct(args):

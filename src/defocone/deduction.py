@@ -11,8 +11,9 @@ edges plus discovered implicit ones) and grows it by sound rules:
 
 Every merge is logged as a step whose payload carries enough data for an
 independent verifier to re-check the geometric side conditions without
-recomputing any nullspace.  Conclusions (indecomposability via a covering
-collection of flats, dimension upper bounds) are logged the same way.
+computing the deformation space.  Conclusions (indecomposability via a
+covering collection of flats, dimension upper bounds) are logged the same
+way; their covering test takes only the annihilators of the flats.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from . import graphs
 from .errors import InputError
-from .exact import Vec, affine_rank, in_span, is_zero_vec, rank, vec_sub
+from .exact import Vec, affine_rank, in_span, is_zero_vec, nullspace, rank, vec_sub
 from .framework import Edge, Framework, adjacency, components, edge_key
 
 TRIANGLE = "Triangle"
@@ -51,23 +52,12 @@ class Step:
     payload: dict
 
 
-@dataclass
-class RuleConfig:
-    """Budgets for the saturation loop.
-
-    The expensive searches (rigid cycles beyond quadrilaterals, projection
-    lifts along class directions) only run when the cheap rules stall, and
-    the cycle search is capped; the search strategy is a policy choice,
-    soundness never depends on it.
-    """
-
-    max_cycle_len: int = 6
-    max_skip: int = 2
-    max_cycles_scanned: int = 200_000
-    use_rigid_cycles: bool = True
-    use_projection_lifts: bool = True
-    stop_when_spanning: bool = True
-    extra_projection_dirs: tuple = ()
+# Budgets of the rigid-cycle search, which only runs when the cheap rules
+# stall.  The search strategy is a policy choice; soundness never depends
+# on it.
+MAX_CYCLE_LEN = 6
+MAX_SKIP = 2
+MAX_CYCLES_SCANNED = 200_000
 
 
 class DeductionState:
@@ -237,14 +227,14 @@ def _run_implicit_from_paths(state: DeductionState) -> bool:
     return progress
 
 
-def _run_rigid_cycles(state: DeductionState, cfg: RuleConfig) -> bool:
+def _run_rigid_cycles(state: DeductionState) -> bool:
     """Cycles whose length exceeds the codimension drop by exactly one
     after skipping a small subset: the remaining edges merge."""
     fw = state.base
     adj = state.known_adjacency()
     d = fw.dim
     progress = False
-    budget = cfg.max_cycles_scanned
+    budget = MAX_CYCLES_SCANNED
 
     def handle(cycle: tuple[str, ...]) -> bool:
         k = len(cycle)
@@ -256,7 +246,7 @@ def _run_rigid_cycles(state: DeductionState, cfg: RuleConfig) -> bool:
             vec_sub(fw.point(cycle[(i + 1) % k]), fw.point(cycle[i])) for i in range(k)
         ]
         full_rank = rank(signed, d)
-        for skip_size in range(0, cfg.max_skip + 1):
+        for skip_size in range(0, MAX_SKIP + 1):
             for skip in itertools.combinations(range(k), skip_size):
                 keep = [i for i in range(k) if i not in skip]
                 if len(keep) < 2:
@@ -289,14 +279,14 @@ def _run_rigid_cycles(state: DeductionState, cfg: RuleConfig) -> bool:
                     if path[1] < path[-1]:  # one orientation per cycle
                         if handle(path):
                             progress = True
-                elif y not in path and len(path) < cfg.max_cycle_len and y > start:
+                elif y not in path and len(path) < MAX_CYCLE_LEN and y > start:
                     stack.append((y, path + (y,)))
     return progress
 
 
-def _run_projection_lifts(state: DeductionState, cfg: RuleConfig) -> bool:
-    """Project along a class direction (or a manual hint): known edges with
-    identified endpoints and direction off the kernel merge."""
+def _run_projection_lifts(state: DeductionState) -> bool:
+    """Project along a class direction: known edges with identified
+    endpoints and direction off the kernel merge."""
     fw = state.base
     directions: list[Vec] = []
     for rep, es in sorted(state.classes().items()):
@@ -304,7 +294,6 @@ def _run_projection_lifts(state: DeductionState, cfg: RuleConfig) -> bool:
         nz = [v for v in vecs if not is_zero_vec(v)]
         if nz and all(in_span([nz[0]], v) for v in nz):
             directions.append(nz[0])
-    directions.extend(tuple(Fraction(x) for x in w) for w in cfg.extra_projection_dirs)
     progress = False
     for w in directions:
         along_w = [e for e in state.known if in_span([w], state.direction(e))]
@@ -352,24 +341,23 @@ def _has_spanning_class(state: DeductionState) -> bool:
     return False
 
 
-def saturate(fw: Framework, cfg: RuleConfig | None = None) -> DeductionState:
+def saturate(fw: Framework) -> DeductionState:
     """Run all rules to a fixpoint (cheap rules first, budgeted searches on
     stall).  Classes only merge and known edges only grow, so this ends."""
-    cfg = cfg or RuleConfig()
     state = DeductionState(fw)
     while True:
         progress = _run_degenerate_transfer(state)
         progress = _run_triangles(state) or progress
         progress = _run_parallel_quads(state) or progress
-        if cfg.stop_when_spanning and _has_spanning_class(state):
+        if _has_spanning_class(state):
             break
         if progress:
             continue
         if _run_implicit_from_paths(state):
             continue
-        if cfg.use_rigid_cycles and _run_rigid_cycles(state, cfg):
+        if _run_rigid_cycles(state):
             continue
-        if cfg.use_projection_lifts and _run_projection_lifts(state, cfg):
+        if _run_projection_lifts(state):
             continue
         break
     return state
@@ -389,43 +377,14 @@ def _flat_connected(fw: Framework, flat) -> bool:
     return len(graphs.components(sorted(flat), adjacency(fw))) == 1
 
 
-def _intersect_spans(spans: list[list[Vec]], dim: int) -> int:
-    """Dimension of the intersection of the given linear spans."""
-    current: list[Vec] | None = None
-    for vecs in spans:
-        if current is None:
-            current = list(vecs)
-            continue
-        if not current:
-            return 0
-        # x in span(current) and span(vecs): x = C^T y = V^T z
-        from .exact import nullspace
-
-        rows = [
-            [c[i] for c in current] + [-v[i] for v in vecs] for i in range(dim)
-        ]
-        sols = nullspace(rows, len(current) + len(vecs))
-        inter = []
-        for s in sols:
-            x = tuple(
-                sum((s[j] * current[j][i] for j in range(len(current))), Fraction(0))
-                for i in range(dim)
-            )
-            if not is_zero_vec(x):
-                inter.append(x)
-        current = inter
-    if current is None:
-        return dim
-    return rank(current, dim) if current else 0
-
-
 def covering_pins_all(fw: Framework, flats) -> bool:
+    """Does every vertex lie on a flat, with the direction spaces of its
+    flats meeting only in 0?  Over Q, (∩ Uᵢ)^⊥ = Σ Uᵢ^⊥, so that is one
+    rank per vertex on the stacked annihilators of its flats."""
+    annihilators = {f: nullspace(flat_direction(fw, f), fw.dim) for f in dict.fromkeys(flats)}
     for v in fw.vertex_ids:
-        containing = [f for f in flats if v in f]
-        if not containing:
-            return False
-        spans = [flat_direction(fw, f) for f in containing]
-        if _intersect_spans(spans, fw.dim) != 0:
+        through = [ann for f, ann in annihilators.items() if v in f]
+        if not through or rank([a for ann in through for a in ann], fw.dim) != fw.dim:
             return False
     return True
 
@@ -529,7 +488,8 @@ def _one_piece(fw: Framework, edges, s) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# certificate verification (independent replay, no nullspace anywhere)
+# certificate verification (independent replay: the deformation-space
+# nullspace is never consulted, only the annihilators of the flats)
 
 
 def verify_certificate(fw: Framework, steps):

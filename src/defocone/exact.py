@@ -30,18 +30,6 @@ def rat_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def vec(*entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
-
-
-def parse_vec(items) -> Vec:
-    return tuple(parse_rat(s) for s in items)
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 

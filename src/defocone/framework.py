@@ -26,8 +26,7 @@ from .exact import (
     is_zero_vec,
     nullspace,
     parallel,
-    rank,
-    rref,
+    vec_dot,
     vec_scale,
     vec_sub,
 )
@@ -424,43 +423,9 @@ def quotient_degenerate(fw: Framework):
     return Framework(new_ids, coords, tuple(edges)), mapping
 
 
-def projection_map(dim: int, kernel_vectors: list[Vec]):
-    """A deterministic linear map with the given kernel.
-
-    The kernel basis is completed with the first standard basis vectors
-    that keep it independent; the map reads off the coordinates on those
-    completing vectors.
-    """
-    if not kernel_vectors or all(is_zero_vec(w) for w in kernel_vectors):
-        return lambda x: tuple(x), dim
-    kbasis, _ = rref(kernel_vectors, dim)
-    r = len(kbasis)
-    cols: list[Vec] = [tuple(row) for row in kbasis]
-    complete: list[int] = []
-    for j in range(dim):
-        cand = tuple(Fraction(1 if i == j else 0) for i in range(dim))
-        if rank(cols + [cand], dim) > len(cols):
-            cols.append(cand)
-            complete.append(j)
-        if len(cols) == dim:
-            break
-    # invert the change-of-basis matrix whose columns are `cols`
-    mat = [[cols[c][i] for c in range(dim)] for i in range(dim)]
-    aug = [row + [Fraction(1 if i == j else 0) for j in range(dim)] for i, row in enumerate(mat)]
-    reduced, pivots = rref(aug, 2 * dim)
-    assert pivots == list(range(dim))
-    inv = [row[dim:] for row in reduced]
-
-    def pi(x: Vec) -> Vec:
-        y = [sum(inv[i][j] * x[j] for j in range(dim)) for i in range(dim)]
-        return tuple(y[r:])
-
-    return pi, dim - r
-
-
 def project(fw: Framework, kernel_vectors: list[Vec]) -> Framework:
-    """Image framework under a deterministic linear map killing span(W)."""
-    if fw.dim == 0:
-        return fw
-    pi, _ = projection_map(fw.dim, [tuple(Fraction(x) for x in w) for w in kernel_vectors])
-    return Framework(fw.vertex_ids, tuple(pi(c) for c in fw.coords), fw.edges)
+    """Image framework under x ↦ (a·x for a in a basis of W^⊥), a
+    deterministic linear map whose kernel is span(W)."""
+    annihilator = nullspace(kernel_vectors, fw.dim)
+    coords = tuple(tuple(vec_dot(a, c) for a in annihilator) for c in fw.coords)
+    return Framework(fw.vertex_ids, coords, fw.edges)

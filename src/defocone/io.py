@@ -88,10 +88,19 @@ def certificate_to_obj(steps, conclusion: dict | None = None) -> dict:
 
 
 def certificate_from_obj(obj: dict) -> list[Step]:
+    """The steps of a certificate object; InputError on a wrong shape."""
+    if not isinstance(obj, dict):
+        raise InputError("top-level JSON object expected")
     if obj.get("format") != CERT_FORMAT:
         raise InputError("unknown certificate format")
+    if not isinstance(obj.get("conclusion"), (dict, type(None))):
+        raise InputError("certificate conclusion must be an object or null")
+    if not isinstance(obj.get("steps"), list):
+        raise InputError("certificate steps must be a list")
     steps = []
     for row in obj["steps"]:
+        if not isinstance(row, dict) or not isinstance(row.get("payload"), dict):
+            raise InputError("certificate step must be an object with a payload object")
         kind = row.get("kind")
         if kind not in STEP_KINDS:
             raise InputError(f"unknown step kind {kind!r}")

@@ -50,7 +50,6 @@ from .constructions import (
 )
 from .corpus import corpus, facet_flats
 from .deduction import (
-    RuleConfig,
     Step,
     conclude_indecomposable,
     dim_upper_bound,

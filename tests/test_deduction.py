@@ -2,12 +2,21 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import defocone
+from defocone.constructions import (
+    bipartite_truncation,
+    complete_graph,
+    graphic_matroid,
+    matroid_polytope,
+    uniform_matroid,
+)
 from defocone.corpus import corpus, facet_flats
 from defocone.deduction import (
     COVERING_CONCLUSION,
@@ -16,14 +25,18 @@ from defocone.deduction import (
     PROJECTION_LIFT,
     RIGID_CYCLE,
     TRIANGLE,
-    RuleConfig,
     Step,
     conclude_indecomposable,
+    covering_pins_all,
     dim_upper_bound,
+    flat_direction,
     saturate,
+    singleton_flats,
     verify_certificate,
 )
+from defocone.exact import Vec, is_zero_vec, nullspace, rank
 from defocone.framework import dc_dimension, dependency_partition, framework
+from defocone.report import DEDUCTION_PROVABLE
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +171,8 @@ _COUNT_RANKS = """
 import json
 from defocone import corpus, deduction, exact
 
-fw = corpus.corpus()["gyrobifastigium"].framework
+entry = corpus.corpus()["gyrobifastigium"]
+flats = corpus.facet_flats(entry.polytope)
 calls = 0
 original = exact.rank
 
@@ -170,13 +184,19 @@ def counted(*args):
 
 
 exact.rank = deduction.rank = counted
-state = deduction.saturate(fw)
-print(json.dumps({"rank_calls": calls, "log": [[s.kind, s.payload] for s in state.log]}))
+state = deduction.saturate(entry.framework)
+counts = {"saturate": calls}
+deduction.conclude_indecomposable(state, flats)
+counts["conclude"] = calls - counts["saturate"]
+deduction.dim_upper_bound(state, flats)
+counts["bound"] = calls - counts["saturate"] - counts["conclude"]
+print(json.dumps({"rank_calls": counts, "log": [[s.kind, s.payload] for s in state.log]}))
 """
 
 
 def test_saturation_independent_of_hash_seed():
-    """String hashing must not steer the search: same eliminations, same log."""
+    """String hashing must not steer the search, the conclusion or the
+    bound: same eliminations in each, same log."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(defocone.__file__)))
     runs = []
     for seed in ("0", "1"):
@@ -186,15 +206,18 @@ def test_saturation_independent_of_hash_seed():
             env=env, capture_output=True, text=True, check=True, timeout=300,
         )
         runs.append(json.loads(out.stdout))
-    assert runs[0]["rank_calls"] > 0
+    assert all(n > 0 for n in runs[0]["rank_calls"].values())
+    assert "DimBound" in {k for k, _ in runs[0]["log"]}
     assert runs[0] == runs[1]
 
 
 def test_rule_budget_configuration(cp):
-    fw = cp["kallay_skew"].framework
-    st = saturate(fw, RuleConfig(use_rigid_cycles=False))
-    ok, _ = conclude_indecomposable(st, facet_flats(cp["kallay_skew"].polytope))
-    assert not ok  # without rigid cycles the two halves stay separate
+    # the rigid-cycle search, within its budgets, joins the two halves
+    skew = cp["kallay_skew"]
+    st = saturate(skew.framework)
+    assert any(s.kind == RIGID_CYCLE for s in st.log)
+    ok, _ = conclude_indecomposable(st, facet_flats(skew.polytope))
+    assert ok
 
 
 def test_collinear_triangle_rejected(cp):
@@ -225,3 +248,78 @@ def test_projection_lift_requires_parallel_paths(cp):
     bad = Step(PROJECTION_LIFT, {**good.payload, "kernel": [["0", "1"]]})
     ok, _, reason = verify_certificate(sq, [bad])
     assert not ok and "parallel" in reason
+
+
+# ---------------------------------------------------------------------------
+# covering test against the pairwise span intersection it replaced
+
+
+def _intersect_spans(spans: list[list[Vec]], dim: int) -> int:
+    """Dimension of the intersection of the given linear spans, one
+    nullspace per pair."""
+    current: list[Vec] | None = None
+    for vecs in spans:
+        if current is None:
+            current = list(vecs)
+            continue
+        if not current:
+            return 0
+        # x in span(current) and span(vecs): x = C^T y = V^T z
+        rows = [[c[i] for c in current] + [-v[i] for v in vecs] for i in range(dim)]
+        inter = []
+        for sol in nullspace(rows, len(current) + len(vecs)):
+            x = tuple(
+                sum((sol[j] * current[j][i] for j in range(len(current))), Fraction(0))
+                for i in range(dim)
+            )
+            if not is_zero_vec(x):
+                inter.append(x)
+        current = inter
+    if current is None:
+        return dim
+    return rank(current, dim) if current else 0
+
+
+def _reference_pins_all(fw, flats) -> bool:
+    for v in fw.vertex_ids:
+        spans = [flat_direction(fw, f) for f in flats if v in f]
+        if not spans or _intersect_spans(spans, fw.dim) != 0:
+            return False
+    return True
+
+
+def _covering_cases(cp):
+    """(source, name, framework, flats): facet and singleton flats, each
+    list whole and as three seeded random halves."""
+    lists = []
+    for name, e in sorted(cp.items()):
+        if e.polytope is not None:
+            lists.append(("corpus facets", name, e.framework, facet_flats(e.polytope)))
+        lists.append(("corpus singletons", name, e.framework, singleton_flats(e.framework)))
+    for kind, n, m in DEDUCTION_PROVABLE:
+        tr = bipartite_truncation(n, m, kind)
+        lists.append(("truncation facets", f"{kind}_{n}_{m}", tr.framework, facet_flats(tr.polytope)))
+    for name, mb in (
+        ("U(2,3)", uniform_matroid(2, 3)),
+        ("U(2,4)", uniform_matroid(2, 4)),
+        ("M(K4)", graphic_matroid(complete_graph(4))),
+    ):
+        mp = matroid_polytope(mb)
+        lists.append(("matroid facets", name, mp.framework, facet_flats(mp.polytope)))
+    cases = []
+    for source, name, fw, flats in lists:
+        flats = [frozenset(f) for f in flats]
+        rng = random.Random(f"{source}/{name}")
+        cases.append((source, name, fw, flats))
+        for k in range(3):
+            cases.append((source, f"{name} half {k}", fw, rng.sample(flats, len(flats) // 2)))
+    return cases
+
+
+def test_covering_matches_pairwise_span_intersection(cp):
+    verdicts: dict[str, set[bool]] = {}
+    for source, name, fw, flats in _covering_cases(cp):
+        got = covering_pins_all(fw, flats)
+        assert got == _reference_pins_all(fw, flats), (source, name)
+        verdicts.setdefault(source, set()).add(got)
+    assert all(v == {True, False} for v in verdicts.values()), verdicts

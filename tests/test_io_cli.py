@@ -1,14 +1,20 @@
 """File formats and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import defocone
 
 from defocone.cli import main
 from defocone.corpus import corpus
 from defocone.deduction import saturate
 from defocone.errors import InputError
 from defocone.io import (
+    CERT_FORMAT,
     AnalysisReport,
     certificate_from_obj,
     certificate_to_obj,
@@ -133,6 +139,45 @@ def test_cli_certify_verify_cycle(tmp_path, capsys):
     bad.write_text(json.dumps(blob))
     capsys.readouterr()
     assert run_cli("verify", str(poly), str(bad)) == 1
+
+
+def test_cli_verify_checks_the_conclusion(tmp_path, capsys):
+    sq = tmp_path / "sq.json"
+    assert run_cli("construct", "corpus", "--name", "square", "-o", str(sq)) == 0
+    capsys.readouterr()
+    assert run_cli("oracle", str(sq), "--json") == 0
+    assert json.loads(capsys.readouterr().out) == {"indecomposable": False, "dc_dimension": 2}
+    forged = tmp_path / "sq.cert.json"
+    forged.write_text(json.dumps(certificate_to_obj([], {"indecomposable_proved": True})))
+    assert run_cli("verify", str(sq), str(forged)) == 1
+    assert "claims indecomposability" in capsys.readouterr().err
+    # the same empty replay without the claim is a valid (empty) certificate
+    forged.write_text(json.dumps(certificate_to_obj([], {"indecomposable_proved": False})))
+    assert run_cli("verify", str(sq), str(forged)) == 0
+
+
+MALFORMED_CERTIFICATES = {
+    "top-level list": [],
+    "steps not a list": {"format": CERT_FORMAT, "steps": 5},
+    "step not an object": {"format": CERT_FORMAT, "steps": [5]},
+    "step without payload": {"format": CERT_FORMAT, "steps": [{"kind": "Triangle"}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CERTIFICATES))
+def test_cli_verify_rejects_malformed_certificates(tmp_path, cp, name):
+    fw = tmp_path / "tri.json"
+    fw.write_text(json.dumps(framework_to_obj(cp["triangle"].framework)))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(MALFORMED_CERTIFICATES[name]))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(defocone.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "defocone", "verify", str(fw), str(cert)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ")
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Saturating rule engine for edge dependencies, with replayable proofs.
 
-The engine maintains a union-find over known non-degenerate edges (base
-edges plus discovered implicit ones) and grows it by sound rules:
+`DeductionState` is a proof kernel: it holds the known non-degenerate
+edges (base edges plus discovered implicit ones) in a union-find of
+classes, and `DeductionState.apply` is the one place that checks a step's
+literal geometric side conditions, makes its merges and logs it.  The
+rules search for steps and hand each one to `apply`:
 
   triangles on affinely independent points; quadrilaterals with a parallel
   opposite pair (a projection lift along that direction); general rigid
@@ -9,11 +12,12 @@ edges plus discovered implicit ones) and grows it by sound rules:
   paths inside one class; projection lifts along one-dimensional class
   directions.
 
-Every merge is logged as a step whose payload carries enough data for an
-independent verifier to re-check the geometric side conditions without
-computing the deformation space.  Conclusions (indecomposability via a
-covering collection of flats, dimension upper bounds) are logged the same
-way; their covering test takes only the annihilators of the flats.
+Conclusions (indecomposability via a covering collection of flats,
+dimension upper bounds) are steps too.  Replaying a certificate applies
+its steps to a fresh state, so the engine cannot log a step the replay
+rejects, and `DeductionState.conclusion` says what the replay established.
+No step consults the deformation-space nullspace; the covering test takes
+only the annihilators of the flats, once per state.
 """
 
 from __future__ import annotations
@@ -61,11 +65,16 @@ MAX_CYCLES_SCANNED = 200_000
 
 
 class DeductionState:
+    """The proof kernel: known edges, classes of the non-degenerate known
+    edges, and the log of accepted steps.  `apply` is the only way to
+    change any of them, so the rules and the replay share one semantics."""
+
     def __init__(self, fw: Framework):
         self.base = fw
         self.known: set[Edge] = set(fw.edges)
         self._classes = graphs.UnionFind(e for e in fw.edges if not fw.is_degenerate(e))
         self.log: list[Step] = []
+        self._pins: dict[frozenset, bool] = {}
 
     # union-find over the non-degenerate known edges ------------------------
     def find(self, e: Edge) -> Edge:
@@ -74,18 +83,56 @@ class DeductionState:
     def tracked(self, e: Edge) -> bool:
         return e in self._classes
 
-    def add_edge(self, e: Edge):
-        self.known.add(e)
-        self._classes.add(e)
-
-    def union(self, e: Edge, f: Edge) -> bool:
-        return self._classes.union(e, f)
-
     def classes(self) -> dict[Edge, set[Edge]]:
         return self._classes.classes()
 
     def same_class(self, e: Edge, f: Edge) -> bool:
         return self.tracked(e) and self.tracked(f) and self.find(e) == self.find(f)
+
+    # the kernel ------------------------------------------------------------
+    def apply(self, step: Step) -> str | None:
+        """Check a step against this state.  An accepted step makes its
+        merges, joins the log and gives None; a rejected one changes
+        nothing and gives the reason."""
+        try:
+            check = _CHECKS.get(step.kind)
+            if check is None:
+                return f"unknown step kind {step.kind!r}"
+            merged = check(self, step.payload)
+        except (KeyError, ValueError, TypeError) as exc:
+            return f"malformed payload: {exc}"
+        if isinstance(merged, str):
+            return merged
+        for e in merged:
+            self.known.add(e)
+            self._classes.add(e)
+        for e in merged[1:]:
+            self._classes.union(merged[0], e)
+        self.log.append(step)
+        return None
+
+    def replay(self, steps):
+        """Apply the steps in order: (True, None, None), or (False, index,
+        reason) at the first rejected one."""
+        for i, step in enumerate(steps):
+            reason = self.apply(step)
+            if reason is not None:
+                return False, i, reason
+        return True, None, None
+
+    def conclusion(self) -> dict:
+        """What the accepted steps establish."""
+        return {
+            "indecomposable_proved": any(s.kind == COVERING_CONCLUSION for s in self.log),
+            "classes": len(self.classes()),
+        }
+
+    def pins_all(self, flats) -> bool:
+        """`covering_pins_all`, computed once per set of flats."""
+        key = frozenset(flats)
+        if key not in self._pins:
+            self._pins[key] = covering_pins_all(self.base, flats)
+        return self._pins[key]
 
     # geometry helpers ----------------------------------------------------
     def direction(self, e: Edge) -> Vec:
@@ -105,7 +152,8 @@ class DeductionState:
 
 
 # ---------------------------------------------------------------------------
-# rules
+# rules: each searches for steps that would merge something and hands them
+# to `apply`, which alone decides whether they hold
 
 
 def _run_triangles(state: DeductionState) -> bool:
@@ -119,19 +167,10 @@ def _run_triangles(state: DeductionState) -> bool:
             e_bc = edge_key(b, c)
             if e_bc not in state.known:
                 continue
-            tri = (a, b, c)
             es = [edge_key(a, b), edge_key(a, c), e_bc]
-            if not all(state.tracked(e) for e in es):
+            if not all(state.tracked(e) for e in es) or len({state.find(e) for e in es}) == 1:
                 continue
-            reps = {state.find(e) for e in es}
-            if len(reps) == 1:
-                continue
-            if affine_rank([fw.point(v) for v in tri]) != 2:
-                continue
-            state.log.append(Step(TRIANGLE, {"vertices": list(tri)}))
-            state.union(es[0], es[1])
-            state.union(es[0], es[2])
-            progress = True
+            progress |= state.apply(Step(TRIANGLE, {"vertices": [a, b, c]})) is None
     return progress
 
 
@@ -161,25 +200,21 @@ def _run_parallel_quads(state: DeductionState) -> bool:
                 ea, fb = edge_key(u2, u3), edge_key(u1, u4)
                 if state.same_class(ea, fb) or not (state.tracked(ea) and state.tracked(fb)):
                     continue
-                state.log.append(
-                    Step(
-                        PROJECTION_LIFT,
-                        {
-                            "kernel": [[str(x) for x in d12]],
-                            "edge_a": [u2, u3],
-                            "edge_b": [u1, u4],
-                            "path_a": [u2, u1],
-                            "path_b": [u3, u4],
-                        },
-                    )
+                step = Step(
+                    PROJECTION_LIFT,
+                    {
+                        "kernel": [[str(x) for x in d12]],
+                        "edge_a": [u2, u3],
+                        "edge_b": [u1, u4],
+                        "path_a": [u2, u1],
+                        "path_b": [u3, u4],
+                    },
                 )
-                state.union(ea, fb)
-                progress = True
+                progress |= state.apply(step) is None
     return progress
 
 
 def _run_degenerate_transfer(state: DeductionState) -> bool:
-    fw = state.base
     progress = False
     for e in sorted(state.known):
         if not is_zero_vec(state.direction(e)):
@@ -195,35 +230,21 @@ def _run_degenerate_transfer(state: DeductionState) -> bool:
                 g = edge_key(b, w)
                 if g in state.known and state.same_class(g, f):
                     continue
-                state.log.append(
-                    Step(
-                        DEGENERATE_CONTRACTION,
-                        {"degenerate": [a, b], "pivot": [a, w], "new": [b, w]},
-                    )
-                )
-                state.add_edge(g)
-                state.union(g, f)
-                progress = True
+                step = Step(DEGENERATE_CONTRACTION, {"degenerate": [a, b], "pivot": [a, w], "new": [b, w]})
+                progress |= state.apply(step) is None
     return progress
 
 
 def _run_implicit_from_paths(state: DeductionState) -> bool:
-    fw = state.base
     progress = False
-    for rep, es in sorted(state.classes().items()):
+    for _, es in sorted(state.classes().items()):
         adj = graphs.adjacency((), es)
         for comp in graphs.components(sorted(adj), adj):
             for u, v in itertools.combinations(comp, 2):
-                e = edge_key(u, v)
-                if e in state.known:
+                if edge_key(u, v) in state.known:
                     continue
-                if fw.point(u) == fw.point(v):
-                    continue
-                path = graphs.bfs_path(adj, u, v)
-                state.log.append(Step(IMPLICIT_FROM_PATH, {"path": path}))
-                state.add_edge(e)
-                state.union(e, rep)
-                progress = True
+                step = Step(IMPLICIT_FROM_PATH, {"path": graphs.bfs_path(adj, u, v)})
+                progress |= state.apply(step) is None
     return progress
 
 
@@ -241,7 +262,6 @@ def _run_rigid_cycles(state: DeductionState) -> bool:
         es = [edge_key(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
         if not all(state.tracked(e) for e in es):
             return False
-        dirs = [state.direction(e) for e in es]
         signed = [
             vec_sub(fw.point(cycle[(i + 1) % k]), fw.point(cycle[i])) for i in range(k)
         ]
@@ -256,15 +276,9 @@ def _run_rigid_cycles(state: DeductionState) -> bool:
                 sub_rank = rank([signed[i] for i in skip], d) if skip else 0
                 if k - skip_size != full_rank - sub_rank + 1:
                     continue
-                state.log.append(
-                    Step(
-                        RIGID_CYCLE,
-                        {"cycle": list(cycle), "skip": [list(es[i]) for i in skip]},
-                    )
-                )
-                for i in keep[1:]:
-                    state.union(es[keep[0]], es[i])
-                return True
+                step = Step(RIGID_CYCLE, {"cycle": list(cycle), "skip": [list(es[i]) for i in skip]})
+                if state.apply(step) is None:
+                    return True
         return False
 
     for start in fw.vertex_ids:
@@ -314,21 +328,17 @@ def _run_projection_lifts(state: DeductionState) -> bool:
                 c, d = other
                 if rep_of[a] != rep_of[c]:
                     c, d = d, c
-                pa, pb = graphs.bfs_path(adj_w, a, c), graphs.bfs_path(adj_w, b, d)
-                state.log.append(
-                    Step(
-                        PROJECTION_LIFT,
-                        {
-                            "kernel": [[str(x) for x in w]],
-                            "edge_a": list(lead),
-                            "edge_b": list(other),
-                            "path_a": pa,
-                            "path_b": pb,
-                        },
-                    )
+                step = Step(
+                    PROJECTION_LIFT,
+                    {
+                        "kernel": [[str(x) for x in w]],
+                        "edge_a": list(lead),
+                        "edge_b": list(other),
+                        "path_a": graphs.bfs_path(adj_w, a, c),
+                        "path_b": graphs.bfs_path(adj_w, b, d),
+                    },
                 )
-                state.union(lead, other)
-                progress = True
+                progress |= state.apply(step) is None
     return progress
 
 
@@ -369,12 +379,22 @@ def saturate(fw: Framework) -> DeductionState:
 
 def flat_direction(fw: Framework, flat) -> list[Vec]:
     pts = [fw.point(v) for v in sorted(flat)]
-    basis = [vec_sub(p, pts[0]) for p in pts[1:]]
-    return basis
+    return [vec_sub(p, pts[0]) for p in pts[1:]]
 
 
-def _flat_connected(fw: Framework, flat) -> bool:
-    return len(graphs.components(sorted(flat), adjacency(fw))) == 1
+def _disconnected_flat(fw: Framework, flats):
+    """The first flat that is not a connected vertex set, or None."""
+    adj = adjacency(fw)
+    return next((f for f in flats if len(graphs.components(sorted(f), adj)) != 1), None)
+
+
+def _as_flats(fw: Framework, flats) -> list[frozenset]:
+    """The flats as vertex sets; InputError on one that is not connected."""
+    flats = [frozenset(f) for f in flats]
+    bad = _disconnected_flat(fw, flats)
+    if bad is not None:
+        raise InputError(f"flat is not connected: {sorted(bad)}")
+    return flats
 
 
 def covering_pins_all(fw: Framework, flats) -> bool:
@@ -398,86 +418,69 @@ def conclude_indecomposable(state: DeductionState, flats=None):
 
     A dependent vertex set is one connected piece of one class; success
     needs a covering collection of flats each meeting that set.  Returns
-    (flag, step); on success the step is appended to the log.
+    (flag, step); on success the step is in the log.
     """
     fw = state.base
-    if len(fw.vertex_ids) <= 2 and len(components(fw)) == 1:
-        step = Step(
-            COVERING_CONCLUSION,
-            {"trivial": True, "S": sorted(fw.vertex_ids), "flats": []},
-        )
-        state.log.append(step)
-        return True, step
-    flats = [frozenset(f) for f in flats] if flats is not None else singleton_flats(fw)
-    for f in flats:
-        if not _flat_connected(fw, f):
-            raise InputError(f"flat is not connected: {sorted(f)}")
-    if not covering_pins_all(fw, flats):
+    if len(fw.vertex_ids) <= 2:
+        step = Step(COVERING_CONCLUSION, {"trivial": True, "S": sorted(fw.vertex_ids), "flats": []})
+        if state.apply(step) is None:
+            return True, step
+    flats = _as_flats(fw, flats) if flats is not None else singleton_flats(fw)
+    if not state.pins_all(flats):
         return False, None
     for rep, comp in state.class_components():
-        if affine_rank([fw.point(v) for v in comp]) < 2:
-            continue
         if all(f & comp for f in flats):
             step = Step(
                 COVERING_CONCLUSION,
-                {
-                    "S": sorted(comp),
-                    "witness_edge": list(rep),
-                    "flats": [sorted(f) for f in flats],
-                },
+                {"S": sorted(comp), "witness_edge": list(rep), "flats": [sorted(f) for f in flats]},
             )
-            state.log.append(step)
-            return True, step
+            if state.apply(step) is None:
+                return True, step
     return False, None
 
 
 def dim_upper_bound(state: DeductionState, flats=None) -> int | None:
     """Smallest certified bound on the deformation-cone dimension.
 
-    Either r classes whose union connects every pair of vertices, or the
-    covering-flats refinement with a vertex set drawn from one connected
-    piece of the union.  None when neither applies.
+    Either r classes whose union connects every pair of vertices, or, when
+    the flats pin every vertex, a vertex set drawn from one connected piece
+    of the union that meets every flat.  None when neither applies.
     """
     fw = state.base
     vertices = sorted(fw.vertex_ids)
     classes = sorted(state.classes().items())
     reps = [rep for rep, _ in classes]
-    best = None
-    max_r = min(4, len(reps))
-    flats = [frozenset(f) for f in flats] if flats is not None else None
-    pinned = covering_pins_all(fw, flats) if flats else False
-    for r in range(1, max_r + 1):
-        if best is not None:
-            break
+    flats = _as_flats(fw, flats) if flats else None
+    pinned = flats is not None and state.pins_all(flats)
+    for r in range(1, min(4, len(reps)) + 1):
         for combo in itertools.combinations(range(len(reps)), r):
-            union_edges = set()
-            for i in combo:
-                union_edges |= classes[i][1]
+            union_edges = set().union(*(classes[i][1] for i in combo))
             comps = graphs.components(vertices, graphs.adjacency(vertices, union_edges))
-            spanning = len(comps) == 1
-            ok = spanning
-            witness_s = vertices if spanning else None
-            if not ok and pinned:
-                for s in comps:
-                    if all(f & set(s) for f in flats):
-                        ok = True
-                        witness_s = list(s)
-                        break
-            if ok:
-                best = r
-                state.log.append(
-                    Step(
-                        DIM_BOUND,
-                        {
-                            "bound": r,
-                            "classes": [list(reps[i]) for i in combo],
-                            "S": witness_s,
-                            "flats": [sorted(f) for f in flats] if flats else None,
-                        },
-                    )
-                )
-                break
-    return best
+            if len(comps) == 1:
+                s = vertices
+            else:
+                s = next((list(c) for c in comps if pinned and all(f & set(c) for f in flats)), None)
+            if s is None:
+                continue
+            step = Step(
+                DIM_BOUND,
+                {
+                    "bound": r,
+                    "classes": [list(reps[i]) for i in combo],
+                    "S": s,
+                    "flats": [sorted(f) for f in flats] if pinned else None,
+                },
+            )
+            if state.apply(step) is None:
+                return r
+    return None
+
+
+# ---------------------------------------------------------------------------
+# step checks: each reads its step's literal geometric side conditions
+# against the state, and gives the reason it fails or the edges that become
+# known and merge into one class.  The deformation-space nullspace is never
+# consulted, only the annihilators of the flats.
 
 
 def _one_piece(fw: Framework, edges, s) -> bool:
@@ -487,168 +490,159 @@ def _one_piece(fw: Framework, edges, s) -> bool:
     return len({lead[v] for v in s}) == 1
 
 
-# ---------------------------------------------------------------------------
-# certificate verification (independent replay: the deformation-space
-# nullspace is never consulted, only the annihilators of the flats)
+def _check_triangle(state: DeductionState, p):
+    fw = state.base
+    a, b, c = p["vertices"]
+    es = [edge_key(a, b), edge_key(a, c), edge_key(b, c)]
+    if any(e not in state.known for e in es):
+        return "triangle edge not known"
+    if affine_rank([fw.point(v) for v in (a, b, c)]) != 2:
+        return "triangle vertices not affinely independent"
+    return es
+
+
+def _check_rigid_cycle(state: DeductionState, p):
+    fw = state.base
+    cycle = p["cycle"]
+    skip_edges = {edge_key(*e) for e in p["skip"]}
+    k = len(cycle)
+    es = [edge_key(cycle[j], cycle[(j + 1) % k]) for j in range(k)]
+    if any(e not in state.known for e in es):
+        return "cycle edge not known"
+    if not skip_edges <= set(es):
+        return "skip set is not part of the cycle"
+    signed = [vec_sub(fw.point(cycle[(j + 1) % k]), fw.point(cycle[j])) for j in range(k)]
+    skip = [j for j in range(k) if es[j] in skip_edges]
+    full_rank = rank(signed, fw.dim)
+    sub_rank = rank([signed[j] for j in skip], fw.dim) if skip else 0
+    if k - len(skip) != full_rank - sub_rank + 1:
+        return "cycle rank condition fails"
+    return [e for e in es if e not in skip_edges]
+
+
+def _check_projection_lift(state: DeductionState, p):
+    fw = state.base
+    w = [tuple(Fraction(x) for x in row) for row in p["kernel"]]
+    ea, eb = edge_key(*p["edge_a"]), edge_key(*p["edge_b"])
+    if ea not in state.known or eb not in state.known:
+        return "lifted edge not known"
+    for path in (p["path_a"], p["path_b"]):
+        for x, y in zip(path, path[1:]):
+            if edge_key(x, y) not in state.known:
+                return "identification path edge not known"
+            if not in_span(w, vec_sub(fw.point(y), fw.point(x))):
+                return "identification path not parallel to kernel"
+    if set(p["edge_a"]) != {p["path_a"][0], p["path_b"][0]}:
+        return "paths do not start at the first edge"
+    if set(p["edge_b"]) != {p["path_a"][-1], p["path_b"][-1]}:
+        return "paths do not end at the second edge"
+    if in_span(w, state.direction(ea)) or in_span(w, state.direction(eb)):
+        return "lifted edge is parallel to the kernel"
+    return [ea, eb]
+
+
+def _check_degenerate_contraction(state: DeductionState, p):
+    fw = state.base
+    a, b = p["degenerate"]
+    a2, w = p["pivot"]
+    b2, w2 = p["new"]
+    if a2 != a or b2 != b or w != w2:
+        return "inconsistent vertices in degenerate transfer"
+    if edge_key(a, b) not in state.known:
+        return "degenerate edge not known"
+    if fw.point(a) != fw.point(b):
+        return "edge is not degenerate"
+    if edge_key(a, w) not in state.known:
+        return "pivot edge not known"
+    if fw.point(w) == fw.point(a):
+        return "pivot edge is degenerate"
+    return [edge_key(b, w), edge_key(a, w)]
+
+
+def _check_implicit_from_path(state: DeductionState, p):
+    fw = state.base
+    path = p["path"]
+    es = [edge_key(x, y) for x, y in zip(path, path[1:])]
+    if any(e not in state.known for e in es):
+        return "path edge not known"
+    if len({state.find(e) for e in es}) != 1:
+        return "path edges are not in one class"
+    u, v = path[0], path[-1]
+    if fw.point(u) == fw.point(v):
+        return "path endpoints coincide"
+    return [edge_key(u, v), es[0]]
+
+
+def _flats_reason(state: DeductionState, payload_flats, s) -> str | None:
+    """Why a conclusion's flats do not cover: one must be disconnected,
+    miss S, or the flats must leave a vertex unpinned."""
+    flats = [frozenset(f) for f in payload_flats]
+    if _disconnected_flat(state.base, flats) is not None:
+        return "flat is not connected"
+    if not all(f & s for f in flats):
+        return "flat misses S"
+    if not state.pins_all(flats):
+        return "flats do not pin every vertex"
+    return None
+
+
+def _check_covering_conclusion(state: DeductionState, p):
+    fw = state.base
+    if p.get("trivial"):
+        if len(fw.vertex_ids) > 2:
+            return "trivial conclusion on a large framework"
+        if len(components(fw)) != 1:
+            return "trivial conclusion on a disconnected framework"
+        return []
+    s = set(p["S"])
+    witness = edge_key(*p["witness_edge"])
+    if witness not in state.known:
+        return "witness edge not known"
+    if not _one_piece(fw, state.classes()[state.find(witness)], s):
+        return "S is not connected inside the witness class"
+    if affine_rank([fw.point(v) for v in s]) < 2:
+        return "S spans less than two dimensions"
+    return _flats_reason(state, p["flats"], s) or []
+
+
+def _check_dim_bound(state: DeductionState, p):
+    fw = state.base
+    witness_edges = [edge_key(*e) for e in p["classes"]]
+    if any(e not in state.known for e in witness_edges):
+        return "class witness edge not known"
+    reps = [state.find(e) for e in witness_edges]
+    if len(set(reps)) != len(reps):
+        return "bound classes are not distinct"
+    if p["S"] is None:
+        return "missing vertex set"
+    s = set(p["S"])
+    by_root = state.classes()
+    if not _one_piece(fw, [e for r in reps for e in by_root[r]], s):
+        return "bound vertex set is not connected by the classes"
+    if p.get("flats"):
+        reason = _flats_reason(state, p["flats"], s)
+        if reason is not None:
+            return reason
+    elif s != set(fw.vertex_ids):
+        return "without flats the vertex set must be everything"
+    if p["bound"] != len(witness_edges):
+        return "bound does not match the class count"
+    return []
+
+
+_CHECKS = {
+    TRIANGLE: _check_triangle,
+    RIGID_CYCLE: _check_rigid_cycle,
+    PROJECTION_LIFT: _check_projection_lift,
+    DEGENERATE_CONTRACTION: _check_degenerate_contraction,
+    IMPLICIT_FROM_PATH: _check_implicit_from_path,
+    COVERING_CONCLUSION: _check_covering_conclusion,
+    DIM_BOUND: _check_dim_bound,
+}
 
 
 def verify_certificate(fw: Framework, steps):
-    """Replay each step against its literal geometric side conditions.
-
-    Returns (True, None, None) or (False, index, reason).  Maintains its
-    own known-edge set and union-find; a step may only rely on edges and
-    merges established before it.
-    """
-    known: set[Edge] = set(fw.edges)
-    classes = graphs.UnionFind(e for e in fw.edges if not fw.is_degenerate(e))
-    ensure, find, union = classes.add, classes.find, classes.union
-
-    def fail(i, reason):
-        return False, i, reason
-
-    for i, step in enumerate(steps):
-        k, p = step.kind, step.payload
-        try:
-            if k == TRIANGLE:
-                a, b, c = p["vertices"]
-                es = [edge_key(a, b), edge_key(a, c), edge_key(b, c)]
-                if any(e not in known for e in es):
-                    return fail(i, "triangle edge not known")
-                if affine_rank([fw.point(v) for v in (a, b, c)]) != 2:
-                    return fail(i, "triangle vertices not affinely independent")
-                union(es[0], es[1])
-                union(es[0], es[2])
-            elif k == RIGID_CYCLE:
-                cycle = p["cycle"]
-                skip_edges = {edge_key(*e) for e in p["skip"]}
-                kk = len(cycle)
-                es = [edge_key(cycle[j], cycle[(j + 1) % kk]) for j in range(kk)]
-                if any(e not in known for e in es):
-                    return fail(i, "cycle edge not known")
-                if not skip_edges <= set(es):
-                    return fail(i, "skip set is not part of the cycle")
-                signed = [
-                    vec_sub(fw.point(cycle[(j + 1) % kk]), fw.point(cycle[j]))
-                    for j in range(kk)
-                ]
-                keep = [j for j in range(kk) if es[j] not in skip_edges]
-                skip = [j for j in range(kk) if es[j] in skip_edges]
-                full_rank = rank(signed, fw.dim)
-                sub_rank = rank([signed[j] for j in skip], fw.dim) if skip else 0
-                if kk - len(skip) != full_rank - sub_rank + 1:
-                    return fail(i, "cycle rank condition fails")
-                for j in keep:
-                    ensure(es[j])
-                for j in keep[1:]:
-                    union(es[keep[0]], es[j])
-            elif k == PROJECTION_LIFT:
-                w = [tuple(Fraction(x) for x in row) for row in p["kernel"]]
-                ea, eb = edge_key(*p["edge_a"]), edge_key(*p["edge_b"])
-                if ea not in known or eb not in known:
-                    return fail(i, "lifted edge not known")
-                for path in (p["path_a"], p["path_b"]):
-                    for x, y in zip(path, path[1:]):
-                        e = edge_key(x, y)
-                        if e not in known:
-                            return fail(i, "identification path edge not known")
-                        if not in_span(w, vec_sub(fw.point(y), fw.point(x))):
-                            return fail(i, "identification path not parallel to kernel")
-                if set(p["edge_a"]) != {p["path_a"][0], p["path_b"][0]}:
-                    return fail(i, "paths do not start at the first edge")
-                if set(p["edge_b"]) != {p["path_a"][-1], p["path_b"][-1]}:
-                    return fail(i, "paths do not end at the second edge")
-                da = vec_sub(fw.point(ea[1]), fw.point(ea[0]))
-                db = vec_sub(fw.point(eb[1]), fw.point(eb[0]))
-                if in_span(w, da) or in_span(w, db):
-                    return fail(i, "lifted edge is parallel to the kernel")
-                ensure(ea)
-                ensure(eb)
-                union(ea, eb)
-            elif k == DEGENERATE_CONTRACTION:
-                a, b = p["degenerate"]
-                a2, w_ = p["pivot"]
-                b2, w2 = p["new"]
-                if a2 != a or b2 != b or w_ != w2:
-                    return fail(i, "inconsistent vertices in degenerate transfer")
-                if edge_key(a, b) not in known:
-                    return fail(i, "degenerate edge not known")
-                if fw.point(a) != fw.point(b):
-                    return fail(i, "edge is not degenerate")
-                piv = edge_key(a, w_)
-                if piv not in known:
-                    return fail(i, "pivot edge not known")
-                if fw.point(w_) == fw.point(a):
-                    return fail(i, "pivot edge is degenerate")
-                new = edge_key(b, w_)
-                known.add(new)
-                ensure(piv)
-                ensure(new)
-                union(new, piv)
-            elif k == IMPLICIT_FROM_PATH:
-                path = p["path"]
-                es = [edge_key(x, y) for x, y in zip(path, path[1:])]
-                if any(e not in known for e in es):
-                    return fail(i, "path edge not known")
-                if len({find(e) for e in es}) != 1:
-                    return fail(i, "path edges are not in one class")
-                u, v = path[0], path[-1]
-                if fw.point(u) == fw.point(v):
-                    return fail(i, "path endpoints coincide")
-                new = edge_key(u, v)
-                known.add(new)
-                ensure(new)
-                union(new, es[0])
-            elif k == COVERING_CONCLUSION:
-                if p.get("trivial"):
-                    if len(fw.vertex_ids) > 2:
-                        return fail(i, "trivial conclusion on a large framework")
-                    if len(components(fw)) != 1:
-                        return fail(i, "trivial conclusion on a disconnected framework")
-                    continue
-                s = set(p["S"])
-                witness = edge_key(*p["witness_edge"])
-                if witness not in known:
-                    return fail(i, "witness edge not known")
-                if not _one_piece(fw, classes.classes()[find(witness)], s):
-                    return fail(i, "S is not connected inside the witness class")
-                if affine_rank([fw.point(v) for v in s]) < 2:
-                    return fail(i, "S spans less than two dimensions")
-                flats = [frozenset(f) for f in p["flats"]]
-                for f in flats:
-                    if not _flat_connected(fw, f):
-                        return fail(i, "flat is not connected")
-                    if not (f & s):
-                        return fail(i, "flat misses S")
-                if not covering_pins_all(fw, flats):
-                    return fail(i, "flats do not pin every vertex")
-            elif k == DIM_BOUND:
-                witness_edges = [edge_key(*e) for e in p["classes"]]
-                if any(e not in known for e in witness_edges):
-                    return fail(i, "class witness edge not known")
-                reps_ = [find(e) for e in witness_edges]
-                if len(set(reps_)) != len(reps_):
-                    return fail(i, "bound classes are not distinct")
-                if p["S"] is None:
-                    return fail(i, "missing vertex set")
-                s = set(p["S"])
-                by_root = classes.classes()
-                if not _one_piece(fw, [e for r in reps_ for e in by_root[r]], s):
-                    return fail(i, "bound vertex set is not connected by the classes")
-                if p.get("flats"):
-                    flats = [frozenset(f) for f in p["flats"]]
-                    for f in flats:
-                        if not _flat_connected(fw, f):
-                            return fail(i, "flat is not connected")
-                        if not (f & s):
-                            return fail(i, "flat misses S")
-                    if not covering_pins_all(fw, flats):
-                        return fail(i, "flats do not pin every vertex")
-                elif s != set(fw.vertex_ids):
-                    return fail(i, "without flats the vertex set must be everything")
-                if p["bound"] != len(witness_edges):
-                    return fail(i, "bound does not match the class count")
-            else:
-                return fail(i, f"unknown step kind {k!r}")
-        except (KeyError, ValueError, TypeError) as exc:
-            return fail(i, f"malformed payload: {exc}")
-    return True, None, None
+    """Replay the steps through a fresh state: (True, None, None), or
+    (False, index, reason) at the first rejected step.  A step may only
+    rely on edges and merges established before it."""
+    return DeductionState(fw).replay(steps)

@@ -74,9 +74,6 @@ class Framework:
         deg = self.degenerate_edges
         return tuple(e for e in self.edges if e not in deg)
 
-    def edge_index(self, e: Edge) -> int:
-        return self.edges.index(e)
-
 
 def framework(points: dict, edges) -> Framework:
     """Build a canonical Framework from a label->coords map and edge pairs."""

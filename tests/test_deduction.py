@@ -21,10 +21,12 @@ from defocone.corpus import corpus, facet_flats
 from defocone.deduction import (
     COVERING_CONCLUSION,
     DEGENERATE_CONTRACTION,
+    DIM_BOUND,
     IMPLICIT_FROM_PATH,
     PROJECTION_LIFT,
     RIGID_CYCLE,
     TRIANGLE,
+    DeductionState,
     Step,
     conclude_indecomposable,
     covering_pins_all,
@@ -34,6 +36,7 @@ from defocone.deduction import (
     singleton_flats,
     verify_certificate,
 )
+from defocone.errors import InputError
 from defocone.exact import Vec, is_zero_vec, nullspace, rank
 from defocone.framework import dc_dimension, dependency_partition, framework
 from defocone.report import DEDUCTION_PROVABLE
@@ -183,20 +186,30 @@ def counted(*args):
     return original(*args)
 
 
+def calls_made(fn, *args):
+    start = calls
+    result = fn(*args)
+    return calls - start, result
+
+
 exact.rank = deduction.rank = counted
-state = deduction.saturate(entry.framework)
-counts = {"saturate": calls}
-deduction.conclude_indecomposable(state, flats)
-counts["conclude"] = calls - counts["saturate"]
-deduction.dim_upper_bound(state, flats)
-counts["bound"] = calls - counts["saturate"] - counts["conclude"]
-print(json.dumps({"rank_calls": counts, "log": [[s.kind, s.payload] for s in state.log]}))
+counts = {}
+counts["saturate"], state = calls_made(deduction.saturate, entry.framework)
+counts["conclude"], _ = calls_made(deduction.conclude_indecomposable, state, flats)
+counts["bound"], _ = calls_made(deduction.dim_upper_bound, state, flats)
+counts["replay"], verdict = calls_made(deduction.verify_certificate, entry.framework, state.log)
+print(json.dumps({
+    "rank_calls": counts,
+    "log": [[s.kind, s.payload] for s in state.log],
+    "replay": verdict,
+}))
 """
 
 
 def test_saturation_independent_of_hash_seed():
-    """String hashing must not steer the search, the conclusion or the
-    bound: same eliminations in each, same log."""
+    """String hashing must not steer the search, the conclusion, the bound
+    or the replay: same eliminations in each, same log.  The bound reuses
+    the conclusion's covering test, so it makes no rank call."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(defocone.__file__)))
     runs = []
     for seed in ("0", "1"):
@@ -206,8 +219,11 @@ def test_saturation_independent_of_hash_seed():
             env=env, capture_output=True, text=True, check=True, timeout=300,
         )
         runs.append(json.loads(out.stdout))
-    assert all(n > 0 for n in runs[0]["rank_calls"].values())
+    counts = runs[0]["rank_calls"]
+    assert counts["saturate"] > 0 and counts["conclude"] > 0 and counts["replay"] > 0
+    assert counts["bound"] == 0
     assert "DimBound" in {k for k, _ in runs[0]["log"]}
+    assert runs[0]["replay"] == [True, None, None]
     assert runs[0] == runs[1]
 
 
@@ -248,6 +264,93 @@ def test_projection_lift_requires_parallel_paths(cp):
     bad = Step(PROJECTION_LIFT, {**good.payload, "kernel": [["0", "1"]]})
     ok, _, reason = verify_certificate(sq, [bad])
     assert not ok and "parallel" in reason
+
+
+def _rejected_steps(cp):
+    """name -> (framework, step, words of the reason the kernel must give)."""
+    collinear = framework(
+        {"a": (0, 0), "b": (1, 0), "c": (2, 0)},
+        [("a", "b"), ("b", "c"), ("a", "c")],
+    )
+    sq, tri = cp["square"].framework, cp["triangle"].framework
+    two_points = framework({"a": (0,), "b": (1,)}, [])
+    lift = {"edge_a": ["B", "C"], "edge_b": ["A", "D"], "path_a": ["B", "A"], "path_b": ["C", "D"]}
+    contraction = {"degenerate": ["A", "B"], "pivot": ["A", "C"], "new": ["B", "C"]}
+    trivial = {"trivial": True, "S": ["a", "b"], "flats": []}
+    return {
+        "collinear triangle": (
+            collinear, Step(TRIANGLE, {"vertices": ["a", "b", "c"]}), "affinely independent"
+        ),
+        "square cycle without a skip": (
+            sq, Step(RIGID_CYCLE, {"cycle": ["A", "B", "C", "D"], "skip": []}), "rank condition"
+        ),
+        "lift along the wrong kernel": (
+            sq, Step(PROJECTION_LIFT, {"kernel": [["0", "1"]], **lift}), "not parallel"
+        ),
+        "degenerate contraction on a triangle": (
+            tri, Step(DEGENERATE_CONTRACTION, contraction), "not degenerate"
+        ),
+        "implicit path across two classes": (
+            sq, Step(IMPLICIT_FROM_PATH, {"path": ["A", "B", "C"]}), "not in one class"
+        ),
+        "forged trivial conclusion": (
+            two_points, Step(COVERING_CONCLUSION, trivial), "disconnected"
+        ),
+        "unknown kind": (tri, Step("Bogus", {}), "unknown step kind"),
+        "malformed payload": (tri, Step(TRIANGLE, {"vertices": ["A", "B"]}), "malformed payload"),
+    }
+
+
+def test_kernel_rejects_a_step_without_changing_the_state(cp):
+    for name, (fw, step, words) in _rejected_steps(cp).items():
+        state = saturate(fw)
+        before = (set(state.known), state.classes(), list(state.log))
+        reason = state.apply(step)
+        assert reason is not None and words in reason, (name, reason)
+        assert (set(state.known), state.classes(), list(state.log)) == before, name
+        assert DeductionState(fw).replay([step]) == (False, 0, reason), name
+
+
+def test_conclusion_states_what_the_replay_established(cp):
+    cop = cp["kallay_coplanar"]
+    st = saturate(cop.framework)
+    dim_upper_bound(st, facet_flats(cop.polytope))
+    again = DeductionState(cop.framework)
+    assert again.replay(st.log) == (True, None, None)
+    assert again.conclusion() == {"indecomposable_proved": False, "classes": 2}
+    skew = cp["kallay_skew"]
+    st = saturate(skew.framework)
+    ok, _ = conclude_indecomposable(st, facet_flats(skew.polytope))
+    assert ok
+    again = DeductionState(skew.framework)
+    assert again.replay(st.log) == (True, None, None)
+    assert again.conclusion() == st.conclusion() == {"indecomposable_proved": True, "classes": 1}
+
+
+def test_bounds_from_flats_that_do_not_pin_replay(cp):
+    """With half of the facet flats most vertices stay unpinned: the bound
+    then comes from spanning classes alone, and its step must replay."""
+    bounded = []
+    for name, e in sorted(cp.items()):
+        if e.polytope is None:
+            continue
+        flats = facet_flats(e.polytope)
+        st = saturate(e.framework)
+        bound = dim_upper_bound(st, flats[: len(flats) // 2])
+        if bound is None:
+            continue
+        bounded.append(name)
+        assert bound >= dc_dimension(e.framework), name
+        assert st.log[-1].kind == DIM_BOUND, name
+        good, idx, reason = verify_certificate(e.framework, st.log)
+        assert good, (name, idx, reason)
+    assert len(bounded) == 21 and "hexagon" not in bounded
+
+
+def test_dim_bound_rejects_a_disconnected_flat(cp):
+    sq = cp["square"].framework
+    with pytest.raises(InputError, match="not connected"):
+        dim_upper_bound(saturate(sq), [["A", "C"], ["B", "D"]])
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,33 @@ def test_cli_verify_checks_the_conclusion(tmp_path, capsys):
     assert run_cli("verify", str(sq), str(forged)) == 0
 
 
+@pytest.mark.parametrize(
+    "edit, code",
+    [("genuine", 0), ("classes 17", 1), ("extra key", 1), ("null conclusion", 0)],
+)
+def test_cli_verify_checks_every_claim(tmp_path, capsys, edit, code):
+    poly = tmp_path / "ks.json"
+    cert = tmp_path / "ks.cert.json"
+    assert run_cli("construct", "corpus", "--name", "kallay_skew", "-o", str(poly)) == 0
+    assert run_cli("certify", str(poly), "--flats", "facets", "-o", str(cert)) == 0
+    blob = json.loads(cert.read_text())
+    assert blob["conclusion"] == {"indecomposable_proved": True, "classes": 1}
+    if edit == "classes 17":
+        blob["conclusion"]["classes"] = 17
+    elif edit == "extra key":
+        blob["conclusion"]["dim_bound"] = 0
+    elif edit == "null conclusion":
+        blob["conclusion"] = None
+    cert.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert run_cli("verify", str(poly), str(cert)) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "invalid certificate: conclusion claims" in err
+    else:
+        assert err == ""
+
+
 MALFORMED_CERTIFICATES = {
     "top-level list": [],
     "steps not a list": {"format": CERT_FORMAT, "steps": 5},

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ddcore import dd_rays
+from .ddcore import canonical_ray, dd_rays
 from .errors import InputError, ResourceLimitError
 from .exact import Vec, nullspace
 from .framework import (
@@ -69,9 +69,7 @@ def enumerate_rays(
             for j in range(ne)
         )
         assert all(x >= 0 for x in lam)
-        j = next(i for i, x in enumerate(lam) if x != 0)
-        lam = tuple(x / lam[j] for x in lam)
-        rays.append(lam)
+        rays.append(canonical_ray(lam))
     return Cone(fw.edges, ds.dim, tuple(sorted(rays)))
 
 

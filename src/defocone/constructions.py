@@ -17,9 +17,11 @@ from fractions import Fraction
 
 from . import graphs
 from .errors import ContractError, InputError, ResourceLimitError
-from .exact import Vec, affine_rank, rank, vec_dot, vec_sub
+from .ddcore import canonical_ray
+from .deduction import flat_direction
+from .exact import Vec, affine_rank, in_span, parallel, rank, vec_dot, vec_sub
 from .framework import Framework, edge_key, framework
-from .polytope import PolytopeV, edges, facets, hull_dim, hull_frame, polytope
+from .polytope import PolytopeV, edges, facets, hull_dim, hull_frame, is_vertex, polytope
 
 MAX_ORIENTATIONS = 5000
 
@@ -345,7 +347,7 @@ class Zonotope:
         """Index of the generator parallel to the given edge."""
         d = vec_sub(self.polytope.point(e[1]), self.polytope.point(e[0]))
         for i, gen in enumerate(self.generators):
-            if rank([gen, d], len(d)) == 1:
+            if parallel(gen, d):
                 return i
         raise InputError(f"edge {e} is parallel to no generator")
 
@@ -354,7 +356,7 @@ def is_parallelogramic(generators) -> bool:
     gens = [tuple(Fraction(x) for x in g) for g in generators]
     d = len(gens[0]) if gens else 0
     for a, b in itertools.combinations(gens, 2):
-        if rank([a, b], d) < 2:
+        if parallel(a, b):
             return False
     for a, b, c in itertools.combinations(gens, 3):
         if rank([a, b, c], d) < 3:
@@ -378,14 +380,11 @@ def zonotope(generators) -> Zonotope:
             for k in range(d)
         )
         sums.setdefault(s, []).append(mask)
-    from .polytope import _in_hull
-
     pts = {}
     subsets = {}
     distinct = list(sums)
-    for s, masks in sums.items():
-        others = [t for t in distinct if t != s]
-        if not _in_hull(s, others):
+    for k, (s, masks) in enumerate(sums.items()):
+        if is_vertex(distinct, k):
             mask = masks[0]
             label = "z" + "".join(
                 "1" if mask >> i & 1 else "0" for i in range(len(gens))
@@ -588,12 +587,7 @@ def normal_fingerprint(p: PolytopeV):
     positive scaling."""
     from collections import Counter
 
-    dirs = []
-    for f in facets(p):
-        n = f.normal
-        j = next(i for i, x in enumerate(n) if x != 0)
-        scale = 1 / abs(n[j])
-        dirs.append(tuple(scale * x for x in n))
+    dirs = [canonical_ray(f.normal) for f in facets(p)]
     return (
         len(p.vertex_ids),
         len(edges(p)),
@@ -779,14 +773,11 @@ def minkowski_sum_labeled(a: PolytopeV, b: PolytopeV) -> LabeledSum:
         for v in b.vertex_ids:
             s = tuple(x + y for x, y in zip(a.point(u), b.point(v)))
             cand.setdefault(s, []).append((u, v))
-    from .polytope import _in_hull
-
     distinct = list(cand)
     pts = {}
     prov = {}
-    for s, prs in cand.items():
-        others = [t for t in distinct if t != s]
-        if not _in_hull(s, others):
+    for k, (s, prs) in enumerate(cand.items()):
+        if is_vertex(distinct, k):
             if len(prs) > 1:
                 raise InputError(f"ambiguous vertex decomposition at {s}")
             label = f"{prs[0][0]}+{prs[0][1]}"
@@ -819,11 +810,6 @@ def two_faces(p: PolytopeV) -> list[frozenset[str]]:
     return sorted(out, key=sorted)
 
 
-def _direction_space(p: PolytopeV, face: frozenset[str]):
-    pts = [p.point(v) for v in sorted(face)]
-    return [vec_sub(q, pts[0]) for q in pts[1:]]
-
-
 def parallelogramic_position(a: PolytopeV, b: PolytopeV):
     """(ok, reason): no shared edge directions and no edge of one parallel
     to a 2-face of the other."""
@@ -832,14 +818,13 @@ def parallelogramic_position(a: PolytopeV, b: PolytopeV):
         for f in eb:
             da = vec_sub(a.point(e[1]), a.point(e[0]))
             db = vec_sub(b.point(f[1]), b.point(f[0]))
-            if rank([da, db], len(da)) < 2:
+            if parallel(da, db):
                 return False, f"edge {e} of the first summand is parallel to edge {f} of the second"
     for p, q, ep in ((a, b, ea), (b, a, eb)):
         for face in two_faces(q):
-            dirs = _direction_space(q, face)
+            dirs = flat_direction(q, face)
             for e in ep:
-                d = vec_sub(p.point(e[1]), p.point(e[0]))
-                if rank(dirs, len(d)) == rank(dirs + [d], len(d)):
+                if in_span(dirs, vec_sub(p.point(e[1]), p.point(e[0]))):
                     return False, f"edge {e} is parallel to 2-face {sorted(face)}"
     return True, None
 

@@ -23,13 +23,11 @@ def canonical_ray(r) -> Vec:
 
 
 def _initial_simplicial(rows, dim):
-    """Greedy full-rank row subset and the rays of the cone they cut."""
-    chosen: list[int] = []
-    for i, row in enumerate(rows):
-        if rank([rows[j] for j in chosen] + [row], dim) > len(chosen):
-            chosen.append(i)
-        if len(chosen) == dim:
-            break
+    """Greedy full-rank row subset and the rays of the cone they cut.
+
+    The rows a left-to-right scan finds independent are the pivot columns
+    of the RREF of the transposed rows."""
+    chosen = rref(list(zip(*rows)), len(rows))[1]
     if len(chosen) < dim:
         raise ValueError("cone is not pointed (constraint rows do not span)")
     mat = [list(rows[i]) for i in chosen]

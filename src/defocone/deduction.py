@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import graphs
 from .errors import InputError
-from .exact import Vec, affine_rank, in_span, is_zero_vec, nullspace, rank, vec_sub
+from .exact import Vec, affine_rank, in_span, is_zero_vec, nullspace, parallel, rank, vec_sub
 from .framework import Edge, Framework, adjacency, components, edge_key
 
 TRIANGLE = "Triangle"
@@ -189,13 +189,13 @@ def _run_parallel_quads(state: DeductionState) -> bool:
             if u3 in (u1, u2):
                 continue
             d23 = vec_sub(fw.point(u3), fw.point(u2))
-            if in_span([d12], d23):
+            if parallel(d12, d23):
                 continue
             for u4 in sorted(adj[u3]):
                 if u4 in (u1, u2, u3) or edge_key(u4, u1) not in state.known:
                     continue
                 d34 = vec_sub(fw.point(u4), fw.point(u3))
-                if not in_span([d12], d34) or is_zero_vec(d34):
+                if not parallel(d12, d34) or is_zero_vec(d34):
                     continue
                 ea, fb = edge_key(u2, u3), edge_key(u1, u4)
                 if state.same_class(ea, fb) or not (state.tracked(ea) and state.tracked(fb)):
@@ -306,16 +306,16 @@ def _run_projection_lifts(state: DeductionState) -> bool:
     for rep, es in sorted(state.classes().items()):
         vecs = [state.direction(e) for e in sorted(es)]
         nz = [v for v in vecs if not is_zero_vec(v)]
-        if nz and all(in_span([nz[0]], v) for v in nz):
+        if nz and all(parallel(nz[0], v) for v in nz):
             directions.append(nz[0])
     progress = False
     for w in directions:
-        along_w = [e for e in state.known if in_span([w], state.direction(e))]
+        along_w = [e for e in state.known if parallel(w, state.direction(e))]
         adj_w = graphs.adjacency(fw.vertex_ids, along_w)
         rep_of = {x: c[0] for c in graphs.components(fw.vertex_ids, adj_w) for x in c}
         buckets: dict[tuple, list[Edge]] = {}
         for e in sorted(state.known):
-            if in_span([w], state.direction(e)):
+            if parallel(w, state.direction(e)):
                 continue
             key = tuple(sorted((rep_of[e[0]], rep_of[e[1]])))
             buckets.setdefault(key, []).append(e)
@@ -378,6 +378,8 @@ def saturate(fw: Framework) -> DeductionState:
 
 
 def flat_direction(fw: Framework, flat) -> list[Vec]:
+    """Differences from the point of the smallest label to the other points
+    of the flat; any object with `point(label)`, a polytope too, will do."""
     pts = [fw.point(v) for v in sorted(flat)]
     return [vec_sub(p, pts[0]) for p in pts[1:]]
 

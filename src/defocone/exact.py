@@ -2,10 +2,11 @@
 
 Scalars are `fractions.Fraction` (arbitrary precision, always gcd-reduced
 with positive denominator, so equality is structural).  Vectors are tuples
-of Fractions, matrices are lists of row lists.  All elimination routines
-use plain rational Gaussian elimination with a fixed pivot rule (first
-nonzero entry, scanning columns left to right and rows top to bottom) so
-results are reproducible across runs.
+of Fractions, matrices are lists of row lists.  All elimination, here and
+in the simplex tableau, goes through one Gauss-Jordan step, `pivot`.  The
+routines here use a fixed pivot rule (first nonzero entry, scanning
+columns left to right and rows top to bottom) so results are reproducible
+across runs.
 """
 
 from __future__ import annotations
@@ -47,14 +48,6 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def zeros(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
-def unit(n: int, i: int) -> Vec:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
 def parallel(a: Vec, b: Vec) -> bool:
     """True iff a and b are linearly dependent (either may be zero)."""
     n = len(a)
@@ -63,6 +56,19 @@ def parallel(a: Vec, b: Vec) -> bool:
             if a[i] * b[j] != a[j] * b[i]:
                 return False
     return True
+
+
+def pivot(m, r: int, c: int) -> None:
+    """One Gauss-Jordan step, in place on a list of row lists: scale row r
+    so that m[r][c] == 1, then clear column c from every other row."""
+    row = m[r]
+    if row[c] != 1:
+        inv = 1 / row[c]
+        m[r] = row = [inv * x for x in row]
+    for i in range(len(m)):
+        if i != r and m[i][c] != 0:
+            f = m[i][c]
+            m[i] = [x - f * y for x, y in zip(m[i], row)]
 
 
 def rref(rows, ncols: int | None = None):
@@ -85,12 +91,7 @@ def rref(rows, ncols: int | None = None):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivot(m, r, c)
         pivots.append(c)
         r += 1
         if r == len(m):

@@ -64,19 +64,20 @@ def polytope(points: dict, check: bool = True) -> PolytopeV:
     if check and len(ids) > 1:
         _check_guard(len(ids), p.dim)
         for i, v in enumerate(ids):
-            if _in_hull(coords[i], [c for j, c in enumerate(coords) if j != i]):
+            if not is_vertex(coords, i):
                 raise InputError(f"point {v!r} is not a vertex (inside the hull of the others)")
     return p
 
 
-def _in_hull(x: Vec, pts: list[Vec]) -> bool:
-    if not pts:
-        return False
-    n = len(pts)
-    d = len(x)
-    eq = [(tuple(p[k] for p in pts), x[k]) for k in range(d)]
-    eq.append(((Fraction(1),) * n, Fraction(1)))
-    return feasible(LinearProgram(n=n, eq=eq, nonneg=True))
+def is_vertex(points: list[Vec], i: int) -> bool:
+    """Is points[i] outside the convex hull of the other points?  One LP."""
+    others = [p for j, p in enumerate(points) if j != i]
+    if not others:
+        return True
+    x = points[i]
+    eq = [(tuple(p[k] for p in others), x[k]) for k in range(len(x))]
+    eq.append(((Fraction(1),) * len(others), Fraction(1)))
+    return not feasible(LinearProgram(n=len(others), eq=eq, nonneg=True))
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,10 @@
 """Exact rational linear programming.
 
 Textbook two-phase simplex over Fractions with Bland's pivot rule, which
-guarantees termination without perturbation.  Problem sizes here are desk
+guarantees termination without perturbation.  The tableau is one matrix:
+the constraint rows [A | b], then the row [reduced costs | -value].  Every
+step, from pricing out a basis to driving artificials out after phase 1,
+is a pivot on it through `exact.pivot`.  Problem sizes here are desk
 scale (the vertex check on polytope input, nonnegativity tests on
 deformation cones), so exactness beats speed.
 """
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import Vec
+from .exact import Vec, pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -55,94 +58,65 @@ class LPResult:
     point: Vec | None = None
 
 
-def _pivot(A, b, cost, basis, r, col):
-    piv = A[r][col]
-    inv = 1 / piv
-    A[r] = [inv * x for x in A[r]]
-    b[r] *= inv
-    for i in range(len(A)):
-        if i != r and A[i][col] != 0:
-            f = A[i][col]
-            A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-            b[i] -= f * b[r]
-    if cost[col] != 0:
-        f = cost[col]
-        for j in range(len(A[r])):
-            cost[j] -= f * A[r][j]
-        cost[-1] -= f * b[r]
-    basis[r] = col
-
-
-def _bland_loop(A, b, cost, basis):
-    """Minimize; cost holds reduced costs (last entry = -objective value)."""
-    ncols = len(cost) - 1
+def _bland_loop(t, basis):
+    """Minimize over the tableau t by Bland's rule; returns the status."""
+    ncols = len(t[-1]) - 1
     while True:
-        col = next((j for j in range(ncols) if cost[j] < 0), None)
+        col = next((j for j in range(ncols) if t[-1][j] < 0), None)
         if col is None:
             return OPTIMAL
         best = None
-        for i in range(len(A)):
-            if A[i][col] > 0:
-                ratio = b[i] / A[i][col]
-                key = (ratio, basis[i])
+        for i in range(len(t) - 1):
+            if t[i][col] > 0:
+                key = (t[i][-1] / t[i][col], basis[i])
                 if best is None or key < best[0]:
                     best = (key, i)
         if best is None:
             return UNBOUNDED
-        _pivot(A, b, cost, basis, best[1], col)
+        pivot(t, best[1], col)
+        basis[best[1]] = col
 
 
 def _solve_standard(A, b, c):
     """min c.x st A x = b, x >= 0.  Returns (status, value, point)."""
     m, n = len(A), len(c)
-    A = [list(row) for row in A]
-    b = list(b)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-    # Phase 1: artificial variables with identity columns.
-    art = list(range(n, n + m))
-    tab = [A[i] + [Fraction(1 if j == i else 0) for j in range(m)] for i in range(m)]
-    basis = art[:]
-    cost = [Fraction(0)] * (n + m) + [Fraction(0)]
-    for j in range(n, n + m):
-        cost[j] = Fraction(1)
-    for i in range(m):  # price out the initial basis
-        for j in range(n + m):
-            cost[j] -= tab[i][j]
-        cost[-1] -= b[i]
-    status = _bland_loop(tab, b, cost, basis)
+    # Phase 1: rows [A | I | b] with b >= 0 and the artificial columns I.
+    t = []
+    for i, (row, bi) in enumerate(zip(A, b)):
+        if bi < 0:
+            row, bi = [-x for x in row], -bi
+        t.append(list(row) + [Fraction(1 if j == i else 0) for j in range(m)] + [bi])
+    t.append([Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)])
+    basis = list(range(n, n + m))
+    for i, j in enumerate(basis):  # price out the initial basis
+        pivot(t, i, j)
+    status = _bland_loop(t, basis)
     assert status == OPTIMAL  # phase-1 objective is bounded below by 0
-    if -cost[-1] != 0:
+    if t[-1][-1] != 0:
         return INFEASIBLE, None, None
-    # Drive leftover artificials out of the basis (degenerate rows).
+    # Drive leftover artificials out of the basis; a row with no structural
+    # entry left is redundant.
     drop_rows = []
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            col = next((j for j in range(n) if t[i][j] != 0), None)
             if col is None:
                 drop_rows.append(i)
             else:
-                _pivot(tab, b, cost, basis, i, col)
-    for i in sorted(drop_rows, reverse=True):
-        del tab[i], b[i], basis[i]
-    # Phase 2 on the structural columns.
-    tab = [row[:n] for row in tab]
-    cost = list(c) + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        if cost[bi] != 0:
-            f = cost[bi]
-            for j in range(n):
-                cost[j] -= f * tab[i][j]
-            cost[-1] -= f * b[i]
-    status = _bland_loop(tab, b, cost, basis)
-    if status == UNBOUNDED:
+                pivot(t, i, col)
+                basis[i] = col
+    for i in reversed(drop_rows):
+        del t[i], basis[i]
+    # Phase 2 on the structural columns, with the cost row priced out.
+    t = [row[:n] + row[-1:] for row in t[:-1]] + [list(c) + [Fraction(0)]]
+    for i, j in enumerate(basis):
+        pivot(t, i, j)
+    if _bland_loop(t, basis) == UNBOUNDED:
         return UNBOUNDED, None, None
     x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        x[bi] = b[i]
-    return OPTIMAL, -cost[-1], tuple(x)
+    for i, j in enumerate(basis):
+        x[j] = t[i][-1]
+    return OPTIMAL, -t[-1][-1], tuple(x)
 
 
 def solve(lp: LinearProgram) -> LPResult:

@@ -1,10 +1,14 @@
-"""Exact LP: spec examples, anti-cycling, duality spot check."""
+"""Exact LP: spec examples, anti-cycling, duality spot check, and a
+differential check against a reference simplex with separate b and cost
+lists."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defocone import simplex
 from defocone.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -114,3 +118,134 @@ def test_weak_and_strong_duality(rows, obj):
         assert dres.status == INFEASIBLE
     if dres.status == UNBOUNDED:
         assert pres.status == INFEASIBLE
+
+
+# ---------------------------------------------------------------------------
+# reference: the same two phases and Bland's rule, with b and the reduced
+# costs kept in side lists that each pivot updates by hand
+
+
+def _ref_pivot(A, b, cost, basis, r, col):
+    piv = A[r][col]
+    inv = 1 / piv
+    A[r] = [inv * x for x in A[r]]
+    b[r] *= inv
+    for i in range(len(A)):
+        if i != r and A[i][col] != 0:
+            f = A[i][col]
+            A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+            b[i] -= f * b[r]
+    if cost[col] != 0:
+        f = cost[col]
+        for j in range(len(A[r])):
+            cost[j] -= f * A[r][j]
+        cost[-1] -= f * b[r]
+    basis[r] = col
+
+
+def _ref_bland_loop(A, b, cost, basis):
+    """Minimize; cost holds reduced costs (last entry = -objective value)."""
+    ncols = len(cost) - 1
+    while True:
+        col = next((j for j in range(ncols) if cost[j] < 0), None)
+        if col is None:
+            return OPTIMAL
+        best = None
+        for i in range(len(A)):
+            if A[i][col] > 0:
+                ratio = b[i] / A[i][col]
+                key = (ratio, basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            return UNBOUNDED
+        _ref_pivot(A, b, cost, basis, best[1], col)
+
+
+def _ref_solve_standard(A, b, c):
+    """min c.x st A x = b, x >= 0.  Returns (status, value, point)."""
+    m, n = len(A), len(c)
+    A = [list(row) for row in A]
+    b = list(b)
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-x for x in A[i]]
+            b[i] = -b[i]
+    art = list(range(n, n + m))
+    tab = [A[i] + [Fraction(1 if j == i else 0) for j in range(m)] for i in range(m)]
+    basis = art[:]
+    cost = [Fraction(0)] * (n + m) + [Fraction(0)]
+    for j in range(n, n + m):
+        cost[j] = Fraction(1)
+    for i in range(m):
+        for j in range(n + m):
+            cost[j] -= tab[i][j]
+        cost[-1] -= b[i]
+    status = _ref_bland_loop(tab, b, cost, basis)
+    assert status == OPTIMAL
+    if -cost[-1] != 0:
+        return INFEASIBLE, None, None
+    drop_rows = []
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is None:
+                drop_rows.append(i)
+            else:
+                _ref_pivot(tab, b, cost, basis, i, col)
+    for i in sorted(drop_rows, reverse=True):
+        del tab[i], b[i], basis[i]
+    tab = [row[:n] for row in tab]
+    cost = list(c) + [Fraction(0)]
+    for i, bi in enumerate(basis):
+        if cost[bi] != 0:
+            f = cost[bi]
+            for j in range(n):
+                cost[j] -= f * tab[i][j]
+            cost[-1] -= f * b[i]
+    status = _ref_bland_loop(tab, b, cost, basis)
+    if status == UNBOUNDED:
+        return UNBOUNDED, None, None
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        x[bi] = b[i]
+    return OPTIMAL, -cost[-1], tuple(x)
+
+
+def _random_lp(rng: random.Random) -> LinearProgram:
+    """1-5 free or nonnegative variables, 0-3 equality rows (sometimes a
+    repeated or scaled copy, so phase 1 leaves artificials to drive out or
+    rows to drop) and 0-5 inequality rows, minimized or maximized.  Half of
+    the LPs take their right-hand sides from a point with small entries, so
+    they are feasible and often degenerate there."""
+    n = rng.randint(1, 5)
+    x0 = [rng.randint(0, 2) for _ in range(n)] if rng.random() < 0.5 else None
+
+    def row():
+        return tuple(rng.randint(-3, 3) for _ in range(n))
+
+    def rhs(a, slack):
+        if x0 is None:
+            return rng.randint(-3, 3)
+        return sum(p * q for p, q in zip(a, x0)) + slack
+
+    eq = [(a, rhs(a, 0)) for a in (row() for _ in range(rng.randint(0, 3)))]
+    if eq and rng.random() < 0.4:
+        a, b = rng.choice(eq)
+        k = rng.choice((1, -1, 2))
+        eq.insert(rng.randint(0, len(eq)), (tuple(k * x for x in a), k * b))
+    le = [(a, rhs(a, rng.randint(0, 2))) for a in (row() for _ in range(rng.randint(0, 5)))]
+    return LinearProgram(
+        n=n, objective=row(), maximize=rng.random() < 0.5, eq=eq, le=le, nonneg=rng.random() < 0.5
+    )
+
+
+def test_solve_matches_reference_simplex(monkeypatch):
+    rng = random.Random(20261018)
+    lps = [_random_lp(rng) for _ in range(600)]
+    got = [solve(lp) for lp in lps]
+    monkeypatch.setattr(simplex, "_solve_standard", _ref_solve_standard)
+    want = [solve(lp) for lp in lps]
+    assert got == want
+    statuses = {r.status for r in got}
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}

@@ -4,7 +4,8 @@
 For each member: f-vector, deformed-permutahedron check, the two-value
 coordinate test, the exact cone dimension, and whether the deduction
 engine alone certifies indecomposability.  A compact view of how the
-family behaves as n + m grows.
+family behaves as n + m grows.  A member past a resource guard gets a
+`guard: <reason>` row and the census goes on.
 """
 
 import argparse
@@ -13,14 +14,30 @@ import time
 from defocone.constructions import bipartite_truncation, truncation_f_vector
 from defocone.corpus import facet_flats
 from defocone.deduction import conclude_indecomposable, saturate
+from defocone.errors import ResourceLimitError
 from defocone.framework import dc_dimension
 from defocone.polytope import is_deformed_permutahedron, matroid_coordinate_test
 
 
-def main():
+def _member_row(n: int, m: int, kind: str) -> str:
+    tr = bipartite_truncation(n, m, kind)
+    f = truncation_f_vector(n, m, kind)
+    if len(tr.polytope.vertex_ids) > 1:
+        dp = is_deformed_permutahedron(tr.polytope)[0]
+        coord = matroid_coordinate_test(tr.polytope)
+    else:
+        dp, coord = True, True
+    dim = dc_dimension(tr.framework)
+    st = saturate(tr.framework)
+    flats = facet_flats(tr.polytope) if len(tr.polytope.vertex_ids) > 2 else None
+    deduced, _ = conclude_indecomposable(st, flats)
+    return f"{str(f):>22} {str(dp):>8} {str(coord):>8} {dim:>4} {str(deduced):>8}"
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-total", type=int, default=5, help="largest n+m")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     header = f"{'member':>8} {'f-vector':>22} {'defperm':>8} {'2-coord':>8} {'dim':>4} {'deduced':>8} {'secs':>6}"
     print(header)
     print("-" * len(header))
@@ -33,21 +50,12 @@ def main():
                 if kind == "Q" and n * m <= 2:
                     continue
                 t0 = time.time()
-                tr = bipartite_truncation(n, m, kind)
-                f = truncation_f_vector(n, m, kind)
-                if len(tr.polytope.vertex_ids) > 1:
-                    dp = is_deformed_permutahedron(tr.polytope)[0]
-                    coord = matroid_coordinate_test(tr.polytope)
-                else:
-                    dp, coord = True, True
-                dim = dc_dimension(tr.framework)
-                st = saturate(tr.framework)
-                flats = facet_flats(tr.polytope) if len(tr.polytope.vertex_ids) > 2 else None
-                deduced, _ = conclude_indecomposable(st, flats)
-                print(
-                    f"{kind}_{n},{m:>2} {str(f):>22} {str(dp):>8} {str(coord):>8}"
-                    f" {dim:>4} {str(deduced):>8} {time.time() - t0:>6.2f}"
-                )
+                try:
+                    row = _member_row(n, m, kind)
+                except ResourceLimitError as exc:
+                    print(f"{kind}_{n},{m:>2} guard: {exc}")
+                    continue
+                print(f"{kind}_{n},{m:>2} {row} {time.time() - t0:>6.2f}")
 
 
 if __name__ == "__main__":

@@ -11,10 +11,9 @@ from .framework import (
     dc_dimension,
     deformation_space,
     dependency_partition,
-    framework,
     is_indecomposable,
 )
-from .polytope import PolytopeV, edges, facets, framework_of, polytope
+from .polytope import PolytopeV, edges, facets, framework_of
 
 __all__ = [
     "Framework",
@@ -24,8 +23,6 @@ __all__ = [
     "dependency_partition",
     "edges",
     "facets",
-    "framework",
     "framework_of",
     "is_indecomposable",
-    "polytope",
 ]

@@ -12,18 +12,39 @@ Everything is deterministic; there is no randomness anywhere.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graphs
+from .cones import lifted_blocks
 from .errors import ContractError, InputError, ResourceLimitError
 from .ddcore import canonical_ray
 from .deduction import flat_direction
-from .exact import Vec, affine_rank, in_span, parallel, rank, vec_dot, vec_sub
-from .framework import Framework, edge_key, framework
-from .polytope import PolytopeV, edges, facets, hull_dim, hull_frame, is_vertex, polytope
+from .exact import Vec, affine_rank, in_span, nullspace, parallel, rank, vec_dot, vec_sub
+from .framework import (
+    Framework,
+    dc_dimension,
+    dependency_partition,
+    edge_key,
+    framework,
+    is_indecomposable,
+)
+from .polytope import (
+    PolytopeV,
+    edges,
+    f_vector,
+    faces,
+    facets,
+    framework_of,
+    hull_dim,
+    hull_frame,
+    is_vertex,
+    polytope,
+)
 
 MAX_ORIENTATIONS = 5000
+MAX_ZONOTOPE_GENERATORS = 6  # one LP per subset sum, each over all 2^g sums
 
 
 # ---------------------------------------------------------------------------
@@ -213,124 +234,9 @@ def bipartite_zonotope_facet_count(n: int, m: int) -> int:
     return count
 
 
-# ---------------------------------------------------------------------------
-# face enumeration of graphical zonotopes and their truncations
-
-
-def _connected_partitions(g: SimpleGraph):
-    """All partitions of the node set into connected parts."""
-    nodes = list(g.nodes)
-    adj = graphs.adjacency(g.nodes, g.arcs)
-
-    def split(rest: tuple[str, ...]):
-        if not rest:
-            yield []
-            return
-        first = rest[0]
-        others = rest[1:]
-        for r in range(len(others) + 1):
-            for extra in itertools.combinations(others, r):
-                part = {first, *extra}
-                if len(graphs.components(part, adj)) != 1:
-                    continue
-                remaining = tuple(x for x in others if x not in part)
-                for tail in split(remaining):
-                    yield [frozenset(part)] + tail
-
-    yield from split(tuple(nodes))
-
-
-def zonotope_faces(g: SimpleGraph) -> list[frozenset[str]]:
-    """Vertex sets of all nonempty faces, via ordered partitions: connected
-    node partitions with an acyclic orientation of the contraction."""
-    z = graphical_zonotope(g)
-    arc_index = {a: i for i, a in enumerate(g.arcs)}
-    faces: set[frozenset[str]] = set()
-    for parts in _connected_partitions(g):
-        part_of = {n: i for i, part in enumerate(parts) for n in part}
-        quotient_nodes = [str(i) for i in range(len(parts))]
-        quotient_arcs = sorted(
-            {
-                edge_key(str(part_of[u]), str(part_of[v]))
-                for u, v in g.arcs
-                if part_of[u] != part_of[v]
-            }
-        )
-        q = SimpleGraph(tuple(quotient_nodes), tuple(quotient_arcs))
-        inner = [a for a in g.arcs if part_of[a[0]] == part_of[a[1]]]
-        inner_orients = _acyclic_sub_orientations(g, inner)
-        for qbits in acyclic_orientations(q):
-            qdir = {}
-            for (qu, qv), forward in zip(q.arcs, qbits):
-                qdir[(qu, qv)] = forward
-            members = set()
-            for sub in inner_orients:
-                bits = [None] * len(g.arcs)
-                for a, forward in sub.items():
-                    bits[arc_index[a]] = forward
-                for a in g.arcs:
-                    if bits[arc_index[a]] is None:
-                        pu, pv = str(part_of[a[0]]), str(part_of[a[1]])
-                        qk = (pu, pv) if pu < pv else (pv, pu)
-                        forward_q = qdir[qk]
-                        bits[arc_index[a]] = forward_q if pu < pv else not forward_q
-                members.add(_bits_label(tuple(bits)))
-            faces.add(frozenset(members))
-    return sorted(faces, key=lambda f: (len(f), sorted(f)))
-
-
-def _acyclic_sub_orientations(g: SimpleGraph, arcs):
-    """Orientation maps arc -> bool over the given arcs, acyclic within."""
-    sub = graph({n for a in arcs for n in a} or {"x"}, arcs)
-    out = []
-    for bits in acyclic_orientations(sub):
-        out.append({a: forward for a, forward in zip(sub.arcs, bits)})
-    return out if arcs else [{}]
-
-
-def _simplex_product_faces(n: int, m: int, reversed_label) -> set[frozenset[str]]:
-    """Faces of the fresh simplex-product facet: nonempty A x B blocks."""
-    pairs = list(itertools.product(range(n), range(m)))
-    out = set()
-    for ra in range(1, n + 1):
-        for rb in range(1, m + 1):
-            for A in itertools.combinations(range(n), ra):
-                for B in itertools.combinations(range(m), rb):
-                    out.add(frozenset(reversed_label(i, j) for i in A for j in B))
-    return out
-
-
 def truncation_f_vector(n: int, m: int, kind: str) -> tuple[int, ...]:
-    """f-vector of the truncated bipartite zonotope by explicit face
-    enumeration (zonotope faces with the special vertices deleted, plus the
-    faces of the fresh facets)."""
-    tr = bipartite_truncation(n, m, kind)
-    g = tr.base.graph
-    arc_index = {a: i for i, a in enumerate(g.arcs)}
-    removed = set(tr.removed)
-    faces: set[frozenset[str]] = set()
-    for f in zonotope_faces(g):
-        cut = frozenset(f - removed)
-        if cut:
-            faces.add(cut)
-    for special_bits, flag in ((tuple(True for _ in g.arcs), True), (tuple(False for _ in g.arcs), False)):
-        if _bits_label(special_bits) not in removed:
-            continue
-
-        def rev_label(i, j, special=special_bits):
-            k = arc_index[edge_key(f"a{i + 1}", f"b{j + 1}")]
-            bits = special[:k] + (not special[k],) + special[k + 1 :]
-            return _bits_label(bits)
-
-        faces |= _simplex_product_faces(n, m, rev_label)
-    pts = tr.polytope.points
-    dim = hull_dim(tr.polytope)
-    counts = [0] * dim
-    for f in faces:
-        d = affine_rank([pts[v] for v in f])
-        if d < dim:
-            counts[d] += 1
-    return tuple(counts)
+    """f-vector of the truncated bipartite zonotope, read off its facets."""
+    return f_vector(bipartite_truncation(n, m, kind).polytope)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +277,8 @@ def zonotope(generators) -> Zonotope:
     if not gens:
         raise InputError("need at least one generator")
     d = len(gens[0])
-    if len(gens) > 14:
-        raise ResourceLimitError("too many zonotope generators")
+    if len(gens) > MAX_ZONOTOPE_GENERATORS:
+        raise ResourceLimitError(f"too many zonotope generators: {len(gens)} > {MAX_ZONOTOPE_GENERATORS}")
     sums = {}
     for mask in range(2 ** len(gens)):
         s = tuple(
@@ -419,10 +325,8 @@ def _cut_functional(p: PolytopeV, x: str, neighbor_ids):
         raise ContractError(f"no deep truncation at {x!r}: neighbors are not on a hyperplane")
     _, _, ys = hull_frame(p)
     yofs = dict(zip(p.vertex_ids, ys))
-    from .exact import nullspace as _nullspace
-
     rows = [vec_sub(yofs[v], yofs[neighbor_ids[0]]) for v in neighbor_ids[1:]]
-    normals = _nullspace(rows, h)
+    normals = nullspace(rows, h)
     assert len(normals) == 1
     a = normals[0]
     c = vec_dot(a, yofs[neighbor_ids[0]])
@@ -585,8 +489,6 @@ def normal_fingerprint(p: PolytopeV):
     """A cheap invariant separating non-normally-equivalent polytopes:
     the f-vector data we can read off plus the facet-normal multiset up to
     positive scaling."""
-    from collections import Counter
-
     dirs = [canonical_ray(f.normal) for f in facets(p)]
     return (
         len(p.vertex_ids),
@@ -740,8 +642,6 @@ class VertexCountReport:
 
 
 def smilansky_check(n: int, m: int, kind: str = "P") -> VertexCountReport:
-    from .framework import is_indecomposable
-
     tr = bipartite_truncation(n, m, kind)
     f = truncation_f_vector(n, m, kind)
     dim = len(f)
@@ -787,29 +687,6 @@ def minkowski_sum_labeled(a: PolytopeV, b: PolytopeV) -> LabeledSum:
     return LabeledSum(poly, prov)
 
 
-def two_faces(p: PolytopeV) -> list[frozenset[str]]:
-    """Vertex sets of the 2-faces: minimal faces spanned by two adjacent
-    edges, read off the facet incidences."""
-    fs = facets(p)
-    out = set()
-    es = edges(p)
-    adj: dict[str, list] = {}
-    for e in es:
-        adj.setdefault(e[0], []).append(e)
-        adj.setdefault(e[1], []).append(e)
-    for v, incident in adj.items():
-        for e1, e2 in itertools.combinations(incident, 2):
-            span = set(e1) | set(e2)
-            containing = [f.vertex_ids for f in fs if span <= f.vertex_ids]
-            if not containing:
-                face = frozenset(p.vertex_ids)
-            else:
-                face = frozenset(set.intersection(*map(set, containing)))
-            if affine_rank([p.point(w) for w in face]) == 2:
-                out.add(face)
-    return sorted(out, key=sorted)
-
-
 def parallelogramic_position(a: PolytopeV, b: PolytopeV):
     """(ok, reason): no shared edge directions and no edge of one parallel
     to a 2-face of the other."""
@@ -821,7 +698,10 @@ def parallelogramic_position(a: PolytopeV, b: PolytopeV):
             if parallel(da, db):
                 return False, f"edge {e} of the first summand is parallel to edge {f} of the second"
     for p, q, ep in ((a, b, ea), (b, a, eb)):
-        for face in two_faces(q):
+        pts = q.points
+        for face in faces(q):
+            if affine_rank([pts[v] for v in face]) != 2:
+                continue
             dirs = flat_direction(q, face)
             for e in ep:
                 if in_span(dirs, vec_sub(p.point(e[1]), p.point(e[0]))):
@@ -847,10 +727,6 @@ def parallelogramic_sum_report(a: PolytopeV, b: PolytopeV) -> SumFactorizationRe
     ok, reason = parallelogramic_position(a, b)
     if not ok:
         return SumFactorizationReport(False, reason)
-    from .cones import lifted_blocks
-    from .framework import dc_dimension, dependency_partition
-    from .polytope import framework_of
-
     s = minkowski_sum_labeled(a, b)
     fa, fb, fs = framework_of(a), framework_of(b), framework_of(s.polytope)
     expected = lifted_blocks(fs, s.provenance, fa, fb)

@@ -9,7 +9,8 @@ Edges are read off the facet incidences by the combinatorial adjacency
 test of double description: two vertices span an edge exactly when the
 facets containing both meet in those two vertices only.  The test is exact
 and uses no linear programming; LPs remain only in the vertex check of
-`polytope`, which is the input trust boundary.
+`polytope`, which is the input trust boundary.  Every other face, and so
+the f-vector, is an intersection of facets.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 from .ddcore import dd_rays
 from .errors import InputError, ResourceLimitError
-from .exact import Vec, rref, vec_dot, vec_sub
+from .exact import Vec, affine_rank, rref, vec_dot, vec_sub
 from .framework import Framework, edge_key
 from .simplex import LinearProgram, feasible
 
@@ -171,6 +172,34 @@ def facets(p: PolytopeV) -> tuple[Facet, ...]:
         normal = tuple(sum(c[j] * hbasis[j][t] for j in range(h)) for t in range(p.dim))
         out.append(Facet(tight, normal, vec_dot(normal, base) + beta))
     return tuple(sorted(out, key=lambda f: sorted(f.vertex_ids)))
+
+
+def faces(p: PolytopeV) -> tuple[frozenset[str], ...]:
+    """Vertex sets of all nonempty faces, sorted by their sorted labels.
+
+    Every nonempty proper face is the intersection of the facets that
+    contain it, so the newest faces are cut by every facet until no new
+    face appears; p itself is the meet of no facets.
+    """
+    cuts = {f.vertex_ids for f in facets(p)}
+    found, new = set(cuts), cuts
+    while new:
+        new = {a & b for a in new for b in cuts} - found - {frozenset()}
+        found |= new
+    found.add(frozenset(p.vertex_ids))
+    return tuple(sorted(found, key=sorted))
+
+
+def f_vector(p: PolytopeV) -> tuple[int, ...]:
+    """Face counts by dimension, from the vertices up to the facets."""
+    h = hull_dim(p)
+    pts = p.points
+    counts = [0] * h
+    for face in faces(p):
+        d = affine_rank([pts[v] for v in face])
+        if d < h:
+            counts[d] += 1
+    return tuple(counts)
 
 
 def framework_of(p: PolytopeV) -> Framework:

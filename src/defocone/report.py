@@ -56,7 +56,7 @@ from .deduction import (
     saturate,
     verify_certificate,
 )
-from .exact import rank
+from .exact import in_span, nullspace, rank
 from .framework import (
     Framework,
     closure,
@@ -552,12 +552,10 @@ def _mutation_checks(cp):
 
 
 def crit_11_properties(cp):
-    from .exact import nullspace, rank as mrank
-
     details = []
     ok = True
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 0]]
-    r = mrank(rows)
+    r = rank(rows)
     ns = nullspace(rows, 3)
     good = r == 2 and len(ns) == 1 and r + len(ns) == 3
     ok = ok and good
@@ -569,8 +567,6 @@ def crit_11_properties(cp):
         sat = all(
             sum(a * x for a, x in zip(row, b)) == 0 for b in ds.basis for row in rows
         )
-        from .exact import in_span
-
         unit_ok = in_span(list(ds.basis), ds.unit_vector())
         closure_ok = dc_dimension(closure(fw)) == ds.dim
         quot_ok = dc_dimension(quotient_degenerate(fw)[0]) == ds.dim

@@ -1,11 +1,15 @@
 """Family generators: zonotopes, truncations, wedges, matroids, sums."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from defocone import graphs
 from defocone.constructions import (
     MatroidBases,
+    SimpleGraph,
+    _bits_label,
     acyclic_orientations,
     bipartite_truncation,
     bipartite_zonotope_facet_count,
@@ -32,9 +36,9 @@ from defocone.constructions import (
     zonotope,
 )
 from defocone.corpus import corpus
-from defocone.errors import ContractError, InputError
-from defocone.framework import dc_dimension, is_indecomposable
-from defocone.polytope import edges, facets, framework_of, polytope
+from defocone.errors import ContractError, InputError, ResourceLimitError
+from defocone.framework import dc_dimension, edge_key, is_indecomposable
+from defocone.polytope import edges, f_vector, faces, facets, framework_of, polytope
 
 
 def test_acyclic_orientation_counts():
@@ -81,6 +85,131 @@ def test_euler_relation_on_f_vectors():
     for n, m, kind in ((3, 1, "P"), (2, 2, "P"), (1, 4, "P"), (2, 3, "P"), (2, 2, "Q")):
         f = truncation_f_vector(n, m, kind)
         assert sum((-1) ** i * c for i, c in enumerate(f)) == 1 - (-1) ** len(f)
+
+
+# ---------------------------------------------------------------------------
+# reference face enumeration of the truncated bipartite zonotopes: ordered
+# connected partitions with acyclic orientations, independent of the facets
+
+
+def _connected_partitions(g: SimpleGraph):
+    """All partitions of the node set into connected parts."""
+    adj = graphs.adjacency(g.nodes, g.arcs)
+
+    def split(rest):
+        if not rest:
+            yield []
+            return
+        first, others = rest[0], rest[1:]
+        for r in range(len(others) + 1):
+            for extra in itertools.combinations(others, r):
+                part = {first, *extra}
+                if len(graphs.components(part, adj)) != 1:
+                    continue
+                remaining = tuple(x for x in others if x not in part)
+                for tail in split(remaining):
+                    yield [frozenset(part)] + tail
+
+    yield from split(tuple(g.nodes))
+
+
+def _acyclic_sub_orientations(arcs):
+    """Orientation maps arc -> bool over the given arcs, acyclic within."""
+    if not arcs:
+        return [{}]
+    sub = graph({n for a in arcs for n in a}, arcs)
+    return [dict(zip(sub.arcs, bits)) for bits in acyclic_orientations(sub)]
+
+
+def zonotope_faces(g: SimpleGraph) -> set[frozenset[str]]:
+    """Vertex sets of all nonempty faces, via ordered partitions: connected
+    node partitions with an acyclic orientation of the contraction."""
+    arc_index = {a: i for i, a in enumerate(g.arcs)}
+    out = set()
+    for parts in _connected_partitions(g):
+        part_of = {n: i for i, part in enumerate(parts) for n in part}
+        q = graph(
+            [str(i) for i in range(len(parts))],
+            {edge_key(str(part_of[u]), str(part_of[v])) for u, v in g.arcs if part_of[u] != part_of[v]},
+        )
+        inner = [a for a in g.arcs if part_of[a[0]] == part_of[a[1]]]
+        inner_orients = _acyclic_sub_orientations(inner)
+        for qbits in acyclic_orientations(q):
+            qdir = dict(zip(q.arcs, qbits))
+            members = set()
+            for sub in inner_orients:
+                bits = [None] * len(g.arcs)
+                for a, forward in sub.items():
+                    bits[arc_index[a]] = forward
+                for a in g.arcs:
+                    if bits[arc_index[a]] is None:
+                        pu, pv = str(part_of[a[0]]), str(part_of[a[1]])
+                        forward_q = qdir[edge_key(pu, pv)]
+                        bits[arc_index[a]] = forward_q if pu < pv else not forward_q
+                members.add(_bits_label(tuple(bits)))
+            out.add(frozenset(members))
+    return out
+
+
+def _simplex_product_faces(n: int, m: int, reversed_label) -> set[frozenset[str]]:
+    """Faces of the fresh simplex-product facet: nonempty A x B blocks."""
+    out = set()
+    for ra in range(1, n + 1):
+        for rb in range(1, m + 1):
+            for A in itertools.combinations(range(n), ra):
+                for B in itertools.combinations(range(m), rb):
+                    out.add(frozenset(reversed_label(i, j) for i in A for j in B))
+    return out
+
+
+def reference_truncation_faces(n: int, m: int, kind: str) -> set[frozenset[str]]:
+    """Zonotope faces with the truncated vertices deleted, plus the faces of
+    the fresh simplex-product facets."""
+    tr = bipartite_truncation(n, m, kind)
+    g = tr.base.graph
+    arc_index = {a: i for i, a in enumerate(g.arcs)}
+    removed = set(tr.removed)
+    out = {f - removed for f in zonotope_faces(g)} - {frozenset()}
+    for special in (tuple(True for _ in g.arcs), tuple(False for _ in g.arcs)):
+        if _bits_label(special) not in removed:
+            continue
+
+        def rev_label(i, j, special=special):
+            k = arc_index[edge_key(f"a{i + 1}", f"b{j + 1}")]
+            return _bits_label(special[:k] + (not special[k],) + special[k + 1 :])
+
+        out |= _simplex_product_faces(n, m, rev_label)
+    return out
+
+
+SMALL_MEMBERS = [
+    (n, m, kind)
+    for n in range(1, 5)
+    for m in range(1, 6 - n)
+    for kind in ("P", "Q")
+    if kind == "P" or n * m > 2
+]
+
+
+def test_faces_match_ordered_partition_reference():
+    """Facet intersections give exactly the faces of the ordered-partition
+    enumeration, set for set, on every member with n + m <= 5."""
+    assert len(SMALL_MEMBERS) == 17
+    for n, m, kind in SMALL_MEMBERS:
+        tr = bipartite_truncation(n, m, kind)
+        assert set(faces(tr.polytope)) == reference_truncation_faces(n, m, kind), (kind, n, m)
+
+
+def test_f_vector_small_cases_and_euler_on_corpus():
+    assert f_vector(polytope({"a": (1, 2, 3)})) == ()
+    assert f_vector(polytope({"a": (0, 0, 0), "b": (1, 2, 3)})) == (2,)
+    square = polytope({"a": (0, 0, 1), "b": (1, 0, 1), "c": (1, 1, 1), "d": (0, 1, 1)})
+    assert f_vector(square) == (4, 4)
+    for name, entry in sorted(corpus().items()):
+        if entry.polytope is None:
+            continue
+        f = f_vector(entry.polytope)
+        assert sum((-1) ** i * c for i, c in enumerate(f)) == 1 - (-1) ** len(f), name
 
 
 def test_facet_count_two_ways():
@@ -253,6 +382,12 @@ def test_triangle_free_simpliciality():
     hexa = graphical_zonotope(complete_graph(3))
     ok, _ = is_simplicial_by_partition(hexa.framework())
     assert not ok
+
+
+def test_zonotope_generator_guard():
+    gens = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 2, 3), (2, 1, 5), (1, 3, 1), (3, 1, 2)]
+    with pytest.raises(ResourceLimitError):
+        zonotope(gens)
 
 
 def test_zonotope_parallelogramic_guard():

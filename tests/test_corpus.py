@@ -14,7 +14,7 @@ from defocone.framework import (
     is_connected,
     is_indecomposable,
 )
-from defocone.polytope import edges, facets, framework_of
+from defocone.polytope import edges, f_vector, facets, framework_of
 
 CP = corpus()
 
@@ -41,6 +41,7 @@ def test_fixture_expectations(name):
     if "f_vector" in exp:
         p = entry.polytope
         assert (len(p.vertex_ids), len(edges(p)), len(facets(p))) == exp["f_vector"]
+        assert f_vector(p) == exp["f_vector"]
     if "deduction_proves" in exp:
         st = saturate(fw)
         flats = facet_flats(entry.polytope) if entry.polytope is not None else None

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -28,6 +29,16 @@ from defocone.io import (
 @pytest.fixture(scope="module")
 def cp():
     return corpus()
+
+
+def test_package_keeps_its_submodules():
+    """The package re-exports no function under a submodule's name."""
+    import defocone.framework
+    import defocone.polytope
+
+    assert isinstance(defocone.framework, types.ModuleType)
+    assert isinstance(defocone.polytope, types.ModuleType)
+    assert callable(defocone.framework.deformation_space)
 
 
 def test_framework_roundtrip(cp):

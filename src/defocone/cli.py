@@ -48,7 +48,7 @@ from .io import (
     polytope_to_obj,
     save_obj,
 )
-from .polytope import MAX_VERTICES, PolytopeV, facets, framework_of, matroid_coordinate_test
+from .polytope import PolytopeV, facets, framework_of, matroid_coordinate_test
 
 OK, FAILURE, GUARD = 0, 1, 2
 
@@ -104,8 +104,6 @@ def _print_report(rep: AnalysisReport, as_json: bool):
 
 def cmd_analyze(args) -> int:
     obj = load_geometry(args.file)
-    if isinstance(obj, PolytopeV) and len(obj.vertex_ids) > args.max_vertices:
-        raise ResourceLimitError(f"more than {args.max_vertices} vertices")
     rep = _analysis(obj, args.file, args.rays, args.deps, args.max_rays_dim)
     _print_report(rep, args.json)
     return OK
@@ -192,14 +190,29 @@ def cmd_verify(args) -> int:
     return OK
 
 
+# The options each family cannot do without.
+FAMILY_NEEDS = {
+    "bipartite-trunc": ("n", "m"),
+    "wedge": ("input",),
+    "product": ("inputs",),
+    "hyperorder": ("n", "k"),
+    "stack": ("input",),
+    "truncate": ("input", "vertices"),
+    "corpus": ("name",),
+}
+
+
 def _construct(args):
     fam = args.family
+    missing = [f"--{o}" for o in FAMILY_NEEDS.get(fam, ()) if getattr(args, o) is None]
+    if missing:
+        raise InputError(f"{fam} needs {' and '.join(missing)}")
     if fam == "zonotope":
         if args.bipartite:
             n, m = args.bipartite
             g = complete_bipartite(n, m)
         else:
-            g = complete_graph(args.complete or 3)
+            g = complete_graph(3 if args.complete is None else args.complete)
         return graphical_zonotope(g).polytope
     if fam == "bipartite-trunc":
         return bipartite_truncation(args.n, args.m, args.kind).polytope
@@ -211,8 +224,10 @@ def _construct(args):
     if fam == "matroid":
         if args.uniform:
             mb = uniform_matroid(*args.uniform)
-        else:
+        elif args.graphic_complete is not None:
             mb = graphic_matroid(complete_graph(args.graphic_complete))
+        else:
+            raise InputError("matroid needs --uniform or --graphic-complete")
         return matroid_polytope(mb).polytope
     if fam == "product":
         a = load_geometry(args.inputs[0])
@@ -227,6 +242,8 @@ def _construct(args):
         if not isinstance(base, PolytopeV):
             raise InputError("stack needs a polytope input")
         fs = facets(base)
+        if not all(0 <= i < len(fs) for i in args.facets):
+            raise InputError(f"facet indices must lie in 0..{len(fs) - 1}")
         chosen = [fs[i].vertex_ids for i in args.facets]
         return stack_vertex(base, chosen).polytope
     if fam == "truncate":
@@ -297,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deps", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--max-rays-dim", type=int, default=MAX_SPAN_DIM)
-    p.add_argument("--max-vertices", type=int, default=MAX_VERTICES)
 
     p = sub.add_parser("oracle", help="ground-truth decomposability only")
     p.add_argument("file")
@@ -387,7 +403,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return GUARD
-    except (InputError, ContractError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, ContractError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
 

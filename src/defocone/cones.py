@@ -1,8 +1,9 @@
 """Cone geometry of deformation spaces.
 
 Ray enumeration for the pointed cone (linear span intersect nonnegative
-orthant), autonomous edge sets, characteristic-vector rays, simpliciality
-by dependency blocks, and the product law for deformation cones.
+orthant), autonomous edge sets (their characteristic vector placed by
+`framework.realize`), characteristic-vector rays, simpliciality by
+dependency blocks, and the product law for deformation cones.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from .framework import (
     DeformationSpace,
     Edge,
     Framework,
-    cycle_basis,
-    cycle_equation_rows,
     dc_dimension,
     deformation_space,
     dependency_partition,
     edge_key,
+    realize,
 )
 
 MAX_EDGES = 60
@@ -105,9 +105,7 @@ def characteristic_vector(fw: Framework, edge_set) -> Vec:
 def is_autonomous(fw: Framework, edge_set) -> bool:
     """Is the 0/1 vector of the set a valid deformation (collapsing the
     complement keeps every cycle closed)?"""
-    ell = characteristic_vector(fw, edge_set)
-    rows = cycle_equation_rows(fw, cycle_basis(fw))
-    return all(sum(a * x for a, x in zip(row, ell)) == 0 for row in rows)
+    return realize(fw, characteristic_vector(fw, edge_set)) is not None
 
 
 def characteristic_ray(fw: Framework, edge_set):

@@ -76,11 +76,15 @@ def graph(nodes, arcs) -> SimpleGraph:
 
 
 def complete_graph(n: int) -> SimpleGraph:
+    if n < 1:
+        raise InputError("a complete graph needs at least one node")
     ns = [f"n{i}" for i in range(1, n + 1)]
     return graph(ns, itertools.combinations(ns, 2))
 
 
 def complete_bipartite(n: int, m: int) -> SimpleGraph:
+    if n < 1 or m < 1:
+        raise InputError("each side of a complete bipartite graph needs a node")
     left = [f"a{i}" for i in range(1, n + 1)]
     right = [f"b{j}" for j in range(1, m + 1)]
     return graph(left + right, itertools.product(left, right))
@@ -354,6 +358,9 @@ def deep_truncate(p: PolytopeV, labels, zono: Zonotope | None = None) -> DeepTru
     bound to apply.
     """
     labels = tuple(labels)
+    unknown = set(labels) - set(p.vertex_ids)
+    if unknown:
+        raise InputError(f"unknown vertex labels: {sorted(unknown)}")
     es = edges(p)
     adj = graphs.adjacency(p.vertex_ids, es)
     stable = all(edge_key(a, b) not in es for a, b in itertools.combinations(labels, 2))
@@ -531,6 +538,8 @@ def verify_exchange(mb: MatroidBases) -> bool:
 
 
 def uniform_matroid(k: int, n: int) -> MatroidBases:
+    if not 0 <= k <= n:
+        raise InputError("a uniform matroid needs 0 <= k <= n")
     ground = tuple(f"e{i}" for i in range(1, n + 1))
     return MatroidBases(ground, frozenset(frozenset(b) for b in itertools.combinations(ground, k)))
 

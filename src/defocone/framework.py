@@ -3,9 +3,10 @@
 A framework is a finite vertex set realized by rational points plus an
 edge set.  Its deformations are reparametrizations of the edges by
 nonnegative factors that satisfy, for every cycle, the vector equation
-saying the weighted edge vectors still close up.  Everything downstream
-(indecomposability, dependency classes, rays) is computed from the exact
-nullspace of that linear system.
+saying the weighted edge vectors still close up.  `realize` places the
+vertices under given factors, or finds an edge that does not close up,
+in O(E*d); dimensions, dependency classes and rays are computed from the
+exact nullspace of that linear system.
 
 A fundamental cycle basis suffices: the closing-up equation depends
 linearly on the cycle (as an element of the rational cycle space), so a
@@ -22,11 +23,9 @@ from . import graphs
 from .errors import ContractError, InputError
 from .exact import (
     Vec,
-    in_span,
     is_zero_vec,
     nullspace,
     parallel,
-    vec_dot,
     vec_scale,
     vec_sub,
 )
@@ -126,22 +125,15 @@ def is_connected(fw: Framework) -> bool:
 
 
 @lru_cache(maxsize=None)
-def spanning_forest(fw: Framework) -> tuple[dict[str, str | None], tuple[Edge, ...]]:
-    """BFS forest: parent map plus the non-tree edges, deterministically."""
-    parent = graphs.bfs_parents(adjacency(fw), fw.vertex_ids)
-    tree = {edge_key(x, p) for x, p in parent.items() if p is not None}
-    chords = tuple(e for e in fw.edges if e not in tree)
-    return parent, chords
-
-
-@lru_cache(maxsize=None)
 def cycle_basis(fw: Framework) -> tuple[tuple[str, ...], ...]:
     """Fundamental cycles of the BFS forest, as closed vertex walks.
 
     A walk (u0, ..., uk) stands for the edge sequence u0u1, ..., uk u0.
     Count equals |E| - |V| + #components.
     """
-    parent, chords = spanning_forest(fw)
+    parent = graphs.bfs_parents(adjacency(fw), fw.vertex_ids)
+    tree = {edge_key(x, p) for x, p in parent.items() if p is not None}
+    chords = (e for e in fw.edges if e not in tree)
     return tuple(tuple(graphs.tree_path(parent, u, v)) for u, v in chords)
 
 
@@ -176,7 +168,6 @@ def cycle_equation_rows(fw: Framework, cycles) -> list[list[Fraction]]:
     d = fw.dim
     rows: list[list[Fraction]] = []
     for walk in cycles:
-        coef: list[Vec | None] = [None] * len(fw.edges)
         acc = [[Fraction(0)] * d for _ in fw.edges]
         for u, v in walk_edges(walk):
             i = eidx[edge_key(u, v)]
@@ -240,30 +231,39 @@ def edge_deformation_vector(base: Framework, deformed: Framework) -> Vec:
     return tuple(lam)
 
 
-def apply_deformation(fw: Framework, lam) -> Framework:
-    """Rebuild a framework realizing the given edge-deformation vector.
-
-    The anchor (smallest label) of each connected component keeps its
-    coordinates; everything else is path-integrated from it.
+def realize(fw: Framework, lam) -> dict[str, Vec] | None:
+    """Vertex positions under the edge factors lam, of any sign, or None
+    when some edge does not close up or a degenerate edge has a nonzero
+    factor.  The smallest label of each component keeps its point; every
+    other vertex is placed along the BFS forest by lam-scaled edge steps.
     """
+    points = fw.points
+    eidx = {e: i for i, e in enumerate(fw.edges)}
+    anchors = [comp[0] for comp in components(fw)]
+    pos = {a: points[a] for a in anchors}
+    for y, x in graphs.bfs_parents(adjacency(fw), anchors).items():
+        if x is not None:
+            step = vec_scale(lam[eidx[edge_key(x, y)]], vec_sub(points[y], points[x]))
+            pos[y] = tuple(a + b for a, b in zip(pos[x], step))
+    for t, (u, v) in zip(lam, fw.edges):
+        base = vec_sub(points[v], points[u])
+        if (t != 0 and is_zero_vec(base)) or vec_sub(pos[v], pos[u]) != vec_scale(t, base):
+            return None
+    return pos
+
+
+def apply_deformation(fw: Framework, lam) -> Framework:
+    """The framework with the vertices where `realize` places them under
+    the nonnegative edge factors lam."""
     lam = tuple(Fraction(x) for x in lam)
     if len(lam) != len(fw.edges):
         raise ContractError("deformation vector has wrong length")
     if any(x < 0 for x in lam):
         raise ContractError("negative edge factor")
-    ds = deformation_space(fw)
-    if not in_span(list(ds.basis), lam):
+    pos = realize(fw, lam)
+    if pos is None:
         raise ContractError("vector violates a cycle equation")
-    eidx = {e: i for i, e in enumerate(fw.edges)}
-    anchors = [comp[0] for comp in components(fw)]
-    new: dict[str, Vec] = {}
-    for y, x in graphs.bfs_parents(adjacency(fw), anchors).items():
-        if x is None:
-            new[y] = fw.point(y)
-            continue
-        step = vec_scale(lam[eidx[edge_key(x, y)]], vec_sub(fw.point(y), fw.point(x)))
-        new[y] = tuple(a + b for a, b in zip(new[x], step))
-    return Framework(fw.vertex_ids, tuple(new[v] for v in fw.vertex_ids), fw.edges)
+    return Framework(fw.vertex_ids, tuple(pos[v] for v in fw.vertex_ids), fw.edges)
 
 
 @lru_cache(maxsize=None)
@@ -284,23 +284,6 @@ def dependency_partition(fw: Framework) -> tuple[frozenset[Edge], ...]:
     return tuple(sorted(blocks, key=lambda b: min(b)))
 
 
-def _displacements(fw: Framework, u: str, v: str) -> list[Vec]:
-    """Per basis vector, the reconstructed offset of v relative to u."""
-    ds = deformation_space(fw)
-    parent, _ = spanning_forest(fw)
-    eidx = {e: i for i, e in enumerate(fw.edges)}
-    walk = graphs.tree_path(parent, u, v)
-    out = []
-    for b in ds.basis:
-        acc = [Fraction(0)] * fw.dim
-        for i in range(len(walk) - 1):
-            x, y = walk[i], walk[i + 1]
-            step = vec_scale(b[eidx[edge_key(x, y)]], vec_sub(fw.point(y), fw.point(x)))
-            acc = [a + s for a, s in zip(acc, step)]
-        out.append(tuple(acc))
-    return out
-
-
 def implicit_edge_coefficients(fw: Framework, u: str, v: str):
     """If every basis deformation moves v-u along its base direction,
     return the per-basis-vector scale factors; otherwise None.
@@ -309,18 +292,14 @@ def implicit_edge_coefficients(fw: Framework, u: str, v: str):
     moves rigidly, else None.
     """
     direction = vec_sub(fw.point(v), fw.point(u))
-    disps = _displacements(fw, u, v)
+    j = next((i for i, x in enumerate(direction) if x != 0), None)
     coeffs = []
-    for disp in disps:
-        if is_zero_vec(direction):
-            if not is_zero_vec(disp):
-                return None
-            coeffs.append(Fraction(0))
-            continue
-        if not parallel(direction, disp):
+    for b in deformation_space(fw).basis:
+        pos = realize(fw, b)
+        disp = vec_sub(pos[v], pos[u])
+        if not parallel(direction, disp) or (j is None and not is_zero_vec(disp)):
             return None
-        j = next(i for i, x in enumerate(direction) if x != 0)
-        coeffs.append(disp[j] / direction[j])
+        coeffs.append(Fraction(0) if j is None else disp[j] / direction[j])
     return coeffs
 
 
@@ -418,11 +397,3 @@ def quotient_degenerate(fw: Framework):
         }
     )
     return Framework(new_ids, coords, tuple(edges)), mapping
-
-
-def project(fw: Framework, kernel_vectors: list[Vec]) -> Framework:
-    """Image framework under x ↦ (a·x for a in a basis of W^⊥), a
-    deterministic linear map whose kernel is span(W)."""
-    annihilator = nullspace(kernel_vectors, fw.dim)
-    coords = tuple(tuple(vec_dot(a, c) for a in annihilator) for c in fw.coords)
-    return Framework(fw.vertex_ids, coords, fw.edges)

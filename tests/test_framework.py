@@ -1,4 +1,4 @@
-"""Framework semantics: cycle equations, oracle, partitions, projections."""
+"""Framework semantics: cycle equations, placement, oracle, partitions."""
 
 import itertools
 from fractions import Fraction
@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defocone.cones import characteristic_vector
 from defocone.corpus import corpus
 from defocone.errors import ContractError, InputError
-from defocone.exact import in_span, rank, vec_sub
+from defocone.exact import in_span, rank
 from defocone.framework import (
     Framework,
     apply_deformation,
@@ -24,8 +25,8 @@ from defocone.framework import (
     framework,
     is_implicit_edge,
     is_indecomposable,
-    project,
     quotient_degenerate,
+    realize,
     validate,
 )
 
@@ -133,6 +134,53 @@ def test_roundtrip_on_interior_vector(cp):
         assert edge_deformation_vector(fw, apply_deformation(fw, lam)) == lam
 
 
+def _cycle_rows_vanish(fw, lam):
+    rows = cycle_equation_rows(fw, cycle_basis(fw))
+    return all(sum(a * x for a, x in zip(row, lam)) == 0 for row in rows)
+
+
+def _probe_vectors(fw):
+    """Basis vectors, the unit vector, every block's characteristic vector,
+    and the first basis vector with each coordinate in turn raised by 1."""
+    ds = deformation_space(fw)
+    out = [*ds.basis, ds.unit_vector()]
+    out += [characteristic_vector(fw, b) for b in dependency_partition(fw)]
+    for b in ds.basis[:1]:
+        out += [tuple(x + (i == j) for j, x in enumerate(b)) for i in range(len(fw.edges))]
+    return out
+
+
+def _collapsed_cube():
+    """The cube squashed onto a square: its third parallel class of four
+    edges becomes degenerate."""
+    cube = corpus()["cube"].framework
+    blocks = dependency_partition(cube)
+    return apply_deformation(cube, characteristic_vector(cube, blocks[0] | blocks[1]))
+
+
+def test_realize_agrees_with_cycle_equations(cp):
+    outcomes = set()
+    for fw in [e.framework for e in cp.values()] + [_collapsed_cube()]:
+        for lam in _probe_vectors(fw):
+            closes = _cycle_rows_vanish(fw, lam)
+            assert (realize(fw, lam) is not None) == closes, lam
+            outcomes.add(closes)
+    assert outcomes == {True, False}
+
+
+def test_realize_rejects_factors_on_degenerate_edges():
+    fw = _collapsed_cube()
+    assert len(fw.degenerate_edges) == 4
+    unit = deformation_space(fw).unit_vector()
+    pos = realize(fw, unit)
+    assert pos is not None and tuple(pos[v] for v in fw.vertex_ids) == fw.coords
+    for e in fw.degenerate_edges:
+        i = fw.edges.index(e)
+        lam = tuple(x + (j == i) for j, x in enumerate(unit))
+        assert realize(fw, lam) is None
+        assert not _cycle_rows_vanish(fw, lam)
+
+
 def test_dependency_partition_examples(cp):
     cube_blocks = dependency_partition(cp["cube"].framework)
     assert sorted(len(b) for b in cube_blocks) == [4, 4, 4]
@@ -214,32 +262,6 @@ def test_quotient_preserves_dimension(cp):
         fw = cp[name].framework
         q, _ = quotient_degenerate(fw)
         assert dc_dimension(q) == dc_dimension(fw)
-
-
-def test_projection_examples(cp):
-    cube = cp["cube"].framework
-    # project along one edge direction: the two squares orthogonal to it
-    # land on one quadrilateral, and the projected partition lifts
-    w = [vec_sub(cube.point("c100"), cube.point("c000"))]
-    flat = project(cube, w)
-    assert flat.dim == 2
-    merged = dependency_partition(flat)
-    lifted_blocks = dependency_partition(cube)
-    for block in merged:
-        nondeg = [e for e in block]
-        # each projected block lifts into a single block of the cube
-        owners = set()
-        for e in nondeg:
-            owners.add(next(i for i, b in enumerate(lifted_blocks) if e in b))
-        assert len(owners) == 1
-    # trivial projection: affinely isomorphic copy
-    same = project(cube, [(0, 0, 0)])
-    assert dependency_partition(same) == dependency_partition(cube)
-    # trapezoid along its parallel direction: the legs land on one segment
-    trap = cp["trapezoid"].framework
-    seg = project(trap, [vec_sub(trap.point("B"), trap.point("A"))])
-    assert seg.dim == 1
-    assert seg.point("A") == seg.point("B") and seg.point("C") == seg.point("D")
 
 
 def test_unit_membership_and_cone_span(cp):

@@ -218,6 +218,44 @@ def test_cli_verify_rejects_malformed_certificates(tmp_path, cp, name):
     assert out.stderr.startswith("error: ")
 
 
+BAD_INVOCATIONS = {
+    "facet index out of range": ["construct", "stack", "--input", "{cube}", "--facets", "99", "-o", "{out}"],
+    "negative facet index": ["construct", "stack", "--input", "{cube}", "--facets", "-1", "-o", "{out}"],
+    "bipartite-trunc without sizes": ["construct", "bipartite-trunc", "-o", "{out}"],
+    "matroid without a matroid": ["construct", "matroid", "-o", "{out}"],
+    "hyperorder without sizes": ["construct", "hyperorder", "-o", "{out}"],
+    "wedge without input": ["construct", "wedge", "-o", "{out}"],
+    "product without inputs": ["construct", "product", "-o", "{out}"],
+    "truncate without input": ["construct", "truncate", "-o", "{out}"],
+    "truncate without vertices": ["construct", "truncate", "--input", "{cube}", "-o", "{out}"],
+    "truncate unknown vertex": ["construct", "truncate", "--input", "{cube}", "--vertices", "zz", "-o", "{out}"],
+    "empty complete graph": ["construct", "zonotope", "--complete", "0", "-o", "{out}"],
+    "empty bipartite side": ["construct", "zonotope", "--bipartite", "0", "2", "-o", "{out}"],
+    "negative uniform rank": ["construct", "matroid", "--uniform", "-1", "3", "-o", "{out}"],
+    "analyze a directory": ["analyze", "{dir}"],
+    "analyze non-UTF-8 file": ["analyze", "{binary}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INVOCATIONS))
+def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps(polytope_to_obj(cp["cube"].polytope)))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00{}")
+    paths = {"cube": cube, "out": tmp_path / "out.json", "dir": tmp_path, "binary": binary}
+    argv = [a.format(**paths) for a in BAD_INVOCATIONS[name]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(defocone.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "defocone", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run_cli("analyze", str(missing)) == 1

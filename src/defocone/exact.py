@@ -2,8 +2,9 @@
 
 Scalars are `fractions.Fraction` (arbitrary precision, always gcd-reduced
 with positive denominator, so equality is structural).  Vectors are tuples
-of Fractions, matrices are lists of row lists.  All elimination, here and
-in the simplex tableau, goes through one Gauss-Jordan step, `pivot`.  The
+of Fractions, matrices are lists of row lists.  Every elimination that
+returns reduced rows, here and in the simplex tableau, goes through one
+Gauss-Jordan step, `pivot`; `rank` only counts pivots, fraction-free.  The
 routines here use a fixed pivot rule (first nonzero entry, scanning
 columns left to right and rows top to bottom) so results are reproducible
 across runs.
@@ -11,6 +12,7 @@ across runs.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -78,12 +80,7 @@ def rref(rows, ncols: int | None = None):
     ``ncols`` is given.
     """
     m = [list(map(Fraction, r)) for r in rows]
-    if ncols is None:
-        if not m:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(m[0])
-    if any(len(r) != ncols for r in m):
-        raise ValueError("matrix is not rectangular")
+    ncols = _width(m, ncols)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -99,10 +96,39 @@ def rref(rows, ncols: int | None = None):
     return [tuple(row) for row in m[: len(pivots)]], pivots
 
 
+def _width(m, ncols: int | None) -> int:
+    if ncols is None:
+        if not m:
+            raise ValueError("ncols required for an empty matrix")
+        ncols = len(m[0])
+    if any(len(r) != ncols for r in m):
+        raise ValueError("matrix is not rectangular")
+    return ncols
+
+
 def rank(rows, ncols: int | None = None) -> int:
-    if not list(rows) and ncols is not None:
-        return 0
-    return len(rref(rows, ncols)[1])
+    """Rank over Q, with `rref`'s pivot rule and errors, by fraction-free
+    elimination (Bareiss 1968) on rows scaled to integers by the lcm of their
+    denominators: every entry stays an integer minor of that matrix, so the
+    division by the previous pivot is exact."""
+    m = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r] for r in rows]
+    ncols = _width(m, ncols)
+    m = [[x.numerator * (d // x.denominator) for x in r]
+         for r in m if any(r) for d in [math.lcm(*(x.denominator for x in r))]]
+    count, prev = 0, 1
+    for c in range(ncols):
+        if count == len(m):
+            break
+        p = next((i for i in range(count, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[count], m[p] = m[p], m[count]
+        top, a = m[count], m[count][c]
+        for i in range(count + 1, len(m)):
+            b = m[i][c]
+            m[i] = [(a * x - b * y) // prev for x, y in zip(m[i], top)]
+        prev, count = a, count + 1
+    return count
 
 
 def nullspace(rows, ncols: int) -> list[Vec]:
@@ -111,7 +137,7 @@ def nullspace(rows, ncols: int) -> list[Vec]:
     Each basis vector has a 1 in one free column and zeros in the other
     free columns; the empty matrix yields the standard basis.
     """
-    reduced, pivots = rref(rows, ncols) if list(rows) else ([], [])
+    reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis: list[Vec] = []
@@ -126,13 +152,11 @@ def nullspace(rows, ncols: int) -> list[Vec]:
 
 def in_span(vectors: list[Vec], target: Vec) -> bool:
     """True iff target lies in the linear span of the given vectors."""
+    vectors = list(vectors)
     if is_zero_vec(target):
         return True
-    if not vectors:
-        return False
     cols = len(target)
-    base = rank(vectors, cols)
-    return rank(list(vectors) + [target], cols) == base
+    return rank(vectors + [target], cols) == rank(vectors, cols)
 
 
 def affine_rank(points: list[Vec]) -> int:

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,72 @@ def test_rank_nullity_and_kernel_membership(rows):
             assert vec_dot(tuple(row), v) == 0
     # basis vectors are independent: each has a 1 where the others are 0
     assert rank(ns, n) == len(ns)
+
+
+def _rank_case(rnd):
+    """A random matrix for the rank sweep, with its column count.
+
+    The shape is wide, tall or square, and may have no rows.  Rows are small
+    combinations of a few basis rows, so ranks fall short of the shape, with
+    zero rows and duplicate rows mixed in.  A third of the cases have
+    numerators and denominators of about 40 digits.  Each entry is given as
+    a Fraction, as its text form or, when integral, as an int.
+    """
+    nrows, ncols = rnd.choice(
+        [(rnd.randint(0, 3), rnd.randint(4, 9)), (rnd.randint(4, 9), rnd.randint(1, 3)),
+         (rnd.randint(1, 6), rnd.randint(1, 6))]
+    )
+    size = 10**40 if rnd.random() < 1 / 3 else 4
+    basis = [
+        [Fraction(rnd.randint(-size, size), rnd.randint(1, size)) for _ in range(ncols)]
+        for _ in range(rnd.randint(1, max(1, min(nrows, ncols))))
+    ]
+    rows = []
+    for _ in range(nrows):
+        u = rnd.random()
+        if u < 0.15:
+            rows.append([Fraction(0)] * ncols)
+        elif u < 0.3 and rows:
+            rows.append(list(rnd.choice(rows)))
+        else:
+            coef = [rnd.randint(-2, 2) for _ in basis]
+            rows.append([sum(c * b[j] for c, b in zip(coef, basis)) for j in range(ncols)])
+    forms = [lambda x: x, str, lambda x: int(x) if x.denominator == 1 else x]
+    return [[rnd.choice(forms)(Fraction(x)) for x in row] for row in rows], ncols
+
+
+def test_rank_agrees_with_rref_pivot_count():
+    rnd = random.Random(20261018)
+    deficient = 0
+    for _ in range(1500):
+        rows, ncols = _rank_case(rnd)
+        expected = len(rref(rows, ncols)[1])
+        assert rank(rows, ncols) == expected, (rows, ncols)
+        if rows:
+            assert rank(rows) == expected, rows
+        deficient += expected < min(len(rows), ncols)
+    assert deficient > 300
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, message",
+    [
+        ([], None, "ncols required"),
+        ([[1, 2], [3]], None, "not rectangular"),
+        ([[1, 2], [3, 4]], 3, "not rectangular"),
+        ([[Fraction(1, 2)]], 2, "not rectangular"),
+    ],
+)
+def test_rank_raises_what_rref_raises(rows, ncols, message):
+    for fn in (rank, rref):
+        with pytest.raises(ValueError, match=message):
+            fn(rows, ncols)
+
+
+def test_one_shot_iterables():
+    assert rank(iter([[1, 0], [0, 1]]), 2) == 2
+    assert nullspace(iter([[1, 0]]), 2) == [(0, 1)]
+    assert in_span(iter([(1, 0)]), (1, 0))
 
 
 def test_rref_deterministic_pivots():

@@ -10,6 +10,7 @@ import defocone.polytope
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(defocone.__file__)))
 CENSUS = os.path.join(os.path.dirname(SRC), "scripts", "family_census.py")
+BENCH = os.path.join(os.path.dirname(SRC), "scripts", "bench.py")
 
 
 def _member_rows(text):
@@ -46,3 +47,25 @@ def test_family_census_prints_guard_rows(monkeypatch, capsys):
     assert len(rows) == 6
     assert rows[4].startswith("P_2, 2 guard: polytope guard: 13 vertices")
     assert rows[5].startswith("Q_2, 2 ") and "guard" not in rows[5]
+
+
+def test_bench_gain_rule_and_bound():
+    """bench.py claims a gain only when the head wins nine tenths of the
+    pairs by more than the base's interquartile range."""
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    metric = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.24}
+
+    def runs(values):
+        return [{"metrics": {"ops_per_s": v}} for v in values]
+
+    base = runs([10, 11, 12, 13, 14, 10, 11, 12, 13, 14])
+    faster = bench.compare(base, runs([20] * 9 + [9]), metric)
+    assert (faster["head_wins"], faster["head_losses"]) == (9, 1)
+    assert faster["gain_rule_met"] and faster["within_bound"]
+    assert faster["base"]["median"] == 12 and faster["head"]["median"] == 20
+    within_spread = bench.compare(base, runs([14] * 10), metric)
+    assert not within_spread["gain_rule_met"] and within_spread["within_bound"]
+    slower = bench.compare(base, runs([8] * 10), metric)
+    assert slower["head_losses"] == 10 and not slower["within_bound"]

@@ -6,18 +6,22 @@
 Run it from inside the git checkout.  Both revisions are exported with
 `git archive` into a temporary directory (no network, no install), so
 each side runs from its own committed sources with cold caches.  For each
-workload the script runs `perfbench/run.py --trace 0` in `--pairs`
-base/head pairs, alternating which side runs first and giving pair i the
-seed `--seed + i`; then one `--trace 1` run per side for the per-layer
-numbers.  Last it times `defocone report paper --json` on each side in
-REPORT_PAIRS alternating pairs and checks that the rows, apart from
-`seconds`, are the same on both sides.
+workload of BENCHMARK.json the script runs `perfbench/run.py --trace 0`
+for BENCHMARK.json's run length in PAIRS base/head pairs, alternating
+which side runs first and giving pair i the seed FIRST_SEED + i; then one
+`--trace 1` run per side for the per-layer numbers.  Last it times
+`defocone report paper --json` on each side in PAIRS alternating pairs
+and checks that the rows, apart from `seconds`, are the same on both
+sides.
 
 The file holds every run's metrics, each side's median and quartiles per
 metric, the pairs the head won and the verdict of the gain rule (head
 better in at least nine tenths of the pairs, by more than the base's
 interquartile range) and of the bound of BENCHMARK.json, plus the
-machine (nproc, CPU, Python version) and both commits.
+machine (nproc, CPU, Python version) and both commits.  A metric is
+`unresolved` when the base's interquartile range is wider than its bound
+times its median: its runs spread too widely to tell a move within the
+bound.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-REPORT_PAIRS = 3
+PAIRS = 10
+FIRST_SEED = 41
 
 
 def git(*args: str) -> str:
@@ -79,27 +84,27 @@ def report(tree: str) -> tuple[float, list]:
 
 
 def summary(values: list[float]) -> dict:
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def compare(base: list[dict], head: list[dict], metric: dict) -> dict:
-    """Per-metric sides, pair wins, and the gain rule and bound verdicts."""
-    name, higher = metric["name"], metric["better"] == "higher"
-    b = [r["metrics"][name] for r in base]
-    h = [r["metrics"][name] for r in head]
+def compare(b: list[float], h: list[float], metric: dict) -> dict:
+    """Per-metric sides, pair wins, and the gain rule and bound verdicts
+    (None without a bound)."""
+    higher, bound = metric["better"] == "higher", metric["bound"]
     wins = sum((y > x) if higher else (y < x) for x, y in zip(b, h))
     losses = sum((y < x) if higher else (y > x) for x, y in zip(b, h))
     sb, sh = summary(b), summary(h)
     gain = sh["median"] - sb["median"] if higher else sb["median"] - sh["median"]
     worse = -gain / abs(sb["median"]) if sb["median"] else 0.0
     return {
-        "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+        "unit": metric["unit"], "better": metric["better"], "bound": bound,
         "base": {**sb, "runs": b}, "head": {**sh, "runs": h},
         "head_wins": wins, "head_losses": losses, "pairs": len(b),
         "median_change": (sh["median"] - sb["median"]) / sb["median"] if sb["median"] else None,
         "gain_rule_met": wins >= 0.9 * len(b) and gain > sb["q3"] - sb["q1"],
-        "within_bound": worse <= metric["bound"],
+        "within_bound": None if bound is None else worse <= bound,
+        "unresolved": None if bound is None else sb["q3"] - sb["q1"] > bound * abs(sb["median"]),
     }
 
 
@@ -108,51 +113,51 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="parent revision")
     ap.add_argument("--head", default="HEAD", help="changed revision (default HEAD)")
     ap.add_argument("--out", required=True, help="path of the BENCH JSON file to write")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=41, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
-    ap.add_argument("--workloads", help="comma-separated subset (default: all)")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
-    names = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     commits = {side: git("rev-parse", rev) for side, rev in (("base", args.base), ("head", args.head))}
 
     doc = {
         "machine": {"nproc": len(os.sched_getaffinity(0)), "cpu": None, "python": platform.python_version()},
         "commits": commits,
-        "settings": {"pairs": args.pairs, "first_seed": args.seed, "seconds": seconds},
+        "settings": {"pairs": PAIRS, "first_seed": FIRST_SEED, "seconds": seconds},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="defocone-bench-") as tmp:
         trees = {side: export(rev, os.path.join(tmp, side)) for side, rev in commits.items()}
-        for name in names:
+        for name in (w["name"] for w in bench["workloads"]):
             runs = {"base": [], "head": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 for side in order:
-                    runs[side].append(perfbench(trees[side], name, args.seed + i, seconds, 0))
+                    runs[side].append(perfbench(trees[side], name, FIRST_SEED + i, seconds, 0))
                     r = runs[side][-1]["metrics"]
                     print(f"{name} pair {i} {side}: ops_per_s {r['ops_per_s']:.2f}", file=sys.stderr)
-            traced = {side: perfbench(trees[side], name, args.seed, seconds, 1) for side in trees}
+            traced = {side: perfbench(trees[side], name, FIRST_SEED, seconds, 1) for side in trees}
+
+            def values(side: str, metric: str) -> list[float]:
+                return [r["metrics"][metric] for r in runs[side]]
+
             doc["machine"]["cpu"] = runs["base"][0]["run"]["cpu"]
             doc["workloads"][name] = {
                 "correct": all(r["correct"] for side in runs.values() for r in side),
-                "end_to_end": {m["name"]: compare(runs["base"], runs["head"], m) for m in bench["end_to_end"]},
+                "end_to_end": {m["name"]: compare(values("base", m["name"]), values("head", m["name"]), m)
+                               for m in bench["end_to_end"]},
                 "runs": runs,
                 "traced": traced,
             }
         timings, rows = {"base": [], "head": []}, {}
-        for i in range(REPORT_PAIRS):
+        for i in range(PAIRS):
             for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
                 seconds_taken, rows[side] = report(trees[side])
                 timings[side].append(seconds_taken)
                 print(f"report pair {i} {side}: {seconds_taken:.2f} s", file=sys.stderr)
         digest = {side: hashlib.sha256(json.dumps(r).encode()).hexdigest()[:16] for side, r in rows.items()}
         doc["report_paper"] = {
-            "wall_s": {side: {**summary(t), "runs": t} for side, t in timings.items()},
+            "wall_s": compare(timings["base"], timings["head"], {"unit": "s", "better": "lower", "bound": None}),
             "rows": len(rows["head"]),
             "rows_digest": digest,
             "rows_identical_apart_from_seconds": rows["base"] == rows["head"],

@@ -1,6 +1,9 @@
 """Exact arithmetic substrate."""
 
+import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -141,6 +144,25 @@ def test_rank_agrees_with_rref_pivot_count():
             assert rank(rows) == expected, rows
         deficient += expected < min(len(rows), ncols)
     assert deficient > 300
+
+
+def test_rank_entries_stay_minors():
+    """Bareiss's exact division by the previous pivot keeps every entry a
+    minor of the input, so below Hadamard's bound.  Cross-multiplying
+    without it gives the same rank, but entries double in length each
+    step: on this 18x18 matrix its peak memory is about 30 times larger."""
+    rnd = random.Random(1968)
+    n = 18
+    rows = [[rnd.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    hadamard = math.prod(math.isqrt(sum(x * x for x in r)) + 1 for r in rows)
+    matrix_bytes = n * (sys.getsizeof([0] * n) + n * sys.getsizeof(hadamard))
+    tracemalloc.start()
+    try:
+        assert rank(rows) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * matrix_bytes, (peak, matrix_bytes)
 
 
 @pytest.mark.parametrize(

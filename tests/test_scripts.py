@@ -49,23 +49,24 @@ def test_family_census_prints_guard_rows(monkeypatch, capsys):
     assert rows[5].startswith("Q_2, 2 ") and "guard" not in rows[5]
 
 
-def test_bench_gain_rule_and_bound():
+def test_bench_gain_rule_bound_and_spread():
     """bench.py claims a gain only when the head wins nine tenths of the
-    pairs by more than the base's interquartile range."""
+    pairs by more than the base's interquartile range, and calls a metric
+    unresolved when that range is wider than the bound allows."""
     spec = importlib.util.spec_from_file_location("bench", BENCH)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     metric = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.24}
-
-    def runs(values):
-        return [{"metrics": {"ops_per_s": v}} for v in values]
-
-    base = runs([10, 11, 12, 13, 14, 10, 11, 12, 13, 14])
-    faster = bench.compare(base, runs([20] * 9 + [9]), metric)
+    base = [10, 11, 12, 13, 14, 10, 11, 12, 13, 14]
+    faster = bench.compare(base, [20] * 9 + [9], metric)
     assert (faster["head_wins"], faster["head_losses"]) == (9, 1)
-    assert faster["gain_rule_met"] and faster["within_bound"]
+    assert faster["gain_rule_met"] and faster["within_bound"] and not faster["unresolved"]
     assert faster["base"]["median"] == 12 and faster["head"]["median"] == 20
-    within_spread = bench.compare(base, runs([14] * 10), metric)
+    within_spread = bench.compare(base, [14] * 10, metric)
     assert not within_spread["gain_rule_met"] and within_spread["within_bound"]
-    slower = bench.compare(base, runs([8] * 10), metric)
+    slower = bench.compare(base, [8] * 10, metric)
     assert slower["head_losses"] == 10 and not slower["within_bound"]
+    tight = bench.compare(base, base, {**metric, "bound": 0.05})
+    assert tight["unresolved"] and tight["within_bound"]
+    unbounded = bench.compare(base, base, {**metric, "bound": None})
+    assert unbounded["unresolved"] is None and unbounded["within_bound"] is None

@@ -20,8 +20,8 @@ better in at least nine tenths of the pairs, by more than the base's
 interquartile range) and of the bound of BENCHMARK.json, plus the
 machine (nproc, CPU, Python version) and both commits.  A metric is
 `unresolved` when the base's interquartile range is wider than its bound
-times its median: its runs spread too widely to tell a move within the
-bound.
+times its median, unless every head run is better than every base run:
+its runs spread too widely to tell a move within the bound.
 """
 
 from __future__ import annotations
@@ -97,6 +97,7 @@ def compare(b: list[float], h: list[float], metric: dict) -> dict:
     sb, sh = summary(b), summary(h)
     gain = sh["median"] - sb["median"] if higher else sb["median"] - sh["median"]
     worse = -gain / abs(sb["median"]) if sb["median"] else 0.0
+    separated = min(h) > max(b) if higher else max(h) < min(b)
     return {
         "unit": metric["unit"], "better": metric["better"], "bound": bound,
         "base": {**sb, "runs": b}, "head": {**sh, "runs": h},
@@ -104,7 +105,7 @@ def compare(b: list[float], h: list[float], metric: dict) -> dict:
         "median_change": (sh["median"] - sb["median"]) / sb["median"] if sb["median"] else None,
         "gain_rule_met": wins >= 0.9 * len(b) and gain > sb["q3"] - sb["q1"],
         "within_bound": None if bound is None else worse <= bound,
-        "unresolved": None if bound is None else sb["q3"] - sb["q1"] > bound * abs(sb["median"]),
+        "unresolved": None if bound is None else sb["q3"] - sb["q1"] > bound * abs(sb["median"]) and not separated,
     }
 
 

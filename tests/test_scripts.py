@@ -52,7 +52,8 @@ def test_family_census_prints_guard_rows(monkeypatch, capsys):
 def test_bench_gain_rule_bound_and_spread():
     """bench.py claims a gain only when the head wins nine tenths of the
     pairs by more than the base's interquartile range, and calls a metric
-    unresolved when that range is wider than the bound allows."""
+    unresolved when that range is wider than the bound allows and the runs
+    of the two sides overlap."""
     spec = importlib.util.spec_from_file_location("bench", BENCH)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
@@ -68,5 +69,6 @@ def test_bench_gain_rule_bound_and_spread():
     assert slower["head_losses"] == 10 and not slower["within_bound"]
     tight = bench.compare(base, base, {**metric, "bound": 0.05})
     assert tight["unresolved"] and tight["within_bound"]
+    assert not bench.compare(base, [15] * 10, {**metric, "bound": 0.05})["unresolved"]
     unbounded = bench.compare(base, base, {**metric, "bound": None})
     assert unbounded["unresolved"] is None and unbounded["within_bound"] is None

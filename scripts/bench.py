@@ -9,7 +9,9 @@ each side runs from its own committed sources with cold caches.  For each
 workload of BENCHMARK.json the script runs `perfbench/run.py --trace 0`
 for BENCHMARK.json's run length in PAIRS base/head pairs, alternating
 which side runs first and giving pair i the seed FIRST_SEED + i; then one
-`--trace 1` run per side for the per-layer numbers.  Last it times
+`--trace 1` run per side for the per-layer numbers, and checks that the
+two traced runs agree on their exact counts (`exact_counts_digest`),
+naming every per-layer counter that differs.  Last it times
 `defocone report paper --json` on each side in PAIRS alternating pairs
 and checks that the rows, apart from `seconds`, are the same on both
 sides.
@@ -109,6 +111,20 @@ def compare(b: list[float], h: list[float], metric: dict) -> dict:
     }
 
 
+def traced_counts(traced: dict, counters: list[str]) -> dict:
+    """Do the traced runs of the two sides make the same exact counts, and
+    which counters differ (name -> [base, head])?"""
+    base, head = traced["base"], traced["head"]
+    digests = [side["run"].get("exact_counts_digest") for side in (base, head)]
+    return {
+        "traced_counts_identical": None not in digests and digests[0] == digests[1],
+        "traced_counters_differing": {
+            k: [base["metrics"].get(k), head["metrics"].get(k)]
+            for k in counters if base["metrics"].get(k) != head["metrics"].get(k)
+        },
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="parent revision")
@@ -119,6 +135,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
+    counters = [m["name"] for m in bench["per_layer"] if m["unit"] in ("count", "B")]
     commits = {side: git("rev-parse", rev) for side, rev in (("base", args.base), ("head", args.head))}
 
     doc = {
@@ -144,9 +161,10 @@ def main(argv=None) -> int:
 
             doc["machine"]["cpu"] = runs["base"][0]["run"]["cpu"]
             doc["workloads"][name] = {
-                "correct": all(r["correct"] for side in runs.values() for r in side),
+                "correct": all(r["correct"] for r in [*runs["base"], *runs["head"], *traced.values()]),
                 "end_to_end": {m["name"]: compare(values("base", m["name"]), values("head", m["name"]), m)
                                for m in bench["end_to_end"]},
+                **traced_counts(traced, counters),
                 "runs": runs,
                 "traced": traced,
             }

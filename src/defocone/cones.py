@@ -61,9 +61,8 @@ def enumerate_rays(
     if ds.dim == 0:
         return Cone(fw.edges, 0, ())
     rows = [tuple(b[i] for b in ds.basis) for i in range(ne)]
-    rays_t = dd_rays(rows, ds.dim)
     rays = []
-    for t in rays_t:
+    for t, _ in dd_rays(rows, ds.dim):
         lam = tuple(
             sum((t[i] * b[j] for i, b in enumerate(ds.basis)), Fraction(0))
             for j in range(ne)

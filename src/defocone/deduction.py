@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import graphs
 from .errors import InputError
-from .exact import Vec, affine_rank, in_span, is_zero_vec, nullspace, parallel, rank, vec_sub
+from .exact import Vec, affine_rank, in_span, is_zero_vec, nullspace, rank, vec_sub
 from .framework import Edge, Framework, adjacency, components, edge_key
 
 TRIANGLE = "Triangle"
@@ -75,6 +75,8 @@ class DeductionState:
         self._classes = graphs.UnionFind(e for e in fw.edges if not fw.is_degenerate(e))
         self.log: list[Step] = []
         self._pins: dict[frozenset, bool] = {}
+        self._vecs: dict[tuple[str, str], Vec] = {}
+        self._keys: dict[Edge, Vec | None] = {}
 
     # union-find over the non-degenerate known edges ------------------------
     def find(self, e: Edge) -> Edge:
@@ -135,8 +137,23 @@ class DeductionState:
         return self._pins[key]
 
     # geometry helpers ----------------------------------------------------
-    def direction(self, e: Edge) -> Vec:
-        return vec_sub(self.base.point(e[1]), self.base.point(e[0]))
+    def direction(self, e: tuple[str, str]) -> Vec:
+        """p(e[1]) - p(e[0]), computed once per ordered pair."""
+        d = self._vecs.get(e)
+        if d is None:
+            d = self._vecs[e] = vec_sub(self.base.point(e[1]), self.base.point(e[0]))
+        return d
+
+    def direction_key(self, e: tuple[str, str]) -> Vec | None:
+        """The pair's difference divided by its first nonzero entry, or None
+        when it is zero: two nonzero differences are parallel exactly when
+        their keys are equal.  Computed once per unordered pair."""
+        e = edge_key(*e)
+        if e not in self._keys:
+            d = self.direction(e)
+            lead = next((x for x in d if x != 0), None)
+            self._keys[e] = None if lead is None else tuple(x / lead for x in d)
+        return self._keys[e]
 
     def known_adjacency(self) -> dict[str, tuple[str, ...]]:
         return graphs.adjacency(self.base.vertex_ids, self.known)
@@ -177,25 +194,23 @@ def _run_triangles(state: DeductionState) -> bool:
 def _run_parallel_quads(state: DeductionState) -> bool:
     """Quadrilaterals with one parallel opposite pair: the other pair maps
     to a single edge after projecting along the parallel direction."""
-    fw = state.base
     adj = state.known_adjacency()
     progress = False
     for e in sorted(state.known):
         u1, u2 = e
-        d12 = state.direction(e)
-        if is_zero_vec(d12):
+        k12 = state.direction_key(e)
+        if k12 is None:
             continue
         for u3 in sorted(adj[u2]):
             if u3 in (u1, u2):
                 continue
-            d23 = vec_sub(fw.point(u3), fw.point(u2))
-            if parallel(d12, d23):
+            k23 = state.direction_key((u2, u3))
+            if k23 is None or k23 == k12:
                 continue
             for u4 in sorted(adj[u3]):
                 if u4 in (u1, u2, u3) or edge_key(u4, u1) not in state.known:
                     continue
-                d34 = vec_sub(fw.point(u4), fw.point(u3))
-                if not parallel(d12, d34) or is_zero_vec(d34):
+                if state.direction_key((u3, u4)) != k12:
                     continue
                 ea, fb = edge_key(u2, u3), edge_key(u1, u4)
                 if state.same_class(ea, fb) or not (state.tracked(ea) and state.tracked(fb)):
@@ -203,7 +218,7 @@ def _run_parallel_quads(state: DeductionState) -> bool:
                 step = Step(
                     PROJECTION_LIFT,
                     {
-                        "kernel": [[str(x) for x in d12]],
+                        "kernel": [[str(x) for x in state.direction(e)]],
                         "edge_a": [u2, u3],
                         "edge_b": [u1, u4],
                         "path_a": [u2, u1],
@@ -262,9 +277,7 @@ def _run_rigid_cycles(state: DeductionState) -> bool:
         es = [edge_key(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
         if not all(state.tracked(e) for e in es):
             return False
-        signed = [
-            vec_sub(fw.point(cycle[(i + 1) % k]), fw.point(cycle[i])) for i in range(k)
-        ]
+        signed = [state.direction((cycle[i], cycle[(i + 1) % k])) for i in range(k)]
         full_rank = rank(signed, d)
         for skip_size in range(0, MAX_SKIP + 1):
             for skip in itertools.combinations(range(k), skip_size):
@@ -302,20 +315,20 @@ def _run_projection_lifts(state: DeductionState) -> bool:
     """Project along a class direction: known edges with identified
     endpoints and direction off the kernel merge."""
     fw = state.base
-    directions: list[Vec] = []
+    directions: list[Edge] = []
     for rep, es in sorted(state.classes().items()):
-        vecs = [state.direction(e) for e in sorted(es)]
-        nz = [v for v in vecs if not is_zero_vec(v)]
-        if nz and all(parallel(nz[0], v) for v in nz):
+        nz = [e for e in sorted(es) if state.direction_key(e) is not None]
+        if nz and all(state.direction_key(e) == state.direction_key(nz[0]) for e in nz):
             directions.append(nz[0])
     progress = False
-    for w in directions:
-        along_w = [e for e in state.known if parallel(w, state.direction(e))]
+    for lead_edge in directions:
+        w, k = state.direction(lead_edge), state.direction_key(lead_edge)
+        along_w = [e for e in state.known if state.direction_key(e) in (None, k)]
         adj_w = graphs.adjacency(fw.vertex_ids, along_w)
         rep_of = {x: c[0] for c in graphs.components(fw.vertex_ids, adj_w) for x in c}
         buckets: dict[tuple, list[Edge]] = {}
         for e in sorted(state.known):
-            if parallel(w, state.direction(e)):
+            if state.direction_key(e) in (None, k):
                 continue
             key = tuple(sorted((rep_of[e[0]], rep_of[e[1]])))
             buckets.setdefault(key, []).append(e)
@@ -513,7 +526,7 @@ def _check_rigid_cycle(state: DeductionState, p):
         return "cycle edge not known"
     if not skip_edges <= set(es):
         return "skip set is not part of the cycle"
-    signed = [vec_sub(fw.point(cycle[(j + 1) % k]), fw.point(cycle[j])) for j in range(k)]
+    signed = [state.direction((cycle[j], cycle[(j + 1) % k])) for j in range(k)]
     skip = [j for j in range(k) if es[j] in skip_edges]
     full_rank = rank(signed, fw.dim)
     sub_rank = rank([signed[j] for j in skip], fw.dim) if skip else 0
@@ -523,7 +536,6 @@ def _check_rigid_cycle(state: DeductionState, p):
 
 
 def _check_projection_lift(state: DeductionState, p):
-    fw = state.base
     w = [tuple(Fraction(x) for x in row) for row in p["kernel"]]
     ea, eb = edge_key(*p["edge_a"]), edge_key(*p["edge_b"])
     if ea not in state.known or eb not in state.known:
@@ -532,7 +544,7 @@ def _check_projection_lift(state: DeductionState, p):
         for x, y in zip(path, path[1:]):
             if edge_key(x, y) not in state.known:
                 return "identification path edge not known"
-            if not in_span(w, vec_sub(fw.point(y), fw.point(x))):
+            if not in_span(w, state.direction((x, y))):
                 return "identification path not parallel to kernel"
     if set(p["edge_a"]) != {p["path_a"][0], p["path_b"][0]}:
         return "paths do not start at the first edge"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .ddcore import dd_rays
 from .errors import InputError, ResourceLimitError
@@ -47,10 +47,24 @@ class PolytopeV:
 
 
 def _check_guard(n: int, d: int):
-    if n > MAX_VERTICES or d > MAX_DIM:
+    if n > 1 and (n > MAX_VERTICES or d > MAX_DIM):
         raise ResourceLimitError(
             f"polytope guard: {n} vertices in dimension {d} exceeds {MAX_VERTICES}/{MAX_DIM}"
         )
+
+
+def _guarded(fn):
+    """`fn` memoized by `lru_cache`, with the polytope guard checked before
+    the cache lookup, so that a cached answer cannot skip it."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def guarded(p: PolytopeV):
+        _check_guard(len(p.vertex_ids), p.dim)
+        return cached(p)
+
+    guarded.cache_info, guarded.cache_clear = cached.cache_info, cached.cache_clear
+    return guarded
 
 
 def polytope(points: dict, check: bool = True) -> PolytopeV:
@@ -101,7 +115,7 @@ def hull_dim(p: PolytopeV) -> int:
     return len(hull_frame(p)[1])
 
 
-@lru_cache(maxsize=None)
+@_guarded
 def edges(p: PolytopeV) -> tuple[tuple[str, str], ...]:
     """All 1-faces, as sorted label pairs.
 
@@ -113,7 +127,6 @@ def edges(p: PolytopeV) -> tuple[tuple[str, str], ...]:
     n = len(p.vertex_ids)
     if n < 2:
         return ()
-    _check_guard(n, p.dim)
     h = hull_dim(p)
     index = {v: i for i, v in enumerate(p.vertex_ids)}
     masks = [sum(1 << index[v] for v in f.vertex_ids) for f in facets(p)]
@@ -140,7 +153,7 @@ class Facet:
     offset: Fraction  # normal . x <= offset, equality exactly on the facet
 
 
-@lru_cache(maxsize=None)
+@_guarded
 def facets(p: PolytopeV) -> tuple[Facet, ...]:
     """Irredundant facet list within the affine hull.
 
@@ -150,27 +163,20 @@ def facets(p: PolytopeV) -> tuple[Facet, ...]:
     Gram matrix of the basis; one elimination of [G | every -a'] solves all
     facets at once.
     """
-    n = len(p.vertex_ids)
-    if n < 2:
+    if len(p.vertex_ids) < 2:
         return ()
-    _check_guard(n, p.dim)
     base, hbasis, ys = hull_frame(p)
     h = len(hbasis)
-    rows = [(Fraction(1),) + y for y in ys]
-    rays = dd_rays(rows, h + 1)
+    rays = dd_rays([(Fraction(1),) + y for y in ys], h + 1)
     gram = [[vec_dot(a, b) for b in hbasis] for a in hbasis]
-    aug = [gram[i] + [-ray[1 + i] for ray in rays] for i in range(h)]
+    aug = [gram[i] + [-ray[1 + i] for ray, _ in rays] for i in range(h)]
     solved, pivots = rref(aug, h + len(rays))
     assert pivots == list(range(h))  # the Gram matrix of a basis is invertible
     out = []
-    for k, ray in enumerate(rays):
-        beta, aprime = ray[0], ray[1:]
-        tight = frozenset(
-            v for v, y in zip(p.vertex_ids, ys) if beta + vec_dot(aprime, y) == 0
-        )
+    for k, (ray, tight) in enumerate(rays):
         c = [solved[j][h + k] for j in range(h)]
         normal = tuple(sum(c[j] * hbasis[j][t] for j in range(h)) for t in range(p.dim))
-        out.append(Facet(tight, normal, vec_dot(normal, base) + beta))
+        out.append(Facet(frozenset(p.vertex_ids[i] for i in tight), normal, vec_dot(normal, base) + ray[0]))
     return tuple(sorted(out, key=lambda f: sorted(f.vertex_ids)))
 
 

@@ -1,5 +1,6 @@
 """Rule engine: saturation, conclusions, bounds, certificate replay."""
 
+import hashlib
 import json
 import os
 import random
@@ -37,6 +38,7 @@ from defocone.deduction import (
     verify_certificate,
 )
 from defocone.errors import InputError
+from defocone.io import certificate_to_obj
 from defocone.exact import Vec, is_zero_vec, nullspace, rank
 from defocone.framework import dc_dimension, dependency_partition, framework
 from defocone.report import DEDUCTION_PROVABLE
@@ -426,3 +428,84 @@ def test_covering_matches_pairwise_span_intersection(cp):
         assert got == _reference_pins_all(fw, flats), (source, name)
         verdicts.setdefault(source, set()).add(got)
     assert all(v == {True, False} for v in verdicts.values()), verdicts
+
+
+def test_direction_keys_name_directions_up_to_scale():
+    fw = framework(
+        {"o": (0, 0, 0), "a": (1, 2, 3), "b": (-2, -4, -6), "c": (Fraction(1, 2), 1, Fraction(3, 2)),
+         "d": (1, 2, 4), "e": (0, 0, 0)},
+        [],
+    )
+    st = DeductionState(fw)
+    key = st.direction_key(("o", "a"))
+    assert key == (1, 2, 3) and all(isinstance(x, Fraction) for x in key)
+    assert st.direction_key(("a", "o")) == key  # antiparallel
+    assert st.direction_key(("o", "b")) == st.direction_key(("c", "o")) == key  # rational multiples
+    assert st.direction_key(("a", "b")) == key  # a pair off the origin
+    assert st.direction_key(("o", "d")) != key and st.direction_key(("a", "d")) == (0, 0, 1)
+    assert st.direction_key(("o", "e")) is None and st.direction_key(("e", "o")) is None
+    assert st.direction(("o", "a")) == (1, 2, 3) and st.direction(("a", "o")) == (-1, -2, -3)
+
+
+def _certificate_text(fw, flats) -> str:
+    """The certificate JSON as `defocone certify` writes it, after the
+    facet-flat conclusion and the dimension bound."""
+    state = saturate(fw)
+    conclude_indecomposable(state, flats)
+    dim_upper_bound(state, flats)
+    return json.dumps(certificate_to_obj(state.log, state.conclusion()), indent=1, sort_keys=True) + "\n"
+
+
+# sha256 prefixes of `_certificate_text` for the corpus (facet flats when
+# there is a polytope) and for DEDUCTION_PROVABLE, recorded before the edge
+# geometry was memoized on the state and the double description went integer.
+CERTIFICATE_DIGESTS = {
+    "chiseled_cube": "86a18a2d59b7c621",
+    "chiseled_square_pyramid": "542219551408618c",
+    "cube": "78cdacf94bb03ff8",
+    "diminished_trapezohedron": "d25cb203ab160cc1",
+    "gyrobifastigium": "1894a98f0094f0d8",
+    "hemicube": "8a9549e8c123cbfb",
+    "hexagon": "e7a4b319aaf82c82",
+    "hexagonal_pyramid": "b2bb90b0e3bec266",
+    "kallay_coplanar": "c4511c9e20082c17",
+    "kallay_skew": "7e8530092464e97f",
+    "p_2_2": "a254021328f21faf",
+    "p_3_1": "01017c059c4763d8",
+    "parallelogram": "aae9f31c07ac5e1b",
+    "prism": "28b3cda902227e72",
+    "q_2_2": "62ef10d172324493",
+    "q_3_1": "1becdf4fd7c4e797",
+    "scalene_quadrilateral": "449c42ffcba413be",
+    "square": "69327a9e75ee3912",
+    "trapezoid": "a62d6c63f1c13f66",
+    "triangle": "77df13924fc8ad4e",
+    "triangle_sum_shared_direction": "0e1ac210a44555c7",
+    "triangular_cupola": "bc97ff4b9012e642",
+    "two_disjoint_triangles": "4fe36bc935eb20c9",
+    "P_1_2": "88961e620cfa1f2e",
+    "P_2_1": "88961e620cfa1f2e",
+    "P_1_3": "f4f7aa1cb5c6f2b9",
+    "P_3_1": "01017c059c4763d8",
+    "P_2_2": "a254021328f21faf",
+    "P_1_4": "d2f707150f5b9808",
+    "P_4_1": "fb89a6bf243a0e34",
+    "P_2_3": "cfb82cd6107244d9",
+    "P_3_2": "5089779d78f9aeda",
+    "Q_1_3": "1becdf4fd7c4e797",
+    "Q_3_1": "1becdf4fd7c4e797",
+    "Q_1_4": "1fdd0de5436e19ac",
+    "Q_4_1": "2e5238fbcec877fd",
+    "Q_2_3": "6b69b363113adc81",
+    "Q_3_2": "df56c00d9317e3b2",
+}
+
+
+def test_certificates_are_byte_identical(cp):
+    got = {name: _certificate_text(e.framework, facet_flats(e.polytope) if e.polytope is not None else None)
+           for name, e in sorted(cp.items())}
+    for kind, n, m in DEDUCTION_PROVABLE:
+        tr = bipartite_truncation(n, m, kind)
+        got[f"{kind}_{n}_{m}"] = _certificate_text(tr.framework, facet_flats(tr.polytope))
+    digests = {name: hashlib.sha256(text.encode()).hexdigest()[:16] for name, text in got.items()}
+    assert digests == CERTIFICATE_DIGESTS

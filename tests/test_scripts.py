@@ -5,8 +5,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import defocone
 import defocone.polytope
+from defocone.constructions import bipartite_truncation
+from defocone.errors import ResourceLimitError
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(defocone.__file__)))
 CENSUS = os.path.join(os.path.dirname(SRC), "scripts", "family_census.py")
@@ -40,13 +44,21 @@ def test_family_census_prints_guard_rows(monkeypatch, capsys):
     census = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(census)
     monkeypatch.setattr(defocone.polytope, "MAX_VERTICES", 12)
-    for cached in (defocone.polytope.edges, defocone.polytope.facets):
-        cached.cache_clear()  # a cached answer would skip the guard
     census.main(["--max-total", "4"])
     rows = _member_rows(capsys.readouterr().out)
     assert len(rows) == 6
     assert rows[4].startswith("P_2, 2 guard: polytope guard: 13 vertices")
     assert rows[5].startswith("Q_2, 2 ") and "guard" not in rows[5]
+
+
+def test_polytope_guard_holds_on_a_cached_answer(monkeypatch):
+    """The guard is checked before the cache lookup of `edges` and `facets`."""
+    p = bipartite_truncation(2, 2, "P").polytope  # 13 vertices
+    assert len(defocone.polytope.edges(p)) == 24
+    monkeypatch.setattr(defocone.polytope, "MAX_VERTICES", 12)
+    for cached in (defocone.polytope.edges, defocone.polytope.facets):
+        with pytest.raises(ResourceLimitError, match="13 vertices"):
+            cached(p)
 
 
 def test_bench_gain_rule_bound_and_spread():
@@ -72,3 +84,24 @@ def test_bench_gain_rule_bound_and_spread():
     assert not bench.compare(base, [15] * 10, {**metric, "bound": 0.05})["unresolved"]
     unbounded = bench.compare(base, base, {**metric, "bound": None})
     assert unbounded["unresolved"] is None and unbounded["within_bound"] is None
+
+
+def test_bench_compares_the_traced_counts():
+    """bench.py calls the traced runs identical only when both carry the same
+    exact-counts digest, and names each counter whose values differ."""
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def traced(digest, **metrics):
+        return {"run": {"exact_counts_digest": digest} if digest else {}, "metrics": metrics}
+
+    counters = ["exact.calls", "io.cert_bytes"]
+    same = bench.traced_counts({"base": traced("ab", **{"exact.calls": 3, "io.cert_bytes": 9, "dd.self_s": 1.0}),
+                                "head": traced("ab", **{"exact.calls": 3, "io.cert_bytes": 9, "dd.self_s": 0.5})},
+                               counters)
+    assert same == {"traced_counts_identical": True, "traced_counters_differing": {}}
+    moved = bench.traced_counts({"base": traced("ab", **{"exact.calls": 3, "io.cert_bytes": 9}),
+                                 "head": traced("cd", **{"exact.calls": 4, "io.cert_bytes": 9})}, counters)
+    assert moved == {"traced_counts_identical": False, "traced_counters_differing": {"exact.calls": [3, 4]}}
+    assert not bench.traced_counts({"base": traced(None), "head": traced(None)}, counters)["traced_counts_identical"]

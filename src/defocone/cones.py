@@ -14,13 +14,12 @@ from fractions import Fraction
 
 from .ddcore import canonical_ray, dd_rays
 from .errors import InputError, ResourceLimitError
-from .exact import Vec, nullspace
+from .exact import Vec
 from .framework import (
     DeformationSpace,
     Edge,
     Framework,
     dc_dimension,
-    deformation_space,
     dependency_partition,
     edge_key,
     realize,
@@ -38,7 +37,6 @@ class Cone:
     first nonzero coordinate is 1.
     """
 
-    ambient_edges: tuple[Edge, ...]
     span_dim: int
     rays: tuple[Vec, ...]
 
@@ -59,7 +57,7 @@ def enumerate_rays(
             f"ray enumeration guard: span dimension {ds.dim} exceeds limit {max_span_dim}"
         )
     if ds.dim == 0:
-        return Cone(fw.edges, 0, ())
+        return Cone(0, ())
     rows = [tuple(b[i] for b in ds.basis) for i in range(ne)]
     rays = []
     for t, _ in dd_rays(rows, ds.dim):
@@ -69,28 +67,7 @@ def enumerate_rays(
         )
         assert all(x >= 0 for x in lam)
         rays.append(canonical_ray(lam))
-    return Cone(fw.edges, ds.dim, tuple(sorted(rays)))
-
-
-def ray_adjacency(ds: DeformationSpace, cone: Cone) -> set[tuple[int, int]]:
-    """Pairs of ray indices spanning a two-dimensional face.
-
-    A face of the cone is cut out by forcing a set of coordinates to zero
-    inside the linear span; two rays are adjacent exactly when zeroing
-    everything outside their joint support leaves a plane.
-    """
-    fw = ds.framework
-    ne = len(fw.edges)
-    out = set()
-    for i, j in itertools.combinations(range(len(cone.rays)), 2):
-        support = {
-            k for k in range(ne) if cone.rays[i][k] != 0 or cone.rays[j][k] != 0
-        }
-        rows = [[b[k] for b in ds.basis] for k in range(ne) if k not in support]
-        face_dim = len(nullspace(rows, ds.dim)) if rows else ds.dim
-        if face_dim == 2:
-            out.add((i, j))
-    return out
+    return Cone(ds.dim, tuple(sorted(rays)))
 
 
 def characteristic_vector(fw: Framework, edge_set) -> Vec:

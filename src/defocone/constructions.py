@@ -12,16 +12,14 @@ Everything is deterministic; there is no randomness anywhere.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graphs
 from .cones import lifted_blocks
 from .errors import ContractError, InputError, ResourceLimitError
-from .ddcore import canonical_ray
 from .deduction import flat_direction
-from .exact import Vec, affine_rank, in_span, nullspace, parallel, rank, vec_dot, vec_sub
+from .exact import Vec, affine_rank, in_span, nullspace, parallel, vec_dot, vec_sub
 from .framework import (
     Framework,
     dc_dimension,
@@ -111,7 +109,15 @@ def _has_directed_cycle(nodes, darcs) -> bool:
 def acyclic_orientations(g: SimpleGraph) -> list[tuple[bool, ...]]:
     """All acyclic orientations, as direction bits aligned with g.arcs
     (True orients the arc from its smaller to its larger endpoint).
-    Backtracking with incremental cycle pruning; lexicographic order."""
+    Backtracking with incremental cycle pruning; lexicographic order.
+
+    A spanning forest oriented freely always extends acyclically, so there
+    are at least 2^(V - #components) orientations; when that bound alone
+    exceeds the guard, the graph is refused before the search, which
+    recurses once per arc."""
+    forest = len(g.nodes) - len(graphs.components(g.nodes, graphs.adjacency(g.nodes, g.arcs)))
+    if 2**forest > MAX_ORIENTATIONS:
+        raise ResourceLimitError("too many acyclic orientations")
     result: list[tuple[bool, ...]] = []
     darcs: list[tuple[str, str]] = []
 
@@ -251,7 +257,6 @@ def truncation_f_vector(n: int, m: int, kind: str) -> tuple[int, ...]:
 class Zonotope:
     generators: tuple[Vec, ...]
     polytope: PolytopeV
-    subsets: dict  # vertex label -> frozenset of generator indices
 
     def edge_class(self, e) -> int:
         """Index of the generator parallel to the given edge."""
@@ -260,18 +265,6 @@ class Zonotope:
             if parallel(gen, d):
                 return i
         raise InputError(f"edge {e} is parallel to no generator")
-
-
-def is_parallelogramic(generators) -> bool:
-    gens = [tuple(Fraction(x) for x in g) for g in generators]
-    d = len(gens[0]) if gens else 0
-    for a, b in itertools.combinations(gens, 2):
-        if parallel(a, b):
-            return False
-    for a, b, c in itertools.combinations(gens, 3):
-        if rank([a, b, c], d) < 3:
-            return False
-    return True
 
 
 def zonotope(generators) -> Zonotope:
@@ -291,7 +284,6 @@ def zonotope(generators) -> Zonotope:
         )
         sums.setdefault(s, []).append(mask)
     pts = {}
-    subsets = {}
     distinct = list(sums)
     for k, (s, masks) in enumerate(sums.items()):
         if is_vertex(distinct, k):
@@ -300,9 +292,8 @@ def zonotope(generators) -> Zonotope:
                 "1" if mask >> i & 1 else "0" for i in range(len(gens))
             )
             pts[label] = s
-            subsets[label] = frozenset(i for i in range(len(gens)) if mask >> i & 1)
     poly = PolytopeV(tuple(sorted(pts)), tuple(pts[k] for k in sorted(pts)))
-    return Zonotope(gens, poly, subsets)
+    return Zonotope(gens, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +303,6 @@ def zonotope(generators) -> Zonotope:
 @dataclass
 class DeepTruncation:
     polytope: PolytopeV
-    truncated: tuple[str, ...]
-    stable: bool
-    class_load_ok: bool | None
-    omega_nodes: tuple[int, ...] | None
-    omega_arcs: tuple[tuple[int, int], ...] | None
     omega_components: int | None
 
 
@@ -352,10 +338,9 @@ def _cut_functional(p: PolytopeV, x: str, neighbor_ids):
 def deep_truncate(p: PolytopeV, labels, zono: Zonotope | None = None) -> DeepTruncation:
     """Delete pairwise non-adjacent vertices whose neighbors are coplanar.
 
-    With zonotope bookkeeping, also reports the interaction graph on edge
-    classes (two classes linked when incident around a truncated vertex)
-    and whether each class loses few enough edges for the connectivity
-    bound to apply.
+    With zonotope bookkeeping, also counts the components of the
+    interaction graph on edge classes (two classes linked when incident
+    around a truncated vertex).
     """
     labels = tuple(labels)
     unknown = set(labels) - set(p.vertex_ids)
@@ -363,33 +348,22 @@ def deep_truncate(p: PolytopeV, labels, zono: Zonotope | None = None) -> DeepTru
         raise InputError(f"unknown vertex labels: {sorted(unknown)}")
     es = edges(p)
     adj = graphs.adjacency(p.vertex_ids, es)
-    stable = all(edge_key(a, b) not in es for a, b in itertools.combinations(labels, 2))
-    if not stable:
+    if any(edge_key(a, b) in es for a, b in itertools.combinations(labels, 2)):
         raise ContractError("truncated vertices must be pairwise non-adjacent")
     for x in labels:
         _cut_functional(p, x, sorted(adj[x]))
     keep = [v for v in p.vertex_ids if v not in labels]
     out = PolytopeV(tuple(keep), tuple(p.point(v) for v in keep))
     if zono is None:
-        return DeepTruncation(out, labels, stable, None, None, None, None)
+        return DeepTruncation(out, None)
     classes = {e: zono.edge_class(e) for e in es}
     nodes = tuple(range(len(zono.generators)))
     arcs = set()
     for x in labels:
         incident = sorted({classes[edge_key(x, w)] for w in adj[x]})
-        arcs.update(
-            (i, j) for i, j in itertools.combinations(incident, 2)
-        )
+        arcs.update(itertools.combinations(incident, 2))
     comps = len(graphs.components(nodes, graphs.adjacency(nodes, arcs)))
-    dim = hull_dim(p)
-    load_ok = True
-    for i in nodes:
-        hits = sum(
-            1 for x in labels if any(classes[edge_key(x, w)] == i for w in adj[x])
-        )
-        if hits > dim - 2:
-            load_ok = False
-    return DeepTruncation(out, labels, stable, load_ok, nodes, tuple(sorted(arcs)), comps)
+    return DeepTruncation(out, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +374,6 @@ def deep_truncate(p: PolytopeV, labels, zono: Zonotope | None = None) -> DeepTru
 class Stacking:
     polytope: PolytopeV
     stack_points: dict  # new label -> Vec
-    gamma_nodes: tuple[int, ...] | None
-    gamma_arcs: tuple[tuple[int, int], ...] | None
     gamma_components: int | None
 
 
@@ -445,12 +417,11 @@ def stack_vertex(p: PolytopeV, facet_vertex_sets, zono: Zonotope | None = None) 
         if classes is not None:
             touched = sorted({classes[e] for e in edges(p) if set(e) <= wanted})
             gamma_arcs.update(itertools.combinations(touched, 2))
-    gamma = None
-    if zono is not None:
-        nodes = tuple(range(len(zono.generators)))
-        comps = len(graphs.components(nodes, graphs.adjacency(nodes, gamma_arcs)))
-        return Stacking(current, stack_points, nodes, tuple(sorted(gamma_arcs)), comps)
-    return Stacking(current, stack_points, None, None, None)
+    if zono is None:
+        return Stacking(current, stack_points, None)
+    nodes = tuple(range(len(zono.generators)))
+    comps = len(graphs.components(nodes, graphs.adjacency(nodes, gamma_arcs)))
+    return Stacking(current, stack_points, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -482,26 +453,6 @@ def permutahedral_wedge(p: PolytopeV, i: int, side: str = "min") -> PolytopeV:
                 label += "'"
             pts[label] = tuple(lifted)
     return polytope(pts)
-
-
-def wedge_tower(base: PolytopeV, moves) -> PolytopeV:
-    """Iterated permutahedral wedges; moves are (coordinate, side) pairs."""
-    current = base
-    for i, side in moves:
-        current = permutahedral_wedge(current, i, side)
-    return current
-
-
-def normal_fingerprint(p: PolytopeV):
-    """A cheap invariant separating non-normally-equivalent polytopes:
-    the f-vector data we can read off plus the facet-normal multiset up to
-    positive scaling."""
-    dirs = [canonical_ray(f.normal) for f in facets(p)]
-    return (
-        len(p.vertex_ids),
-        len(edges(p)),
-        tuple(sorted(Counter(dirs).items())),
-    )
 
 
 def product_polytope(a: PolytopeV, b: PolytopeV) -> PolytopeV:

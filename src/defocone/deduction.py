@@ -541,6 +541,8 @@ def _check_projection_lift(state: DeductionState, p):
     if ea not in state.known or eb not in state.known:
         return "lifted edge not known"
     for path in (p["path_a"], p["path_b"]):
+        if not path:
+            return "identification path is empty"
         for x, y in zip(path, path[1:]):
             if edge_key(x, y) not in state.known:
                 return "identification path edge not known"

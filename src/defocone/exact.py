@@ -16,7 +16,6 @@ import math
 import re
 from fractions import Fraction
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 
 _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import graphs
-from .errors import ContractError, InputError
+from .errors import InputError
 from .exact import (
     Vec,
     is_zero_vec,
@@ -110,12 +110,10 @@ def validate(fw: Framework) -> list[str]:
     return problems
 
 
-@lru_cache(maxsize=None)
 def adjacency(fw: Framework) -> dict[str, tuple[str, ...]]:
     return graphs.adjacency(fw.vertex_ids, fw.edges)
 
 
-@lru_cache(maxsize=None)
 def components(fw: Framework) -> tuple[tuple[str, ...], ...]:
     return tuple(graphs.components(fw.vertex_ids, adjacency(fw)))
 
@@ -124,7 +122,6 @@ def is_connected(fw: Framework) -> bool:
     return len(components(fw)) <= 1
 
 
-@lru_cache(maxsize=None)
 def cycle_basis(fw: Framework) -> tuple[tuple[str, ...], ...]:
     """Fundamental cycles of the BFS forest, as closed vertex walks.
 
@@ -208,29 +205,6 @@ def is_indecomposable(fw: Framework) -> bool:
     return dc_dimension(fw) <= 1
 
 
-def edge_deformation_vector(base: Framework, deformed: Framework) -> Vec:
-    """Extract the per-edge factors carrying base to deformed."""
-    if base.vertex_ids != deformed.vertex_ids or base.edges != deformed.edges:
-        raise ContractError("frameworks do not share a graph")
-    lam = []
-    for e in base.edges:
-        d0 = base.edge_vector(e)
-        d1 = deformed.edge_vector(e)
-        if is_zero_vec(d0):
-            if not is_zero_vec(d1):
-                raise ContractError(f"degenerate edge {e} stretched")
-            lam.append(Fraction(0))
-            continue
-        if not parallel(d0, d1):
-            raise ContractError(f"edge {e} changed direction")
-        j = next(i for i, x in enumerate(d0) if x != 0)
-        t = d1[j] / d0[j]
-        if t < 0:
-            raise ContractError(f"edge {e} reversed")
-        lam.append(t)
-    return tuple(lam)
-
-
 def realize(fw: Framework, lam) -> dict[str, Vec] | None:
     """Vertex positions under the edge factors lam, of any sign, or None
     when some edge does not close up or a degenerate edge has a nonzero
@@ -252,21 +226,6 @@ def realize(fw: Framework, lam) -> dict[str, Vec] | None:
     return pos
 
 
-def apply_deformation(fw: Framework, lam) -> Framework:
-    """The framework with the vertices where `realize` places them under
-    the nonnegative edge factors lam."""
-    lam = tuple(Fraction(x) for x in lam)
-    if len(lam) != len(fw.edges):
-        raise ContractError("deformation vector has wrong length")
-    if any(x < 0 for x in lam):
-        raise ContractError("negative edge factor")
-    pos = realize(fw, lam)
-    if pos is None:
-        raise ContractError("vector violates a cycle equation")
-    return Framework(fw.vertex_ids, tuple(pos[v] for v in fw.vertex_ids), fw.edges)
-
-
-@lru_cache(maxsize=None)
 def dependency_partition(fw: Framework) -> tuple[frozenset[Edge], ...]:
     """Blocks of non-degenerate edges whose factors agree on the whole cone.
 
@@ -343,23 +302,6 @@ def is_implicit_edge(fw: Framework, u: str, v: str) -> bool:
         # the slice is a nonempty bounded polytope whenever E_nd is nonempty
         raise AssertionError("implicit-edge slice LP must be solvable")
     return res.value >= 0
-
-
-def implicit_condition_gap(fw: Framework, u: str, v: str) -> bool:
-    """True for the curious case where every deformation in the linear
-    span moves v-u along its base direction, yet the induced factor goes
-    negative somewhere on the cone.  No worked example is known; corpus
-    scans flag any occurrence.
-    """
-    if u == v or edge_key(u, v) in fw.edges:
-        return False
-    comp = {c: i for i, cs in enumerate(components(fw)) for c in cs}
-    if comp[u] != comp[v]:
-        return False
-    coeffs = implicit_edge_coefficients(fw, u, v)
-    if coeffs is None or all(c == 0 for c in coeffs):
-        return False
-    return not is_implicit_edge(fw, u, v)
 
 
 def closure(fw: Framework) -> Framework:

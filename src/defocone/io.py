@@ -136,15 +136,3 @@ class AnalysisReport:
             "certificate": self.certificate,
             "seconds": self.seconds,
         }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "AnalysisReport":
-        return cls(**obj)
-
-    def same_verdicts(self, other: "AnalysisReport") -> bool:
-        return (
-            self.dc_dimension == other.dc_dimension
-            and self.indecomposable == other.indecomposable
-            and self.blocks == other.blocks
-            and self.rays == other.rays
-        )

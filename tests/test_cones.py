@@ -138,10 +138,11 @@ def test_parallelogramic_zonotope_simplicial():
 def test_autonomous_complement(cp):
     """Removing an autonomous dependent block drops the dimension by one."""
     from defocone.framework import (
-        apply_deformation,
+        Framework,
         dc_dimension,
         deformation_space as dsf,
         quotient_degenerate,
+        realize,
     )
 
     for name in ("cube", "prism"):
@@ -154,7 +155,8 @@ def test_autonomous_complement(cp):
         unit = ds.unit_vector()
         rest = tuple(u - x for u, x in zip(unit, ell))
         assert all(x >= 0 for x in rest)
-        shrunk = apply_deformation(fw, rest)
+        pos = realize(fw, rest)
+        shrunk = Framework(fw.vertex_ids, tuple(pos[v] for v in fw.vertex_ids), fw.edges)
         contracted, _ = quotient_degenerate(shrunk)
         assert dc_dimension(fw) == dc_dimension(contracted) + 1
 

@@ -1,6 +1,7 @@
 """Family generators: zonotopes, truncations, wedges, matroids, sums."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from defocone.constructions import (
     graphic_matroid,
     graphical_zonotope,
     hyperorder_polytope,
-    is_parallelogramic,
     matroid_direct_sum,
     matroid_polytope,
     minkowski_sum_labeled,
@@ -36,8 +36,16 @@ from defocone.constructions import (
     zonotope,
 )
 from defocone.corpus import corpus
+from defocone.ddcore import canonical_ray
 from defocone.errors import ContractError, InputError, ResourceLimitError
-from defocone.framework import dc_dimension, edge_key, is_indecomposable
+from defocone.framework import (
+    components,
+    dc_dimension,
+    edge_key,
+    implicit_edge_coefficients,
+    is_implicit_edge,
+    is_indecomposable,
+)
 from defocone.polytope import edges, f_vector, faces, facets, framework_of, polytope
 
 
@@ -390,11 +398,6 @@ def test_zonotope_generator_guard():
         zonotope(gens)
 
 
-def test_zonotope_parallelogramic_guard():
-    assert is_parallelogramic([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 2, 3)])
-    assert not is_parallelogramic([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
-
-
 def test_wedge_preservation_on_corpus():
     """Wedging keeps the edge-direction property, and wedges of
     indecomposable members stay indecomposable."""
@@ -411,39 +414,61 @@ def test_wedge_preservation_on_corpus():
                 assert is_indecomposable(framework_of(w)), (name, side)
 
 
+def _wedge_tower(base, moves):
+    """Iterated permutahedral wedges; moves are (coordinate, side) pairs."""
+    for i, side in moves:
+        base = permutahedral_wedge(base, i, side)
+    return base
+
+
+def _normal_fingerprint(p):
+    """A cheap invariant separating non-normally-equivalent polytopes: the
+    vertex and edge counts and the facet-normal multiset up to positive
+    scaling."""
+    dirs = Counter(canonical_ray(f.normal) for f in facets(p))
+    return len(p.vertex_ids), len(edges(p)), tuple(sorted(dirs.items()))
+
+
 def test_wedge_tower_spot_checks():
     """Short towers over the seven-vertex member stay indecomposable
     deformed permutahedra and are separated by cheap fingerprints."""
-    from defocone.constructions import normal_fingerprint, wedge_tower
     from defocone.polytope import is_deformed_permutahedron
 
     base = bipartite_truncation(1, 3, "P").polytope
     towers = {
-        "11": wedge_tower(base, [(1, "min"), (1, "min")]),
-        "12": wedge_tower(base, [(1, "min"), (2, "min")]),
-        "21max": wedge_tower(base, [(2, "min"), (1, "max")]),
+        "11": _wedge_tower(base, [(1, "min"), (1, "min")]),
+        "12": _wedge_tower(base, [(1, "min"), (2, "min")]),
+        "21max": _wedge_tower(base, [(2, "min"), (1, "max")]),
     }
     prints = {}
     for name, t in towers.items():
         assert is_indecomposable(framework_of(t)), name
         assert is_deformed_permutahedron(t)[0], name
-        prints[name] = normal_fingerprint(t)
+        prints[name] = _normal_fingerprint(t)
     assert len(set(prints.values())) == len(prints)
+
+
+def _implicit_condition_gap(fw, u, v):
+    """True for the curious case where every deformation in the linear span
+    moves v-u along its base direction, yet `is_implicit_edge` finds the
+    induced factor negative somewhere on the cone."""
+    if edge_key(u, v) in fw.edges or not any({u, v} <= set(c) for c in components(fw)):
+        return False
+    coeffs = implicit_edge_coefficients(fw, u, v)
+    if coeffs is None or all(c == 0 for c in coeffs):
+        return False
+    return not is_implicit_edge(fw, u, v)
 
 
 def test_implicit_condition_gap_scan():
     """The two nonnegativity conditions never split on this corpus; any
     future hit is interesting enough to fail loudly here."""
-    import itertools as it
-
-    from defocone.framework import implicit_condition_gap
-
     cp = corpus()
     hits = []
     for name in ("trapezoid", "hexagon", "square", "kallay_coplanar", "q_2_2"):
         fw = cp[name].framework
-        for u, v in it.combinations(fw.vertex_ids, 2):
-            if implicit_condition_gap(fw, u, v):
+        for u, v in itertools.combinations(fw.vertex_ids, 2):
+            if _implicit_condition_gap(fw, u, v):
                 hits.append((name, u, v))
     assert hits == []
 

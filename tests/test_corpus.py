@@ -4,9 +4,10 @@ import itertools
 
 import pytest
 
-from defocone.cones import enumerate_rays, ray_adjacency
+from defocone.cones import enumerate_rays
 from defocone.corpus import corpus, facet_flats
 from defocone.deduction import conclude_indecomposable, dim_upper_bound, saturate
+from defocone.exact import nullspace
 from defocone.framework import (
     dc_dimension,
     deformation_space,
@@ -63,6 +64,21 @@ def test_polytope_framework_agreement(name):
     assert set(entry.framework.edges) == set(edges(entry.polytope)), name
 
 
+def _ray_adjacency(ds, cone):
+    """Pairs of ray indices spanning a two-dimensional face: a face is cut
+    out by forcing coordinates to zero inside the linear span, and two rays
+    are adjacent exactly when zeroing everything outside their joint
+    support leaves a plane."""
+    ne = len(ds.framework.edges)
+    out = set()
+    for i, j in itertools.combinations(range(len(cone.rays)), 2):
+        support = {k for k in range(ne) if cone.rays[i][k] != 0 or cone.rays[j][k] != 0}
+        rows = [[b[k] for b in ds.basis] for k in range(ne) if k not in support]
+        if (len(nullspace(rows, ds.dim)) if rows else ds.dim) == 2:
+            out.add((i, j))
+    return out
+
+
 def test_hexagon_cone_is_a_bipyramid():
     """Five rays; the two full-support rays (the triangle pair) are apexes
     adjacent to all three partial-support rays (the segment pair classes)
@@ -71,7 +87,7 @@ def test_hexagon_cone_is_a_bipyramid():
     fw = CP["hexagon"].framework
     ds = deformation_space(fw)
     cone = enumerate_rays(ds)
-    adj = ray_adjacency(ds, cone)
+    adj = _ray_adjacency(ds, cone)
     apexes = {i for i, r in enumerate(cone.rays) if sum(1 for x in r if x != 0) == 3}
     base = set(range(5)) - apexes
     assert len(apexes) == 2 and len(base) == 3

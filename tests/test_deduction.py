@@ -509,3 +509,32 @@ def test_certificates_are_byte_identical(cp):
         got[f"{kind}_{n}_{m}"] = _certificate_text(tr.framework, facet_flats(tr.polytope))
     digests = {name: hashlib.sha256(text.encode()).hexdigest()[:16] for name, text in got.items()}
     assert digests == CERTIFICATE_DIGESTS
+
+
+MALFORMED_VALUES = ([], None, 5, "x", [[]], [None], {})
+
+
+def test_kernel_gives_a_reason_for_any_malformed_field(cp):
+    """Each logged step with one payload field replaced by a malformed value
+    is rejected with a reason, and `apply` never raises.  The one mutation
+    that stays a valid step is an empty `flats` of a dimension bound over
+    every vertex: that is how a bound without flats is written."""
+    accepted = []
+    for name in ("triangle", "square", "cube", "hexagon", "prism", "p_2_2", "q_2_2"):
+        e = cp[name]
+        st = saturate(e.framework)
+        flats = facet_flats(e.polytope) if e.polytope is not None else None
+        conclude_indecomposable(st, flats)
+        dim_upper_bound(st, flats)
+        state = DeductionState(e.framework)
+        for i, step in enumerate(st.log):
+            for key, value in step.payload.items():
+                for bad in MALFORMED_VALUES:
+                    if bad != value and state.apply(Step(step.kind, {**step.payload, key: bad})) is None:
+                        everything = step.payload.get("S") == sorted(e.framework.vertex_ids)
+                        accepted.append((step.kind, key, bad, everything))
+                        state = DeductionState(e.framework)
+                        state.replay(st.log[:i])
+            assert state.apply(step) is None, (name, step)
+    empty_flats = [(DIM_BOUND, "flats", v, True) for v in (None, [], {})]
+    assert all(a in empty_flats for a in accepted), accepted

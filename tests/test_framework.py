@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 
 from defocone.cones import characteristic_vector
 from defocone.corpus import corpus
-from defocone.errors import ContractError, InputError
-from defocone.exact import in_span, rank
+from defocone.errors import InputError
+from defocone.exact import in_span, rank, vec_scale, vec_sub
 from defocone.framework import (
     Framework,
-    apply_deformation,
     closure,
     cycle_basis,
     cycle_equation_rows,
     dc_dimension,
     deformation_space,
     dependency_partition,
-    edge_deformation_vector,
     edge_key,
     framework,
     is_implicit_edge,
@@ -86,23 +84,22 @@ def test_oracle_examples(cp):
     assert dc_dimension(squashed) == 0 and is_indecomposable(squashed)
 
 
+def _moves_every_edge(fw, pos, lam):
+    """Every edge, between the placed points, is its base vector scaled by
+    its factor."""
+    return all(
+        vec_sub(pos[v], pos[u]) == vec_scale(t, fw.edge_vector((u, v)))
+        for t, (u, v) in zip(lam, fw.edges)
+    )
+
+
 def test_apply_deformation_identity_and_collapse():
     fw = tri()
-    ds = deformation_space(fw)
-    unit = ds.unit_vector()
-    same = apply_deformation(fw, unit)
-    assert same.coords == fw.coords
-    collapsed = apply_deformation(fw, (0, 0, 0))
+    same = realize(fw, deformation_space(fw).unit_vector())
+    assert tuple(same[v] for v in fw.vertex_ids) == fw.coords
+    collapsed = realize(fw, (0, 0, 0))
     anchor = fw.point("a")
-    assert all(c == anchor for c in collapsed.coords)
-
-
-def test_apply_deformation_contract_errors():
-    fw = tri()
-    with pytest.raises(ContractError):
-        apply_deformation(fw, (1, 1, -1))
-    with pytest.raises(ContractError):
-        apply_deformation(fw, (2, 1, 1))  # breaks the cycle equation
+    assert all(c == anchor for c in collapsed.values())
 
 
 def test_hexagon_alternating_deformation(cp):
@@ -118,10 +115,10 @@ def test_hexagon_alternating_deformation(cp):
     ]
     assert triples
     lam = tuple(Fraction(1 if e in triples[0] else 0) for e in hexa.edges)
-    image = apply_deformation(hexa, lam)
-    # image realizes a triangle: exactly three distinct points
-    assert len(set(image.coords)) == 3
-    assert edge_deformation_vector(hexa, image) == lam
+    pos = realize(hexa, lam)
+    assert pos is not None and _moves_every_edge(hexa, pos, lam)
+    # the image is a triangle: exactly three distinct points
+    assert len(set(pos.values())) == 3
 
 
 def test_roundtrip_on_interior_vector(cp):
@@ -131,7 +128,8 @@ def test_roundtrip_on_interior_vector(cp):
         a + Fraction(1, 7) * b for a, b in zip(ds.unit_vector(), ds.basis[-1])
     )
     if all(x >= 0 for x in lam):
-        assert edge_deformation_vector(fw, apply_deformation(fw, lam)) == lam
+        pos = realize(fw, lam)
+        assert pos is not None and _moves_every_edge(fw, pos, lam)
 
 
 def _cycle_rows_vanish(fw, lam):
@@ -155,7 +153,8 @@ def _collapsed_cube():
     edges becomes degenerate."""
     cube = corpus()["cube"].framework
     blocks = dependency_partition(cube)
-    return apply_deformation(cube, characteristic_vector(cube, blocks[0] | blocks[1]))
+    pos = realize(cube, characteristic_vector(cube, blocks[0] | blocks[1]))
+    return Framework(cube.vertex_ids, tuple(pos[v] for v in cube.vertex_ids), cube.edges)
 
 
 def test_realize_agrees_with_cycle_equations(cp):

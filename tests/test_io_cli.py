@@ -12,7 +12,7 @@ import defocone
 
 from defocone.cli import main
 from defocone.corpus import corpus
-from defocone.deduction import saturate
+from defocone.deduction import PROJECTION_LIFT, Step, saturate
 from defocone.errors import InputError
 from defocone.io import (
     CERT_FORMAT,
@@ -91,8 +91,8 @@ def test_analysis_report_roundtrip():
         rays=[["1", "1", "1"]],
         seconds=0.01,
     )
-    again = AnalysisReport.from_obj(json.loads(json.dumps(rep.to_obj())))
-    assert again == rep and again.same_verdicts(rep)
+    again = AnalysisReport(**json.loads(json.dumps(rep.to_obj())))
+    assert again == rep
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +112,9 @@ def test_cli_construct_analyze_roundtrip(tmp_path, capsys):
     assert first["dc_dimension"] == 1 and first["indecomposable"]
     assert run_cli("analyze", str(out), "--deps", "--rays", "--json") == 0
     second = json.loads(capsys.readouterr().out)
-    a, b = AnalysisReport.from_obj(first), AnalysisReport.from_obj(second)
-    assert a.same_verdicts(b)
+    a, b = AnalysisReport(**first), AnalysisReport(**second)
+    for key in ("dc_dimension", "indecomposable", "blocks", "rays"):
+        assert getattr(a, key) == getattr(b, key)
 
 
 def test_cli_oracle_on_constructed_family(tmp_path, capsys):
@@ -218,6 +219,18 @@ def test_cli_verify_rejects_malformed_certificates(tmp_path, cp, name):
     assert out.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("path", ["path_a", "path_b"])
+def test_cli_verify_rejects_an_empty_identification_path(tmp_path, cp, capsys, path):
+    sq = tmp_path / "sq.json"
+    sq.write_text(json.dumps(framework_to_obj(cp["square"].framework)))
+    lift = {"kernel": [["1", "0"]], "edge_a": ["B", "C"], "edge_b": ["A", "D"],
+            "path_a": ["B", "A"], "path_b": ["C", "D"], path: []}
+    cert = tmp_path / "sq.cert.json"
+    cert.write_text(json.dumps(certificate_to_obj([Step(PROJECTION_LIFT, lift)])))
+    assert run_cli("verify", str(sq), str(cert)) == 1
+    assert capsys.readouterr().err == "invalid certificate: step 0: identification path is empty\n"
+
+
 BAD_INVOCATIONS = {
     "facet index out of range": ["construct", "stack", "--input", "{cube}", "--facets", "99", "-o", "{out}"],
     "negative facet index": ["construct", "stack", "--input", "{cube}", "--facets", "-1", "-o", "{out}"],
@@ -236,23 +249,30 @@ BAD_INVOCATIONS = {
     "analyze non-UTF-8 file": ["analyze", "{binary}"],
 }
 
+# Inputs refused by a resource guard, which exits 2.
+GUARDED_INVOCATIONS = {
+    "complete graph with 990 arcs": ["construct", "zonotope", "--complete", "45", "-o", "{out}"],
+    "bipartite graph with 1024 arcs": ["construct", "zonotope", "--bipartite", "32", "32", "-o", "{out}"],
+}
 
-@pytest.mark.parametrize("name", sorted(BAD_INVOCATIONS))
+
+@pytest.mark.parametrize("name", sorted(BAD_INVOCATIONS) + sorted(GUARDED_INVOCATIONS))
 def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
     cube = tmp_path / "cube.json"
     cube.write_text(json.dumps(polytope_to_obj(cp["cube"].polytope)))
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe\x00{}")
     paths = {"cube": cube, "out": tmp_path / "out.json", "dir": tmp_path, "binary": binary}
-    argv = [a.format(**paths) for a in BAD_INVOCATIONS[name]]
+    argv = [a.format(**paths) for a in {**BAD_INVOCATIONS, **GUARDED_INVOCATIONS}[name]]
+    code, line = (2, "resource guard: ") if name in GUARDED_INVOCATIONS else (1, "error: ")
     src = os.path.dirname(os.path.dirname(os.path.abspath(defocone.__file__)))
     out = subprocess.run(
         [sys.executable, "-m", "defocone", *argv],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
-    assert out.returncode == 1
+    assert out.returncode == code
     assert "Traceback" not in out.stderr
-    assert out.stderr.startswith("error: ")
+    assert out.stderr.startswith(line)
     assert not (tmp_path / "out.json").exists()
 
 

@@ -19,9 +19,11 @@ from .framework import (
     DeformationSpace,
     Edge,
     Framework,
+    Points,
     dc_dimension,
     dependency_partition,
     edge_key,
+    labelled_points,
     realize,
 )
 
@@ -37,7 +39,6 @@ class Cone:
     first nonzero coordinate is 1.
     """
 
-    span_dim: int
     rays: tuple[Vec, ...]
 
 
@@ -57,7 +58,7 @@ def enumerate_rays(
             f"ray enumeration guard: span dimension {ds.dim} exceeds limit {max_span_dim}"
         )
     if ds.dim == 0:
-        return Cone(0, ())
+        return Cone(())
     rows = [tuple(b[i] for b in ds.basis) for i in range(ne)]
     rays = []
     for t, _ in dd_rays(rows, ds.dim):
@@ -67,7 +68,7 @@ def enumerate_rays(
         )
         assert all(x >= 0 for x in lam)
         rays.append(canonical_ray(lam))
-    return Cone(ds.dim, tuple(sorted(rays)))
+    return Cone(tuple(sorted(rays)))
 
 
 def characteristic_vector(fw: Framework, edge_set) -> Vec:
@@ -161,18 +162,18 @@ def embed_product_ray(product: Framework, factor: Framework, ray: Vec, side: str
     return tuple(Fraction(0) if f is None else ray[eidx[f]] for f in lift)
 
 
-def product_framework(a: Framework, b: Framework) -> Framework:
-    """Cartesian product; edges are factor edges times opposite vertices.
+def product_points(a: Points, b: Points):
+    """(vertex_ids, coords) of a Cartesian product: vertex "u|w" is the pair
+    (u, w) at u's coordinates followed by w's, in the order of
+    `itertools.product(a.vertex_ids, b.vertex_ids)`.  Two pairs whose
+    labels coincide are refused, never merged."""
+    pairs = itertools.product(zip(a.vertex_ids, a.coords), zip(b.vertex_ids, b.coords))
+    return labelled_points((f"{u}|{w}", cu + cw) for (u, cu), (w, cw) in pairs)
 
-    Vertex "u|w" is the pair (u, w), in the order of
-    `itertools.product(a.vertex_ids, b.vertex_ids)`.
-    """
-    ids = []
-    coords = []
-    for ua, ca in zip(a.vertex_ids, a.coords):
-        for ub, cb in zip(b.vertex_ids, b.coords):
-            ids.append(f"{ua}|{ub}")
-            coords.append(ca + cb)
+
+def product_framework(a: Framework, b: Framework) -> Framework:
+    """Cartesian product, on `product_points`; edges are factor edges
+    times opposite vertices."""
     edges = []
     for u, v in a.edges:
         for w in b.vertex_ids:
@@ -180,7 +181,7 @@ def product_framework(a: Framework, b: Framework) -> Framework:
     for u, v in b.edges:
         for w in a.vertex_ids:
             edges.append(edge_key(f"{w}|{u}", f"{w}|{v}"))
-    return Framework(tuple(ids), tuple(coords), tuple(sorted(edges)))
+    return Framework(*product_points(a, b), tuple(sorted(edges)))
 
 
 @dataclass

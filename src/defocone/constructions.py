@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graphs
-from .cones import lifted_blocks
+from .cones import lifted_blocks, product_points
 from .errors import ContractError, InputError, ResourceLimitError
 from .deduction import flat_direction
 from .exact import Vec, affine_rank, in_span, nullspace, parallel, vec_dot, vec_sub
@@ -27,6 +27,7 @@ from .framework import (
     edge_key,
     framework,
     is_indecomposable,
+    labelled_points,
 )
 from .polytope import (
     PolytopeV,
@@ -55,11 +56,11 @@ class SimpleGraph:
     arcs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        seen = set()
+        seen, nodes = set(), set(self.nodes)
         for u, v in self.arcs:
             if u == v:
                 raise InputError("loops are not allowed")
-            if u not in self.nodes or v not in self.nodes:
+            if u not in nodes or v not in nodes:
                 raise InputError(f"unknown node in arc {(u, v)!r}")
             k = (u, v) if u < v else (v, u)
             if k in seen:
@@ -152,9 +153,7 @@ def _bits_label(bits) -> str:
 
 @dataclass(frozen=True)
 class GraphicalZonotope:
-    graph: SimpleGraph
     polytope: PolytopeV
-    orientations: tuple[tuple[bool, ...], ...]
     skeleton: tuple[tuple[str, str], ...]  # combinatorial edges
 
     def framework(self) -> Framework:
@@ -166,9 +165,7 @@ def graphical_zonotope(g: SimpleGraph) -> GraphicalZonotope:
     skeleton links orientations differing in a single arc."""
     aos = acyclic_orientations(g)
     labels = {bits: _bits_label(bits) for bits in aos}
-    pts = {labels[bits]: orientation_indegrees(g, bits) for bits in aos}
-    if len(pts) != len(aos):
-        raise AssertionError("in-degree vectors must be distinct")
+    poly = PolytopeV(*labelled_points((labels[bits], orientation_indegrees(g, bits)) for bits in aos))
     valid = set(aos)
     skel = set()
     for bits in aos:
@@ -176,8 +173,7 @@ def graphical_zonotope(g: SimpleGraph) -> GraphicalZonotope:
             flip = bits[:i] + (not bits[i],) + bits[i + 1 :]
             if flip in valid:
                 skel.add(edge_key(labels[bits], labels[flip]))
-    poly = PolytopeV(tuple(pts), tuple(pts.values()))
-    return GraphicalZonotope(g, poly, tuple(aos), tuple(sorted(skel)))
+    return GraphicalZonotope(poly, tuple(sorted(skel)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +185,8 @@ class BipartiteTruncation:
     kind: str  # "P" or "Q"
     n: int
     m: int
-    base: GraphicalZonotope
     polytope: PolytopeV
     framework: Framework
-    removed: tuple[str, ...]
 
 
 def bipartite_truncation(n: int, m: int, kind: str = "P") -> BipartiteTruncation:
@@ -215,19 +209,16 @@ def bipartite_truncation(n: int, m: int, kind: str = "P") -> BipartiteTruncation
     all_rl = tuple(False for _ in g.arcs)
     removed_bits = [all_lr] if kind == "P" else [all_lr, all_rl]
     removed = tuple(_bits_label(b) for b in removed_bits)
-    keep = [v for v in z.polytope.vertex_ids if v not in removed]
-    pts = {v: z.polytope.point(v) for v in keep}
+    pts = {v: c for v, c in zip(z.polytope.vertex_ids, z.polytope.coords) if v not in removed}
     es = {e for e in z.skeleton if e[0] not in removed and e[1] not in removed}
     for special in removed_bits:
-        near = [i for i in range(len(g.arcs))]
-        for i, j in itertools.combinations(near, 2):
+        for i, j in itertools.combinations(range(len(g.arcs)), 2):
             if set(g.arcs[i]) & set(g.arcs[j]):
                 b1 = special[:i] + (not special[i],) + special[i + 1 :]
                 b2 = special[:j] + (not special[j],) + special[j + 1 :]
                 es.add(edge_key(_bits_label(b1), _bits_label(b2)))
     fw = framework(pts, sorted(es))
-    poly = PolytopeV(tuple(pts), tuple(pts.values()))
-    return BipartiteTruncation(kind, n, m, z, poly, fw, removed)
+    return BipartiteTruncation(kind, n, m, PolytopeV(fw.vertex_ids, fw.coords), fw)
 
 
 def bipartite_zonotope_facet_count(n: int, m: int) -> int:
@@ -292,8 +283,7 @@ def zonotope(generators) -> Zonotope:
                 "1" if mask >> i & 1 else "0" for i in range(len(gens))
             )
             pts[label] = s
-    poly = PolytopeV(tuple(sorted(pts)), tuple(pts[k] for k in sorted(pts)))
-    return Zonotope(gens, poly)
+    return Zonotope(gens, PolytopeV(*labelled_points(sorted(pts.items()))))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +363,6 @@ def deep_truncate(p: PolytopeV, labels, zono: Zonotope | None = None) -> DeepTru
 @dataclass
 class Stacking:
     polytope: PolytopeV
-    stack_points: dict  # new label -> Vec
     gamma_components: int | None
 
 
@@ -382,7 +371,8 @@ def stack_vertex(p: PolytopeV, facet_vertex_sets, zono: Zonotope | None = None) 
 
     The stacking point starts one unit of outward normal past the facet
     barycenter and is halved until it lies strictly inside every other
-    facet's halfspace; points are recorded so outputs reproduce exactly.
+    facet's halfspace, so outputs reproduce exactly.  The k-th point is
+    labelled q<k>, with a prime appended while that label is taken.
     """
     targets = [frozenset(f) for f in facet_vertex_sets]
     gamma_arcs = set()
@@ -390,7 +380,6 @@ def stack_vertex(p: PolytopeV, facet_vertex_sets, zono: Zonotope | None = None) 
     if zono is not None:
         classes = {e: zono.edge_class(e) for e in edges(p)}
     current = p
-    stack_points = {}
     for idx, wanted in enumerate(targets):
         fs = facets(current)
         match = next((f for f in fs if f.vertex_ids == wanted), None)
@@ -411,17 +400,17 @@ def stack_vertex(p: PolytopeV, facet_vertex_sets, zono: Zonotope | None = None) 
                 break
             eps /= 2
         label = f"q{idx}"
-        stack_points[label] = q
-        pts = {**current.points, label: q}
-        current = PolytopeV(tuple(pts), tuple(pts.values()))
+        while label in current.vertex_ids:
+            label += "'"
+        current = PolytopeV(current.vertex_ids + (label,), current.coords + (q,))
         if classes is not None:
             touched = sorted({classes[e] for e in edges(p) if set(e) <= wanted})
             gamma_arcs.update(itertools.combinations(touched, 2))
     if zono is None:
-        return Stacking(current, stack_points, None)
+        return Stacking(current, None)
     nodes = tuple(range(len(zono.generators)))
     comps = len(graphs.components(nodes, graphs.adjacency(nodes, gamma_arcs)))
-    return Stacking(current, stack_points, comps)
+    return Stacking(current, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +426,8 @@ def permutahedral_wedge(p: PolytopeV, i: int, side: str = "min") -> PolytopeV:
         raise InputError("side must be 'min' or 'max'")
     vals = [c[i - 1] for c in p.coords]
     extreme = min(vals) if side == "min" else max(vals)
-    pts = {}
-    for v in p.vertex_ids:
-        c = p.point(v)
-        pts[v] = c + (Fraction(0),)
-    for v in p.vertex_ids:
-        c = p.point(v)
+    pts = {v: c + (Fraction(0),) for v, c in zip(p.vertex_ids, p.coords)}
+    for v, c in zip(p.vertex_ids, p.coords):
         t = c[i - 1] - extreme
         lifted = list(c) + [Fraction(0)]
         lifted[i - 1] -= t
@@ -456,11 +441,7 @@ def permutahedral_wedge(p: PolytopeV, i: int, side: str = "min") -> PolytopeV:
 
 
 def product_polytope(a: PolytopeV, b: PolytopeV) -> PolytopeV:
-    pts = {}
-    for u in a.vertex_ids:
-        for v in b.vertex_ids:
-            pts[f"{u}|{v}"] = a.point(u) + b.point(v)
-    return PolytopeV(tuple(pts), tuple(pts.values()))
+    return PolytopeV(*product_points(a, b))
 
 
 @dataclass(frozen=True)
@@ -550,7 +531,7 @@ def matroid_polytope(mb: MatroidBases) -> MatroidPolytope:
         if len(b1 ^ b2) == 2:
             es.append((labels[b1], labels[b2]))
     fw = framework(pts, es)
-    poly = PolytopeV(tuple(pts), tuple(pts.values()))
+    poly = PolytopeV(fw.vertex_ids, fw.coords)
     first = min(mb.bases, key=lambda b: tuple(sorted(b)))
     arcs = set()
     for j in set(order) - first:
@@ -634,17 +615,16 @@ def minkowski_sum_labeled(a: PolytopeV, b: PolytopeV) -> LabeledSum:
             s = tuple(x + y for x, y in zip(a.point(u), b.point(v)))
             cand.setdefault(s, []).append((u, v))
     distinct = list(cand)
-    pts = {}
+    pairs = []
     prov = {}
     for k, (s, prs) in enumerate(cand.items()):
         if is_vertex(distinct, k):
             if len(prs) > 1:
                 raise InputError(f"ambiguous vertex decomposition at {s}")
             label = f"{prs[0][0]}+{prs[0][1]}"
-            pts[label] = s
+            pairs.append((label, s))
             prov[label] = prs[0]
-    poly = PolytopeV(tuple(sorted(pts)), tuple(pts[k] for k in sorted(pts)))
-    return LabeledSum(poly, prov)
+    return LabeledSum(PolytopeV(*labelled_points(sorted(pairs))), prov)
 
 
 def parallelogramic_position(a: PolytopeV, b: PolytopeV):

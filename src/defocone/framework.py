@@ -41,10 +41,12 @@ def edge_key(u: str, v: str) -> Edge:
 
 
 @dataclass(frozen=True)
-class Framework:
+class Points:
+    """A labelled set of rational points: vertex_ids[i] sits at coords[i].
+    Equality compares classes first, so a polytope never equals a framework."""
+
     vertex_ids: tuple[str, ...]
     coords: tuple[Vec, ...]
-    edges: tuple[Edge, ...]
 
     @property
     def dim(self) -> int:
@@ -56,6 +58,30 @@ class Framework:
     @property
     def points(self) -> dict[str, Vec]:
         return dict(zip(self.vertex_ids, self.coords))
+
+
+def labelled_points(points) -> tuple[tuple[str, ...], tuple[Vec, ...]]:
+    """(vertex_ids, coords) from a label->coords map or from (label, coords)
+    pairs, labels as str and coordinates as Fractions.
+
+    Pairs keep a repeated label, so it is refused here instead of being
+    overwritten in a map; so are points of different dimensions.
+    """
+    pairs = points.items() if isinstance(points, dict) else points
+    ids, coords = [], []
+    for label, c in pairs:
+        ids.append(str(label))
+        coords.append(tuple(Fraction(x) for x in c))
+    if len(set(ids)) != len(ids):
+        raise InputError("duplicate vertex label")
+    if len({len(c) for c in coords}) > 1:
+        raise InputError("mixed coordinate dimensions")
+    return tuple(ids), tuple(coords)
+
+
+@dataclass(frozen=True)
+class Framework(Points):
+    edges: tuple[Edge, ...]
 
     def edge_vector(self, e: Edge) -> Vec:
         u, v = e
@@ -74,40 +100,16 @@ class Framework:
         return tuple(e for e in self.edges if e not in deg)
 
 
-def framework(points: dict, edges) -> Framework:
-    """Build a canonical Framework from a label->coords map and edge pairs."""
-    ids = tuple(str(k) for k in points)
-    coords = tuple(tuple(Fraction(x) for x in points[k]) for k in points)
+def framework(points, edges) -> Framework:
+    """Build a canonical Framework from labelled points, as `labelled_points`
+    takes them, and edge pairs."""
+    ids, coords = labelled_points(points)
     es = sorted({edge_key(str(u), str(v)) for u, v in edges})
-    fw = Framework(ids, coords, tuple(es))
-    problems = validate(fw)
-    if problems:
-        raise InputError("; ".join(problems))
-    return fw
-
-
-def validate(fw: Framework) -> list[str]:
-    """Diagnostics; empty list means well-formed."""
-    problems = []
-    if len(set(fw.vertex_ids)) != len(fw.vertex_ids):
-        problems.append("duplicate vertex label")
-    if len(fw.coords) != len(fw.vertex_ids):
-        problems.append("coordinate count does not match vertex count")
-    dims = {len(c) for c in fw.coords}
-    if len(dims) > 1:
-        problems.append("mixed coordinate dimensions")
-    known = set(fw.vertex_ids)
-    seen = set()
-    for u, v in fw.edges:
-        if u == v:
-            problems.append(f"self-loop at {u!r}")
-        if u not in known or v not in known:
-            problems.append(f"unknown vertex in edge {(u, v)!r}")
-        k = (u, v) if u < v else (v, u)
-        if k in seen:
-            problems.append(f"duplicate edge {k!r}")
-        seen.add(k)
-    return problems
+    known = set(ids)
+    for e in es:
+        if not known.issuperset(e):
+            raise InputError(f"unknown vertex in edge {e!r}")
+    return Framework(ids, coords, tuple(es))
 
 
 def adjacency(fw: Framework) -> dict[str, tuple[str, ...]]:

@@ -12,54 +12,54 @@ from dataclasses import dataclass, field
 from .deduction import STEP_KINDS, Step
 from .errors import InputError
 from .exact import parse_rat, rat_str
-from .framework import Framework, framework
+from .framework import Framework, Points, framework
 from .polytope import PolytopeV, polytope
 
 CERT_FORMAT = "edge-dependency-certificate/1"
 
 
-def framework_to_obj(fw: Framework) -> dict:
-    return {
-        "dim": fw.dim,
-        "vertices": [
-            {"id": v, "coords": [rat_str(x) for x in fw.point(v)]} for v in fw.vertex_ids
-        ],
-        "edges": [[u, v] for u, v in fw.edges],
-    }
-
-
-def framework_from_obj(obj: dict) -> Framework:
-    try:
-        dim = obj["dim"]
-        pts = {row["id"]: [parse_rat(c) for c in row["coords"]] for row in obj["vertices"]}
-        edges = [(u, v) for u, v in obj["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed framework file: {exc}")
-    for coords in pts.values():
-        if len(coords) != dim:
-            raise InputError("coordinate length does not match dim")
-    return framework(pts, edges)
-
-
-def polytope_to_obj(p: PolytopeV) -> dict:
+def _points_to_obj(p: Points) -> dict:
     return {
         "dim": p.dim,
         "vertices": [
-            {"id": v, "coords": [rat_str(x) for x in p.point(v)]} for v in p.vertex_ids
+            {"id": v, "coords": [rat_str(x) for x in c]} for v, c in zip(p.vertex_ids, p.coords)
         ],
     }
 
 
-def polytope_from_obj(obj: dict, check: bool = True) -> PolytopeV:
+def _points_from_obj(obj: dict, kind: str) -> list:
+    """The (id, coords) rows of a file object, in file order, so that a
+    repeated id reaches `labelled_points`."""
     try:
         dim = obj["dim"]
-        pts = {row["id"]: [parse_rat(c) for c in row["coords"]] for row in obj["vertices"]}
+        pairs = [(row["id"], [parse_rat(c) for c in row["coords"]]) for row in obj["vertices"]]
+        dict(pairs)  # a list or object id is unhashable, hence malformed
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed polytope file: {exc}")
-    for coords in pts.values():
-        if len(coords) != dim:
-            raise InputError("coordinate length does not match dim")
-    return polytope(pts, check=check)
+        raise InputError(f"malformed {kind} file: {exc}")
+    if any(len(coords) != dim for _, coords in pairs):
+        raise InputError("coordinate length does not match dim")
+    return pairs
+
+
+def framework_to_obj(fw: Framework) -> dict:
+    return {**_points_to_obj(fw), "edges": [[u, v] for u, v in fw.edges]}
+
+
+def framework_from_obj(obj: dict) -> Framework:
+    pairs = _points_from_obj(obj, "framework")
+    try:
+        edges = [(u, v) for u, v in obj["edges"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed framework file: {exc}")
+    return framework(pairs, edges)
+
+
+def polytope_to_obj(p: PolytopeV) -> dict:
+    return _points_to_obj(p)
+
+
+def polytope_from_obj(obj: dict, check: bool = True) -> PolytopeV:
+    return polytope(_points_from_obj(obj, "polytope"), check=check)
 
 
 def load_geometry(path: str):

@@ -22,7 +22,7 @@ from functools import lru_cache, wraps
 from .ddcore import dd_rays
 from .errors import InputError, ResourceLimitError
 from .exact import Vec, affine_rank, rref, vec_dot, vec_sub
-from .framework import Framework, edge_key
+from .framework import Framework, Points, edge_key, labelled_points
 from .simplex import LinearProgram, feasible
 
 MAX_VERTICES = 200
@@ -30,20 +30,8 @@ MAX_DIM = 8
 
 
 @dataclass(frozen=True)
-class PolytopeV:
-    vertex_ids: tuple[str, ...]
-    coords: tuple[Vec, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords[0]) if self.coords else 0
-
-    def point(self, v: str) -> Vec:
-        return self.coords[self.vertex_ids.index(v)]
-
-    @property
-    def points(self) -> dict[str, Vec]:
-        return dict(zip(self.vertex_ids, self.coords))
+class PolytopeV(Points):
+    """A labelled point set read as the vertices of its convex hull."""
 
 
 def _check_guard(n: int, d: int):
@@ -67,19 +55,14 @@ def _guarded(fn):
     return guarded
 
 
-def polytope(points: dict, check: bool = True) -> PolytopeV:
-    """Build from a label->coords map; rejects points that are not vertices."""
-    ids = tuple(str(k) for k in points)
-    coords = tuple(tuple(Fraction(x) for x in points[k]) for k in points)
-    if len(set(ids)) != len(ids):
-        raise InputError("duplicate vertex label")
-    if len({len(c) for c in coords}) > 1:
-        raise InputError("mixed coordinate dimensions")
-    p = PolytopeV(ids, coords)
-    if check and len(ids) > 1:
-        _check_guard(len(ids), p.dim)
-        for i, v in enumerate(ids):
-            if not is_vertex(coords, i):
+def polytope(points, check: bool = True) -> PolytopeV:
+    """Build from labelled points, as `labelled_points` takes them; rejects
+    points that are not vertices."""
+    p = PolytopeV(*labelled_points(points))
+    if check and len(p.vertex_ids) > 1:
+        _check_guard(len(p.vertex_ids), p.dim)
+        for i, v in enumerate(p.vertex_ids):
+            if not is_vertex(p.coords, i):
                 raise InputError(f"point {v!r} is not a vertex (inside the hull of the others)")
     return p
 

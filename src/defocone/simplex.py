@@ -23,7 +23,7 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LinearProgram:
-    """min/max objective . x subject to eq rows (= rhs) and le rows (<= rhs).
+    """min objective . x subject to eq rows (= rhs) and le rows (<= rhs).
 
     Variables are free unless ``nonneg`` is set, in which case all of them
     are constrained to be >= 0 (this keeps tableaus small for callers whose
@@ -32,7 +32,6 @@ class LinearProgram:
 
     n: int
     objective: tuple = ()
-    maximize: bool = False
     eq: list = field(default_factory=list)
     le: list = field(default_factory=list)
     nonneg: bool = False
@@ -124,7 +123,6 @@ def solve(lp: LinearProgram) -> LPResult:
     if n == 0:
         ok = all(rhs == 0 for _, rhs in lp.eq) and all(rhs >= 0 for _, rhs in lp.le)
         return LPResult(OPTIMAL, Fraction(0), ()) if ok else LPResult(INFEASIBLE)
-    obj = [-x for x in lp.objective] if lp.maximize else list(lp.objective)
     # Standard-form columns: either x_j >= 0 directly, or the split x = u - v.
     width = n if lp.nonneg else 2 * n
 
@@ -139,7 +137,7 @@ def solve(lp: LinearProgram) -> LPResult:
         b.append(rhs)
     # pad rows without slack entries up to the full column count
     A = [row + [Fraction(0)] * (width + nle - len(row)) for row in A]
-    c = widen(obj) + [Fraction(0)] * nle
+    c = widen(lp.objective) + [Fraction(0)] * nle
     status, value, point = _solve_standard(A, b, c)
     if status != OPTIMAL:
         return LPResult(status)
@@ -147,9 +145,9 @@ def solve(lp: LinearProgram) -> LPResult:
         x = point[:n]
     else:
         x = tuple(point[2 * j] - point[2 * j + 1] for j in range(n))
-    return LPResult(OPTIMAL, -value if lp.maximize else value, x)
+    return LPResult(OPTIMAL, value, x)
 
 
 def feasible(lp: LinearProgram) -> bool:
-    probe = LinearProgram(lp.n, (Fraction(0),) * lp.n, False, lp.eq, lp.le, lp.nonneg)
+    probe = LinearProgram(lp.n, (Fraction(0),) * lp.n, lp.eq, lp.le, lp.nonneg)
     return solve(probe).status == OPTIMAL

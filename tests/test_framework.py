@@ -25,7 +25,6 @@ from defocone.framework import (
     is_indecomposable,
     quotient_degenerate,
     realize,
-    validate,
 )
 
 
@@ -38,14 +37,18 @@ def tri():
     return framework({"a": (0, 0), "b": (1, 0), "c": (0, 1)}, [("a", "b"), ("b", "c"), ("a", "c")])
 
 
-def test_validate_examples():
-    assert validate(tri()) == []
-    fw = Framework(("a", "b"), ((Fraction(0),), (Fraction(1),)), (("a", "x"),))
-    assert any("unknown vertex" in p for p in validate(fw))
-    fw = Framework(("a", "b"), ((Fraction(0),), (Fraction(1),)), (("a", "b"), ("b", "a")))
-    assert any("duplicate edge" in p for p in validate(fw))
-    with pytest.raises(InputError):
+def test_framework_rejects_bad_input():
+    assert framework([("a", (0, 0)), ("b", (1, 0))], [("b", "a"), ("a", "b")]).edges == (("a", "b"),)
+    with pytest.raises(InputError, match=r"^unknown vertex in edge \('a', 'x'\)$"):
+        framework({"a": (0,), "b": (1,)}, [("a", "x")])
+    with pytest.raises(InputError, match="self-loop"):
         framework({"a": (0, 0), "b": (1, 0)}, [("a", "a")])
+    with pytest.raises(InputError, match="^duplicate vertex label$"):
+        framework([("a", (0,)), ("b", (1,)), ("a", (2,))], [("a", "b")])
+    with pytest.raises(InputError, match="^duplicate vertex label$"):
+        framework({1: (0,), "1": (1,)}, [])
+    with pytest.raises(InputError, match="^mixed coordinate dimensions$"):
+        framework({"a": (0, 0), "b": (1,)}, [("a", "b")])
 
 
 def test_cycle_basis_counts():

@@ -247,6 +247,16 @@ BAD_INVOCATIONS = {
     "negative uniform rank": ["construct", "matroid", "--uniform", "-1", "3", "-o", "{out}"],
     "analyze a directory": ["analyze", "{dir}"],
     "analyze non-UTF-8 file": ["analyze", "{binary}"],
+    "polytope file with a repeated id": ["analyze", "{repeated_polytope}"],
+    "framework file with a repeated id": ["analyze", "{repeated_framework}"],
+    "product labels that collide": ["construct", "product", "--inputs", "{seg_a}", "{seg_b}", "-o", "{out}"],
+}
+
+# The error line of the invocations that must name their fault exactly.
+BAD_INVOCATION_LINES = {
+    "polytope file with a repeated id": "error: duplicate vertex label\n",
+    "framework file with a repeated id": "error: duplicate vertex label\n",
+    "product labels that collide": "error: duplicate vertex label\n",
 }
 
 # Inputs refused by a resource guard, which exits 2.
@@ -256,6 +266,12 @@ GUARDED_INVOCATIONS = {
 }
 
 
+def _points(*rows, **extra) -> str:
+    """The text of a file over (id, coords) rows, in order, repeats kept."""
+    vertices = [{"id": v, "coords": [str(x) for x in c]} for v, c in rows]
+    return json.dumps({"dim": len(rows[0][1]), "vertices": vertices, **extra})
+
+
 @pytest.mark.parametrize("name", sorted(BAD_INVOCATIONS) + sorted(GUARDED_INVOCATIONS))
 def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
     cube = tmp_path / "cube.json"
@@ -263,6 +279,18 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe\x00{}")
     paths = {"cube": cube, "out": tmp_path / "out.json", "dir": tmp_path, "binary": binary}
+    # a square whose fourth vertex reuses the id "a", once without and once
+    # with edges; and two segments whose "u|w" product labels collide
+    square = [("a", (0, 0)), ("b", (1, 0)), ("c", (1, 1)), ("a", (0, 1))]
+    files = {
+        "repeated_polytope": _points(*square),
+        "repeated_framework": _points(*square, edges=[["a", "b"], ["b", "c"], ["a", "c"]]),
+        "seg_a": _points(("x|", (0,)), ("x", (1,))),
+        "seg_b": _points(("y", (0,)), ("|y", (1,))),
+    }
+    for key, text in files.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(text)
     argv = [a.format(**paths) for a in {**BAD_INVOCATIONS, **GUARDED_INVOCATIONS}[name]]
     code, line = (2, "resource guard: ") if name in GUARDED_INVOCATIONS else (1, "error: ")
     src = os.path.dirname(os.path.dirname(os.path.abspath(defocone.__file__)))
@@ -273,6 +301,8 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
     assert out.returncode == code
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith(line)
+    if name in BAD_INVOCATION_LINES:
+        assert out.stderr == BAD_INVOCATION_LINES[name]
     assert not (tmp_path / "out.json").exists()
 
 
@@ -327,6 +357,16 @@ def test_cli_remaining_construct_families(tmp_path, capsys):
     assert run_cli("certify", str(stacked2), "--flats", "facets", "-o", str(cert)) == 0
     assert json.loads(cert.read_text())["conclusion"]["indecomposable_proved"] is True
     assert run_cli("verify", str(stacked2), str(cert)) == 0
+    # a stacked point never takes the label of an input vertex: q0 is taken,
+    # so the point stacked on the facet x = 1 of this square is q0'
+    square = tmp_path / "square.json"
+    square.write_text(_points(("q0", (0, 0)), ("b", (1, 0)), ("c", (1, 1)), ("d", (0, 1))))
+    stacked_square = tmp_path / "stacked_square.json"
+    assert run_cli("construct", "stack", "--input", str(square), "-o", str(stacked_square)) == 0
+    rows = json.loads(stacked_square.read_text())["vertices"]
+    assert [(r["id"], r["coords"]) for r in rows] == [
+        ("q0", ["0", "0"]), ("b", ["1", "0"]), ("c", ["1", "1"]), ("d", ["0", "1"]), ("q0'", ["2", "1/2"])
+    ]
     cut = tmp_path / "cut.json"
     assert run_cli("construct", "truncate", "--input", str(cube), "--vertices", "o111", "-o", str(cut)) == 0
     capsys.readouterr()

@@ -45,10 +45,10 @@ def midpoint_is_edge(p, u, v):
     m = tuple((a + b) / 2 for a, b in zip(p.point(u), p.point(v)))
     eq = [(tuple(p.point(w)[t] for w in order), m[t]) for t in range(p.dim)]
     eq.append(((Fraction(1),) * len(order), Fraction(1)))
-    obj = (Fraction(0), Fraction(0)) + (Fraction(1),) * len(others)
-    res = solve(LinearProgram(n=len(order), objective=obj, maximize=True, eq=eq, nonneg=True))
+    obj = (Fraction(0), Fraction(0)) + (Fraction(-1),) * len(others)
+    res = solve(LinearProgram(n=len(order), objective=obj, eq=eq, nonneg=True))
     assert res.status == OPTIMAL  # the midpoint itself is always representable
-    return res.value == 0
+    return res.value == 0  # minus the largest weight on the others
 
 
 def supporting_functional_is_edge(p, u, v):

@@ -1,5 +1,11 @@
 """Every top-level function and class of the package is reached by the
-program: the package itself, scripts/ or perfbench/."""
+program: the package itself, scripts/ or perfbench/; and every field of its
+dataclasses is read there.
+
+A field counts as read when its name is loaded as an attribute or appears
+as a string constant anywhere in the program.  Names are not tied to their
+class, so a field is masked by any same-named attribute of another object:
+an unread `base` field would pass behind `DeductionState.base`."""
 
 import ast
 import os
@@ -24,6 +30,11 @@ ALLOWED = {
     # as a product of deformation cones"
     "parallelogramic_sum_report",
 }
+
+# Fields kept without a reader, for the same reason: the parallelogramic
+# Minkowski-sum claim above reads its refusal reason and the dimension of
+# the sum's deformation cone off `SumFactorizationReport`.
+ALLOWED_FIELDS = {"SumFactorizationReport.reason", "SumFactorizationReport.dim_sum"}
 
 
 def _sources():
@@ -64,5 +75,42 @@ def unreached(sources) -> list[str]:
     return sorted(out)
 
 
+def _is_dataclass(node) -> bool:
+    for d in node.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if getattr(f, "id", getattr(f, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(sources) -> list[str]:
+    """Class.field of each package dataclass field that nothing in the
+    sources loads as an attribute or names in a string constant."""
+    read = set()
+    for _, tree in sources:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    out = []
+    for path, tree in sources:
+        if os.path.dirname(path) != PKG:
+            continue
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = f"{node.name}.{stmt.target.id}"
+                    if stmt.target.id not in read and name not in ALLOWED_FIELDS:
+                        out.append(name)
+    return sorted(out)
+
+
 def test_every_definition_is_reached():
     assert unreached(list(_sources())) == []
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(list(_sources())) == []

@@ -33,16 +33,15 @@ def test_infeasible_pair():
 def test_unit_square_corner():
     lp = LinearProgram(
         n=2,
-        objective=(1, 1),
-        maximize=True,
+        objective=(-1, -1),
         le=[((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)],
     )
-    res = solve(lp)
-    assert res.status == OPTIMAL and res.value == 2 and res.point == (1, 1)
+    res = solve(lp)  # max x + y is 2
+    assert res.status == OPTIMAL and -res.value == 2 and res.point == (1, 1)
 
 
 def test_unbounded():
-    lp = LinearProgram(n=1, objective=(1,), maximize=True, le=[((-1,), 0)])
+    lp = LinearProgram(n=1, objective=(-1,), le=[((-1,), 0)])
     assert solve(lp).status == UNBOUNDED
 
 
@@ -103,8 +102,7 @@ def test_weak_and_strong_duality(rows, obj):
     pres = solve(primal)
     dual = LinearProgram(
         n=len(rows),
-        objective=tuple(rhs for _, rhs in rows),
-        maximize=True,
+        objective=tuple(-rhs for _, rhs in rows),  # max b.y as min -b.y
         le=[
             (tuple(rows[i][0][j] for i in range(len(rows))), obj[j])
             for j in range(2)
@@ -113,7 +111,7 @@ def test_weak_and_strong_duality(rows, obj):
     )
     dres = solve(dual)
     if pres.status == OPTIMAL and dres.status == OPTIMAL:
-        assert pres.value == dres.value
+        assert pres.value == -dres.value
     if pres.status == UNBOUNDED:
         assert dres.status == INFEASIBLE
     if dres.status == UNBOUNDED:
@@ -215,9 +213,9 @@ def _ref_solve_standard(A, b, c):
 def _random_lp(rng: random.Random) -> LinearProgram:
     """1-5 free or nonnegative variables, 0-3 equality rows (sometimes a
     repeated or scaled copy, so phase 1 leaves artificials to drive out or
-    rows to drop) and 0-5 inequality rows, minimized or maximized.  Half of
-    the LPs take their right-hand sides from a point with small entries, so
-    they are feasible and often degenerate there."""
+    rows to drop) and 0-5 inequality rows, the objective negated half the
+    time.  Half of the LPs take their right-hand sides from a point with
+    small entries, so they are feasible and often degenerate there."""
     n = rng.randint(1, 5)
     x0 = [rng.randint(0, 2) for _ in range(n)] if rng.random() < 0.5 else None
 
@@ -235,9 +233,10 @@ def _random_lp(rng: random.Random) -> LinearProgram:
         k = rng.choice((1, -1, 2))
         eq.insert(rng.randint(0, len(eq)), (tuple(k * x for x in a), k * b))
     le = [(a, rhs(a, rng.randint(0, 2))) for a in (row() for _ in range(rng.randint(0, 5)))]
-    return LinearProgram(
-        n=n, objective=row(), maximize=rng.random() < 0.5, eq=eq, le=le, nonneg=rng.random() < 0.5
-    )
+    obj = row()
+    if rng.random() < 0.5:
+        obj = tuple(-x for x in obj)
+    return LinearProgram(n=n, objective=obj, eq=eq, le=le, nonneg=rng.random() < 0.5)
 
 
 def test_solve_matches_reference_simplex(monkeypatch):

@@ -8,11 +8,12 @@ guard exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 
-from .cones import MAX_SPAN_DIM, enumerate_rays
+from .cones import enumerate_rays
 from .constructions import (
     bipartite_truncation,
     complete_bipartite,
@@ -59,14 +60,14 @@ def _as_framework(obj) -> Framework:
     return obj
 
 
-def _analysis(obj, descriptor, want_rays, want_deps, max_rays_dim) -> AnalysisReport:
+def _analysis(obj, descriptor, want_rays, want_deps) -> AnalysisReport:
     t0 = time.time()
     fw = _as_framework(obj)
     ds = deformation_space(fw)
     blocks = [sorted([list(e) for e in b]) for b in dependency_partition(fw)]
     rays = None
     if want_rays:
-        cone = enumerate_rays(ds, max_span_dim=max_rays_dim)
+        cone = enumerate_rays(ds)
         rays = [[rat_str(x) for x in r] for r in cone.rays]
     return AnalysisReport(
         descriptor=descriptor,
@@ -84,7 +85,7 @@ def _analysis(obj, descriptor, want_rays, want_deps, max_rays_dim) -> AnalysisRe
 
 def _print_report(rep: AnalysisReport, as_json: bool):
     if as_json:
-        print(json.dumps(rep.to_obj(), indent=1, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(rep), indent=1, sort_keys=True))
         return
     print(f"input: {rep.descriptor}")
     print(f"vertices: {rep.n_vertices}  edges: {rep.n_edges}  ambient dim: {rep.dim}")
@@ -104,7 +105,7 @@ def _print_report(rep: AnalysisReport, as_json: bool):
 
 def cmd_analyze(args) -> int:
     obj = load_geometry(args.file)
-    rep = _analysis(obj, args.file, args.rays, args.deps, args.max_rays_dim)
+    rep = _analysis(obj, args.file, args.rays, args.deps)
     _print_report(rep, args.json)
     return OK
 
@@ -245,12 +246,12 @@ def _construct(args):
         if not all(0 <= i < len(fs) for i in args.facets):
             raise InputError(f"facet indices must lie in 0..{len(fs) - 1}")
         chosen = [fs[i].vertex_ids for i in args.facets]
-        return stack_vertex(base, chosen).polytope
+        return stack_vertex(base, chosen)
     if fam == "truncate":
         base = load_geometry(args.input)
         if not isinstance(base, PolytopeV):
             raise InputError("truncate needs a polytope input")
-        return deep_truncate(base, args.vertices.split(",")).polytope
+        return deep_truncate(base, args.vertices.split(","))
     if fam == "corpus":
         entry = corpus().get(args.name)
         if entry is None:
@@ -313,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rays", action="store_true")
     p.add_argument("--deps", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-rays-dim", type=int, default=MAX_SPAN_DIM)
 
     p = sub.add_parser("oracle", help="ground-truth decomposability only")
     p.add_argument("file")

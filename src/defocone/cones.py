@@ -42,20 +42,16 @@ class Cone:
     rays: tuple[Vec, ...]
 
 
-def enumerate_rays(
-    ds: DeformationSpace,
-    max_edges: int = MAX_EDGES,
-    max_span_dim: int = MAX_SPAN_DIM,
-) -> Cone:
+def enumerate_rays(ds: DeformationSpace, max_edges: int = MAX_EDGES) -> Cone:
     fw = ds.framework
     ne = len(fw.edges)
     if ne > max_edges:
         raise ResourceLimitError(
             f"ray enumeration guard: {ne} edges exceeds limit {max_edges}"
         )
-    if ds.dim > max_span_dim:
+    if ds.dim > MAX_SPAN_DIM:
         raise ResourceLimitError(
-            f"ray enumeration guard: span dimension {ds.dim} exceeds limit {max_span_dim}"
+            f"ray enumeration guard: span dimension {ds.dim} exceeds limit {MAX_SPAN_DIM}"
         )
     if ds.dim == 0:
         return Cone(())

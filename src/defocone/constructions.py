@@ -1,10 +1,10 @@
 """Generators for the polytope families under study.
 
 Graphical zonotopes and their one- and two-vertex truncations, general
-zonotopes with generator bookkeeping, deep truncations with their
-edge-class interaction graph, facet stackings with their summand
-interaction graph, permutahedral wedges, matroid base polytopes,
-products, labeled Minkowski sums, and order-cone slices.
+zonotopes with generator bookkeeping (the class law that bounds the
+deformation-cone dimension of their deep truncations and stackings), deep
+truncations, facet stackings, permutahedral wedges, matroid base
+polytopes, products, labeled Minkowski sums, and order-cone slices.
 
 Everything is deterministic; there is no randomness anywhere.
 """
@@ -12,6 +12,7 @@ Everything is deterministic; there is no randomness anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from .framework import (
     labelled_points,
 )
 from .polytope import (
+    MAX_VERTICES,
     PolytopeV,
     edges,
     f_vector,
@@ -38,7 +40,7 @@ from .polytope import (
     framework_of,
     hull_dim,
     hull_frame,
-    is_vertex,
+    hull_vertices,
     polytope,
 )
 
@@ -182,9 +184,6 @@ def graphical_zonotope(g: SimpleGraph) -> GraphicalZonotope:
 
 @dataclass(frozen=True)
 class BipartiteTruncation:
-    kind: str  # "P" or "Q"
-    n: int
-    m: int
     polytope: PolytopeV
     framework: Framework
 
@@ -218,7 +217,7 @@ def bipartite_truncation(n: int, m: int, kind: str = "P") -> BipartiteTruncation
                 b2 = special[:j] + (not special[j],) + special[j + 1 :]
                 es.add(edge_key(_bits_label(b1), _bits_label(b2)))
     fw = framework(pts, sorted(es))
-    return BipartiteTruncation(kind, n, m, PolytopeV(fw.vertex_ids, fw.coords), fw)
+    return BipartiteTruncation(PolytopeV(fw.vertex_ids, fw.coords), fw)
 
 
 def bipartite_zonotope_facet_count(n: int, m: int) -> int:
@@ -257,6 +256,19 @@ class Zonotope:
                 return i
         raise InputError(f"edge {e} is parallel to no generator")
 
+    def class_components(self, edge_groups) -> int:
+        """Components of the graph on generator indices that links the
+        classes of the edges in each group.  With one group per truncated
+        vertex, its edges, this is Omega of a deep truncation; with one
+        group per stacked facet, the zonotope's edges inside it, Gamma of a
+        stacking.  Either count bounds the deformation-cone dimension."""
+        classes = graphs.UnionFind(range(len(self.generators)))
+        for group in edge_groups:
+            ks = [self.edge_class(e) for e in group]
+            for a, b in zip(ks, ks[1:]):
+                classes.union(a, b)
+        return len(classes.classes())
+
 
 def zonotope(generators) -> Zonotope:
     """Sum of segments [0, g]; vertices are the subset sums that survive a
@@ -274,26 +286,15 @@ def zonotope(generators) -> Zonotope:
             for k in range(d)
         )
         sums.setdefault(s, []).append(mask)
-    pts = {}
-    distinct = list(sums)
-    for k, (s, masks) in enumerate(sums.items()):
-        if is_vertex(distinct, k):
-            mask = masks[0]
-            label = "z" + "".join(
-                "1" if mask >> i & 1 else "0" for i in range(len(gens))
-            )
-            pts[label] = s
-    return Zonotope(gens, PolytopeV(*labelled_points(sorted(pts.items()))))
+    pts = []
+    for s in itertools.compress(sums, hull_vertices(sums)):
+        mask = sums[s][0]
+        pts.append(("z" + "".join("1" if mask >> i & 1 else "0" for i in range(len(gens))), s))
+    return Zonotope(gens, PolytopeV(*labelled_points(sorted(pts))))
 
 
 # ---------------------------------------------------------------------------
 # deep truncation
-
-
-@dataclass
-class DeepTruncation:
-    polytope: PolytopeV
-    omega_components: int | None
 
 
 def _cut_functional(p: PolytopeV, x: str, neighbor_ids):
@@ -325,13 +326,8 @@ def _cut_functional(p: PolytopeV, x: str, neighbor_ids):
     return a, c
 
 
-def deep_truncate(p: PolytopeV, labels, zono: Zonotope | None = None) -> DeepTruncation:
-    """Delete pairwise non-adjacent vertices whose neighbors are coplanar.
-
-    With zonotope bookkeeping, also counts the components of the
-    interaction graph on edge classes (two classes linked when incident
-    around a truncated vertex).
-    """
+def deep_truncate(p: PolytopeV, labels) -> PolytopeV:
+    """Delete pairwise non-adjacent vertices whose neighbors are coplanar."""
     labels = tuple(labels)
     unknown = set(labels) - set(p.vertex_ids)
     if unknown:
@@ -343,30 +339,14 @@ def deep_truncate(p: PolytopeV, labels, zono: Zonotope | None = None) -> DeepTru
     for x in labels:
         _cut_functional(p, x, sorted(adj[x]))
     keep = [v for v in p.vertex_ids if v not in labels]
-    out = PolytopeV(tuple(keep), tuple(p.point(v) for v in keep))
-    if zono is None:
-        return DeepTruncation(out, None)
-    classes = {e: zono.edge_class(e) for e in es}
-    nodes = tuple(range(len(zono.generators)))
-    arcs = set()
-    for x in labels:
-        incident = sorted({classes[edge_key(x, w)] for w in adj[x]})
-        arcs.update(itertools.combinations(incident, 2))
-    comps = len(graphs.components(nodes, graphs.adjacency(nodes, arcs)))
-    return DeepTruncation(out, comps)
+    return PolytopeV(tuple(keep), tuple(p.point(v) for v in keep))
 
 
 # ---------------------------------------------------------------------------
 # stacking
 
 
-@dataclass
-class Stacking:
-    polytope: PolytopeV
-    gamma_components: int | None
-
-
-def stack_vertex(p: PolytopeV, facet_vertex_sets, zono: Zonotope | None = None) -> Stacking:
+def stack_vertex(p: PolytopeV, facet_vertex_sets) -> PolytopeV:
     """Stack one vertex just outside each selected facet.
 
     The stacking point starts one unit of outward normal past the facet
@@ -374,13 +354,8 @@ def stack_vertex(p: PolytopeV, facet_vertex_sets, zono: Zonotope | None = None) 
     facet's halfspace, so outputs reproduce exactly.  The k-th point is
     labelled q<k>, with a prime appended while that label is taken.
     """
-    targets = [frozenset(f) for f in facet_vertex_sets]
-    gamma_arcs = set()
-    classes = None
-    if zono is not None:
-        classes = {e: zono.edge_class(e) for e in edges(p)}
     current = p
-    for idx, wanted in enumerate(targets):
+    for idx, wanted in enumerate(frozenset(f) for f in facet_vertex_sets):
         fs = facets(current)
         match = next((f for f in fs if f.vertex_ids == wanted), None)
         if match is None:
@@ -403,14 +378,7 @@ def stack_vertex(p: PolytopeV, facet_vertex_sets, zono: Zonotope | None = None) 
         while label in current.vertex_ids:
             label += "'"
         current = PolytopeV(current.vertex_ids + (label,), current.coords + (q,))
-        if classes is not None:
-            touched = sorted({classes[e] for e in edges(p) if set(e) <= wanted})
-            gamma_arcs.update(itertools.combinations(touched, 2))
-    if zono is None:
-        return Stacking(current, None)
-    nodes = tuple(range(len(zono.generators)))
-    comps = len(graphs.components(nodes, graphs.adjacency(nodes, gamma_arcs)))
-    return Stacking(current, comps)
+    return current
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +437,17 @@ def verify_exchange(mb: MatroidBases) -> bool:
     return True
 
 
+def _check_bases(count: int):
+    """A matroid polytope has one vertex per basis, so the polytope guard
+    bounds the bases; callers check before listing them."""
+    if count > MAX_VERTICES:
+        raise ResourceLimitError(f"matroid guard: more than {MAX_VERTICES} bases")
+
+
 def uniform_matroid(k: int, n: int) -> MatroidBases:
     if not 0 <= k <= n:
         raise InputError("a uniform matroid needs 0 <= k <= n")
+    _check_bases(math.comb(n, k))
     ground = tuple(f"e{i}" for i in range(1, n + 1))
     return MatroidBases(ground, frozenset(frozenset(b) for b in itertools.combinations(ground, k)))
 
@@ -483,11 +459,13 @@ def graphic_matroid(g: SimpleGraph) -> MatroidBases:
     for comb in itertools.combinations(g.arcs, n - 1):
         if len(graphs.components(g.nodes, graphs.adjacency(g.nodes, comb))) == 1:
             trees.append(frozenset(f"{u}-{v}" for u, v in comb))
+            _check_bases(len(trees))
     ground = tuple(sorted(f"{u}-{v}" for u, v in g.arcs))
     return MatroidBases(ground, frozenset(trees))
 
 
 def matroid_direct_sum(*parts: MatroidBases) -> MatroidBases:
+    _check_bases(math.prod(len(mb.bases) for mb in parts))
     ground = []
     for i, mb in enumerate(parts):
         ground.extend(f"s{i}.{e}" for e in mb.ground)
@@ -503,7 +481,6 @@ def matroid_direct_sum(*parts: MatroidBases) -> MatroidBases:
 
 @dataclass
 class MatroidPolytope:
-    matroid: MatroidBases
     polytope: PolytopeV
     framework: Framework
     components: tuple[frozenset[str], ...]
@@ -540,7 +517,7 @@ def matroid_polytope(mb: MatroidBases) -> MatroidPolytope:
                 arcs.add(edge_key(i, j))
     parts = graphs.components(order, graphs.adjacency(order, arcs))
     comps = tuple(sorted((frozenset(s) for s in parts), key=sorted))
-    return MatroidPolytope(mb, poly, fw, comps)
+    return MatroidPolytope(poly, fw, comps)
 
 
 def hyperorder_polytope(n: int, k: int) -> PolytopeV:
@@ -571,12 +548,8 @@ class VertexCountReport:
     """Data for the vertices-versus-facets decomposability conjecture in
     dimension 4: an indecomposable member with V >= 2F - 4 refutes it."""
 
-    kind: str
-    n: int
-    m: int
     n_vertices: int
     n_facets: int
-    dim: int
     satisfies_bound: bool
     indecomposable: bool
     is_counterexample: bool
@@ -585,15 +558,12 @@ class VertexCountReport:
 def smilansky_check(n: int, m: int, kind: str = "P") -> VertexCountReport:
     tr = bipartite_truncation(n, m, kind)
     f = truncation_f_vector(n, m, kind)
-    dim = len(f)
-    if dim != 4:
+    if len(f) != 4:
         raise InputError("the conjecture check is for 4-dimensional members")
     v_count, f_count = f[0], f[-1]
     bound = v_count >= 2 * f_count - 4
     indec = is_indecomposable(tr.framework)
-    return VertexCountReport(
-        kind, n, m, v_count, f_count, dim, bound, indec, bound and indec
-    )
+    return VertexCountReport(v_count, f_count, bound, indec, bound and indec)
 
 
 # ---------------------------------------------------------------------------
@@ -614,16 +584,15 @@ def minkowski_sum_labeled(a: PolytopeV, b: PolytopeV) -> LabeledSum:
         for v in b.vertex_ids:
             s = tuple(x + y for x, y in zip(a.point(u), b.point(v)))
             cand.setdefault(s, []).append((u, v))
-    distinct = list(cand)
     pairs = []
     prov = {}
-    for k, (s, prs) in enumerate(cand.items()):
-        if is_vertex(distinct, k):
-            if len(prs) > 1:
-                raise InputError(f"ambiguous vertex decomposition at {s}")
-            label = f"{prs[0][0]}+{prs[0][1]}"
-            pairs.append((label, s))
-            prov[label] = prs[0]
+    for s in itertools.compress(cand, hull_vertices(cand)):
+        prs = cand[s]
+        if len(prs) > 1:
+            raise InputError(f"ambiguous vertex decomposition at {s}")
+        label = f"{prs[0][0]}+{prs[0][1]}"
+        pairs.append((label, s))
+        prov[label] = prs[0]
     return LabeledSum(PolytopeV(*labelled_points(sorted(pairs))), prov)
 
 

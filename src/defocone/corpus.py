@@ -35,10 +35,9 @@ class CorpusEntry:
     expected: dict
 
 
-def _poly_entry(name, points, expected, combinatorial_framework=None) -> CorpusEntry:
+def _poly_entry(name, points, expected) -> CorpusEntry:
     p = polytope(points) if not isinstance(points, PolytopeV) else points
-    fw = combinatorial_framework or framework_of(p)
-    return CorpusEntry(name, p, fw, expected)
+    return CorpusEntry(name, p, framework_of(p), expected)
 
 
 def _triangle_points(a, b, c):
@@ -67,7 +66,7 @@ def skew_stacked_cube() -> PolytopeV:
     cube = polytope(pts)
     left = frozenset({"l1", "l2", "l3", "l4"})
     right = frozenset({"r1", "r2", "r3", "r4"})
-    return stack_vertex(cube, [left, right]).polytope
+    return stack_vertex(cube, [left, right])
 
 
 def coplanar_stacked_cube() -> PolytopeV:
@@ -75,7 +74,7 @@ def coplanar_stacked_cube() -> PolytopeV:
     cube = polytope(pts)
     left = frozenset(k for k in pts if k[1] == "0")
     right = frozenset(k for k in pts if k[1] == "1")
-    return stack_vertex(cube, [left, right]).polytope
+    return stack_vertex(cube, [left, right])
 
 
 def corpus() -> dict[str, CorpusEntry]:

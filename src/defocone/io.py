@@ -119,20 +119,4 @@ class AnalysisReport:
     indecomposable: bool
     blocks: list[list[list[str]]] = field(default_factory=list)
     rays: list[list[str]] | None = None
-    certificate: str | None = None
     seconds: float = 0.0
-
-    def to_obj(self) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "n_vertices": self.n_vertices,
-            "n_edges": self.n_edges,
-            "dim": self.dim,
-            "connected": self.connected,
-            "dc_dimension": self.dc_dimension,
-            "indecomposable": self.indecomposable,
-            "blocks": self.blocks,
-            "rays": self.rays,
-            "certificate": self.certificate,
-            "seconds": self.seconds,
-        }

@@ -8,9 +8,9 @@ span of the hull, so each one is a true supporting functional.
 Edges are read off the facet incidences by the combinatorial adjacency
 test of double description: two vertices span an edge exactly when the
 facets containing both meet in those two vertices only.  The test is exact
-and uses no linear programming; LPs remain only in the vertex check of
-`polytope`, which is the input trust boundary.  Every other face, and so
-the f-vector, is an intersection of facets.
+and uses no linear programming; LPs remain only in `hull_vertices`, the
+vertex check that `polytope` runs at the input trust boundary.  Every
+other face, and so the f-vector, is an intersection of facets.
 """
 
 from __future__ import annotations
@@ -61,21 +61,25 @@ def polytope(points, check: bool = True) -> PolytopeV:
     p = PolytopeV(*labelled_points(points))
     if check and len(p.vertex_ids) > 1:
         _check_guard(len(p.vertex_ids), p.dim)
-        for i, v in enumerate(p.vertex_ids):
-            if not is_vertex(p.coords, i):
+        for v, vertex in zip(p.vertex_ids, hull_vertices(p.coords)):
+            if not vertex:
                 raise InputError(f"point {v!r} is not a vertex (inside the hull of the others)")
     return p
 
 
-def is_vertex(points: list[Vec], i: int) -> bool:
-    """Is points[i] outside the convex hull of the other points?  One LP."""
-    others = [p for j, p in enumerate(points) if j != i]
-    if not others:
-        return True
-    x = points[i]
-    eq = [(tuple(p[k] for p in others), x[k]) for k in range(len(x))]
-    eq.append(((Fraction(1),) * len(others), Fraction(1)))
-    return not feasible(LinearProgram(n=len(others), eq=eq, nonneg=True))
+def hull_vertices(points):
+    """Yield, point by point, whether it lies outside the convex hull of the
+    other points: one LP each, solved only when the next answer is asked
+    for, so a caller that stops at the first False solves no more."""
+    points = list(points)
+    for i, x in enumerate(points):
+        others = points[:i] + points[i + 1 :]
+        if not others:
+            yield True
+            continue
+        eq = [(tuple(p[k] for p in others), x[k]) for k in range(len(x))]
+        eq.append(((Fraction(1),) * len(others), Fraction(1)))
+        yield not feasible(LinearProgram(n=len(others), eq=eq, nonneg=True))
 
 
 @lru_cache(maxsize=None)

@@ -344,28 +344,17 @@ def crit_10_stack_truncate(cp):
         key = tuple(sorted({z.edge_class(e) for e in es if set(e) <= f.vertex_ids}))
         by_classes.setdefault(key, []).append(f.vertex_ids)
     seq = [by_classes[(0, 1)][0], by_classes[(1, 2)][0], by_classes[(2, 3)][0]]
-    expect_comps = [4, 3, 2, 1]
-    for k in range(4):
-        if k == 0:
-            dc = dc_dimension(framework_of(z.polytope))
-            comps = 4
-        else:
-            stk = stack_vertex(z.polytope, seq[:k], zono=z)
-            dc = dc_dimension(framework_of(stk.polytope))
-            comps = stk.gamma_components
-        good = comps == expect_comps[k] and dc == comps
+    for k, want_comps in enumerate([4, 3, 2, 1]):
+        comps = z.class_components([e for e in es if set(e) <= f] for f in seq[:k])
+        dc = dc_dimension(framework_of(stack_vertex(z.polytope, seq[:k])))
+        good = comps == want_comps and dc == comps
         ok = ok and good
         details.append(f"stacks={k}: gamma_components={comps} dc={dc}")
     for labels, want_comps in (((), 4), (("z0001",), 2), (("z0001", "z0010"), 1)):
-        if not labels:
-            dc = dc_dimension(framework_of(z.polytope))
-            comps, indec = 4, False
-        else:
-            dt = deep_truncate(z.polytope, labels, zono=z)
-            fw = framework_of(dt.polytope)
-            dc = dc_dimension(fw)
-            comps = dt.omega_components
-            indec = is_indecomposable(fw)
+        comps = z.class_components([e for e in es if x in e] for x in labels)
+        fw = framework_of(deep_truncate(z.polytope, labels))
+        dc = dc_dimension(fw)
+        indec = is_indecomposable(fw)
         good = comps == want_comps and dc <= comps and indec == (comps == 1)
         ok = ok and good
         details.append(f"truncations={len(labels)}: omega_components={comps} dc={dc} indec={indec}")

@@ -17,7 +17,7 @@ from defocone.cones import (
 )
 from defocone.corpus import corpus
 from defocone.errors import ResourceLimitError
-from defocone.framework import deformation_space, dependency_partition, framework
+from defocone.framework import dc_dimension, deformation_space, dependency_partition, framework
 from defocone.simplex import OPTIMAL, LinearProgram, solve
 
 
@@ -82,9 +82,13 @@ def test_ray_count_versus_dimension(cp):
 
 
 def test_resource_guard(cp):
+    # a path deforms edge by edge: 13 edges give dc = 13 > MAX_SPAN_DIM
+    points = {f"v{i}": (i, i * i) for i in range(14)}
+    path = framework(points, [(f"v{i}", f"v{i + 1}") for i in range(13)])
+    assert dc_dimension(path) == 13
+    with pytest.raises(ResourceLimitError, match="span dimension 13"):
+        enumerate_rays(deformation_space(path))
     ds = deformation_space(cp["hexagon"].framework)
-    with pytest.raises(ResourceLimitError):
-        enumerate_rays(ds, max_span_dim=2)
     with pytest.raises(ResourceLimitError):
         enumerate_rays(ds, max_edges=3)
 

@@ -274,7 +274,7 @@ def test_matroid_polytopes():
     assert two_segments.component_count == 2
     assert dc_dimension(two_segments.framework) == 2
     k4 = matroid_polytope(graphic_matroid(complete_graph(4)))
-    assert len(k4.matroid.bases) == 16
+    assert len(k4.polytope.vertex_ids) == 16  # one vertex per spanning tree
     assert k4.component_count == 1 and is_indecomposable(k4.framework)
 
 
@@ -304,8 +304,13 @@ def test_deep_truncation():
     # truncating a cube corner gives the (7, 12, 7) polytope
     cube = polytope({f"c{x}{y}{z}": (x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)})
     dt = deep_truncate(cube, ["c000"])
-    assert len(dt.polytope.vertex_ids) == 7
-    assert len(edges(dt.polytope)) == 12 and len(facets(dt.polytope)) == 7
+    assert len(dt.vertex_ids) == 7
+    assert len(edges(dt)) == 12 and len(facets(dt)) == 7
+    # all three edge classes meet at the corner, so Omega = 1 bounds dc by 1
+    z = zonotope([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert z.class_components([[e for e in edges(z.polytope) if "z000" in e]]) == 1
+    assert is_indecomposable(framework_of(deep_truncate(z.polytope, ["z000"])))
+    assert z.class_components([]) == 3
     # a vertex with one incident edge too long has non-coplanar neighbors
     lopsided = zonotope([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -2, 2)])
     with pytest.raises(ContractError):
@@ -319,13 +324,19 @@ def test_stacking():
     cube = zonotope([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     fs = facets(cube.polytope)
     top = next(f for f in fs if all(cube.polytope.point(v)[2] == 1 for v in f.vertex_ids))
-    stk = stack_vertex(cube.polytope, [top.vertex_ids], zono=cube)
-    assert not is_indecomposable(framework_of(stk.polytope))  # a vertical segment survives
+    es = edges(cube.polytope)
+
+    def gamma(stacked):
+        return cube.class_components([e for e in es if set(e) <= f.vertex_ids] for f in stacked)
+
+    stk = stack_vertex(cube.polytope, [top.vertex_ids])
+    assert gamma([top]) == 2
+    assert not is_indecomposable(framework_of(stk))  # a vertical segment survives
     x1 = next(f for f in fs if all(cube.polytope.point(v)[0] == 1 for v in f.vertex_ids))
     y1 = next(f for f in fs if all(cube.polytope.point(v)[1] == 1 for v in f.vertex_ids))
-    stk2 = stack_vertex(cube.polytope, [x1.vertex_ids, y1.vertex_ids], zono=cube)
-    assert stk2.gamma_components == 1
-    assert is_indecomposable(framework_of(stk2.polytope))
+    stk2 = stack_vertex(cube.polytope, [x1.vertex_ids, y1.vertex_ids])
+    assert gamma([x1, y1]) == 1
+    assert is_indecomposable(framework_of(stk2))
 
 
 def test_stacked_points_are_reproducible():
@@ -334,7 +345,7 @@ def test_stacked_points_are_reproducible():
     top = next(f for f in fs if all(cube.polytope.point(v)[2] == 1 for v in f.vertex_ids))
     a = stack_vertex(cube.polytope, [top.vertex_ids])
     b = stack_vertex(cube.polytope, [top.vertex_ids])
-    assert a.polytope == b.polytope
+    assert a == b
 
 
 def test_hyperorder():

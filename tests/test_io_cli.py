@@ -1,5 +1,6 @@
 """File formats and the command-line interface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -91,7 +92,7 @@ def test_analysis_report_roundtrip():
         rays=[["1", "1", "1"]],
         seconds=0.01,
     )
-    again = AnalysisReport(**json.loads(json.dumps(rep.to_obj())))
+    again = AnalysisReport(**json.loads(json.dumps(dataclasses.asdict(rep))))
     assert again == rep
 
 
@@ -263,6 +264,12 @@ BAD_INVOCATION_LINES = {
 GUARDED_INVOCATIONS = {
     "complete graph with 990 arcs": ["construct", "zonotope", "--complete", "45", "-o", "{out}"],
     "bipartite graph with 1024 arcs": ["construct", "zonotope", "--bipartite", "32", "32", "-o", "{out}"],
+    # a matroid polytope has one vertex per basis, so the bases are bounded
+    # by the polytope guard before they are listed
+    "uniform matroid with C(20, 8) bases": ["construct", "matroid", "--uniform", "8", "20", "-o", "{out}"],
+    "uniform matroid with C(40, 15) bases": ["construct", "matroid", "--uniform", "15", "40", "-o", "{out}"],
+    "graphic matroid of K7": ["construct", "matroid", "--graphic-complete", "7", "-o", "{out}"],
+    "graphic matroid of K8": ["construct", "matroid", "--graphic-complete", "8", "-o", "{out}"],
 }
 
 
@@ -312,9 +319,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 1, "vertices": [{"id": "a", "coords": ["0.5"]}]}))
     assert run_cli("analyze", str(bad)) == 1
-    hexa = tmp_path / "hex.json"
-    assert run_cli("construct", "zonotope", "--complete", "3", "-o", str(hexa)) == 0
-    assert run_cli("analyze", str(hexa), "--rays", "--max-rays-dim", "2") == 2
+    path = tmp_path / "path.json"  # 13 edges, each deforming alone: dc = 13
+    rows = [(f"v{i}", (i, i * i)) for i in range(14)]
+    path.write_text(_points(*rows, edges=[[f"v{i}", f"v{i + 1}"] for i in range(13)]))
+    capsys.readouterr()
+    assert run_cli("analyze", str(path), "--rays") == 2
+    assert capsys.readouterr().err == "resource guard: ray enumeration guard: span dimension 13 exceeds limit 12\n"
     assert run_cli("definitely-not-a-command") == 1
 
 

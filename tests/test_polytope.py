@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from defocone import polytope as polytope_module
 from defocone.constructions import (
     bipartite_truncation,
     complete_bipartite,
@@ -24,6 +25,7 @@ from defocone.polytope import (
     framework_of,
     hull_dim,
     hull_frame,
+    hull_vertices,
     is_deformed_permutahedron,
     matroid_coordinate_test,
     polytope,
@@ -147,11 +149,23 @@ def test_every_edge_in_enough_facets(cp):
             assert count >= h - 1
 
 
-def test_vertex_validation():
+def test_vertex_validation(monkeypatch):
     with pytest.raises(InputError):
         polytope({"a": (0, 0), "b": (2, 0), "mid": (1, 0)})
     with pytest.raises(InputError):
         polytope({"a": (0, 0), "b": (0, 0)})
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    centre = (Fraction(1, 2), Fraction(1, 2))
+    assert list(hull_vertices(square + [centre])) == [True] * 4 + [False]
+    assert list(hull_vertices([(0, 0), (0, 0), (1, 0)])) == [False, False, True]
+    assert list(hull_vertices([(3, 1)])) == [True]
+    # one LP per answer asked for, so `polytope` stops at the first non-vertex
+    lps = []
+    solve = polytope_module.feasible
+    monkeypatch.setattr(polytope_module, "feasible", lambda lp: lps.append(lp) or solve(lp))
+    with pytest.raises(InputError, match="'m' is not a vertex"):
+        polytope([("m", centre)] + [(f"s{i}", c) for i, c in enumerate(square)])
+    assert len(lps) == 1
 
 
 def test_supporting_functional_agrees_with_midpoint_route(cp):

@@ -1,11 +1,21 @@
 """Every top-level function and class of the package is reached by the
-program: the package itself, scripts/ or perfbench/; and every field of its
-dataclasses is read there.
+program: the package itself, scripts/ or perfbench/; every field of its
+dataclasses is read there; and every defaulted parameter of its functions
+is passed by some call there.
 
 A field counts as read when its name is loaded as an attribute or appears
-as a string constant anywhere in the program.  Names are not tied to their
-class, so a field is masked by any same-named attribute of another object:
-an unread `base` field would pass behind `DeductionState.base`."""
+as a string constant anywhere in the program; a parameter counts as passed
+when a call by the function's name passes it.  Names are not tied to their
+owner, so each check is masked by a same-named thing elsewhere:
+- an unread field by an attribute of another object: an unread `base`
+  field would pass behind `DeductionState.base`, and `BipartiteTruncation.kind`
+  behind `args.kind`;
+- an unread field by a string constant: `MatroidPolytope.matroid` passed
+  behind the CLI family name "matroid";
+- an unpassed parameter by a call to another function or method of the
+  same name.
+A function passed as a value and called under another name is not
+followed."""
 
 import ast
 import os
@@ -35,6 +45,10 @@ ALLOWED = {
 # Minkowski-sum claim above reads its refusal reason and the dimension of
 # the sum's deformation cone off `SumFactorizationReport`.
 ALLOWED_FIELDS = {"SumFactorizationReport.reason", "SumFactorizationReport.dim_sum"}
+
+# Defaulted parameters that only the tests pass: the CLI entry point reads
+# sys.argv unless it is given a list.
+ALLOWED_DEFAULTS = {"main.argv"}
 
 
 def _sources():
@@ -108,9 +122,67 @@ def unread_fields(sources) -> list[str]:
     return sorted(out)
 
 
+def _functions(tree):
+    """(name it is called by, node, bound) of each function and method of a
+    module; `bound` for a method, whose first parameter no call spells out.
+    A constructor is called by its class's name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef):
+                    yield node.name if f.name == "__init__" else f.name, f, True
+
+
+def _passes(call, name: str, index: int | None) -> bool:
+    """Does the call pass the parameter `name`, at positional `index` (None
+    for keyword-only), by keyword, by position or through `*` or `**`?"""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or i == index:
+            return True
+    return False
+
+
+def unpassed_defaults(sources) -> list[str]:
+    """function.parameter of each defaulted parameter of a package function
+    that no call in the sources passes."""
+    calls: dict = {}
+    for _, tree in sources:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                calls.setdefault(name, []).append(n)
+    out = []
+    for path, tree in sources:
+        if os.path.dirname(path) != PKG:
+            continue
+        for fname, node, bound in _functions(tree):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            params = [(p.arg, i - bound) for i, p in enumerate(positional) if i >= first]
+            params += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for pname, index in params:
+                name = f"{fname}.{pname}"
+                if name in ALLOWED_DEFAULTS:
+                    continue
+                if not any(_passes(c, pname, index) for c in calls.get(fname, ())):
+                    out.append(name)
+    return sorted(out)
+
+
 def test_every_definition_is_reached():
     assert unreached(list(_sources())) == []
 
 
 def test_every_dataclass_field_is_read():
     assert unread_fields(list(_sources())) == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed_defaults(list(_sources())) == []

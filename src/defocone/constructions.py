@@ -453,8 +453,15 @@ def uniform_matroid(k: int, n: int) -> MatroidBases:
 
 
 def graphic_matroid(g: SimpleGraph) -> MatroidBases:
-    """Bases are the spanning trees (the graph must be connected)."""
+    """Bases are the spanning trees (the graph must be connected).
+
+    A connected graph has at least E - V + 2 spanning trees: a tree T, and
+    for each arc e outside it, T + e less a tree arc on the cycle e closes.
+    That bound meets the guard before any tree is listed."""
     n = len(g.nodes)
+    if len(graphs.components(g.nodes, graphs.adjacency(g.nodes, g.arcs))) != 1:
+        raise InputError("a graphic matroid needs a connected graph")
+    _check_bases(len(g.arcs) - n + 2)
     trees = []
     for comb in itertools.combinations(g.arcs, n - 1):
         if len(graphs.components(g.nodes, graphs.adjacency(g.nodes, comb))) == 1:

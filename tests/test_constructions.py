@@ -276,6 +276,8 @@ def test_matroid_polytopes():
     k4 = matroid_polytope(graphic_matroid(complete_graph(4)))
     assert len(k4.polytope.vertex_ids) == 16  # one vertex per spanning tree
     assert k4.component_count == 1 and is_indecomposable(k4.framework)
+    with pytest.raises(InputError, match="connected graph"):
+        graphic_matroid(graph("abcd", [("a", "b"), ("c", "d")]))  # no spanning tree
 
 
 def test_exchange_axiom_rejection():

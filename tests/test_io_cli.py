@@ -270,6 +270,7 @@ GUARDED_INVOCATIONS = {
     "uniform matroid with C(40, 15) bases": ["construct", "matroid", "--uniform", "15", "40", "-o", "{out}"],
     "graphic matroid of K7": ["construct", "matroid", "--graphic-complete", "7", "-o", "{out}"],
     "graphic matroid of K8": ["construct", "matroid", "--graphic-complete", "8", "-o", "{out}"],
+    "graphic matroid of K300": ["construct", "matroid", "--graphic-complete", "300", "-o", "{out}"],
 }
 
 

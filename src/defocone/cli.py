@@ -350,11 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     p.add_argument("-o", "--output", required=True)
-    p.add_argument(
-        "--seedless",
-        action="store_true",
-        help="accepted for interface compatibility; generators are always deterministic",
-    )
     p.add_argument("--complete", type=int)
     p.add_argument("--bipartite", type=int, nargs=2, metavar=("N", "M"))
     p.add_argument("--n", type=int)

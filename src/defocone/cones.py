@@ -1,9 +1,11 @@
 """Cone geometry of deformation spaces.
 
-Ray enumeration for the pointed cone (linear span intersect nonnegative
-orthant), autonomous edge sets (their characteristic vector placed by
-`framework.realize`), characteristic-vector rays, simpliciality by
-dependency blocks, and the product law for deformation cones.
+Every question here is answered from the cone's extreme rays or from a
+provenance map: ray enumeration for the pointed cone (linear span
+intersect nonnegative orthant), autonomous edge sets (their
+characteristic vector placed by `framework.realize`), the rays of
+autonomous dependency blocks, implicit edges and the closure, and the
+factorization law for products and Minkowski sums.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ from fractions import Fraction
 
 from .ddcore import canonical_ray, dd_rays
 from .errors import InputError, ResourceLimitError
-from .exact import Vec
+from .exact import Vec, is_zero_vec, parallel, vec_dot, vec_sub
 from .framework import (
     DeformationSpace,
     Edge,
     Framework,
     Points,
+    components,
     dc_dimension,
+    deformation_space,
     dependency_partition,
     edge_key,
     labelled_points,
@@ -81,41 +85,71 @@ def is_autonomous(fw: Framework, edge_set) -> bool:
     return realize(fw, characteristic_vector(fw, edge_set)) is not None
 
 
-def characteristic_ray(fw: Framework, edge_set):
-    """(ray, reason) with ray None on refusal.
+def block_rays(fw: Framework) -> list[Vec | None]:
+    """The characteristic vector of each dependency block, in
+    `dependency_partition` order, or None for a block that is not
+    autonomous.
 
-    The characteristic vector is a certified ray exactly when the set is
-    autonomous and is a full dependency block.
+    Each vector given is an extreme ray of the cone.  It lies in the cone,
+    the block being autonomous.  The cone's points supported inside the
+    block form a face, cut out by the valid x_e >= 0 of the edges outside
+    it, and the factors of a block agree on the whole cone, so that face is
+    the vector's ray.  With no None the cone is simplicial with exactly
+    these rays: each of its points is constant on every block, so it is a
+    nonnegative combination of the vectors.
     """
-    chosen = frozenset(edge_key(u, v) for u, v in edge_set)
-    if not chosen:
-        raise InputError("empty edge set")
-    if not is_autonomous(fw, chosen):
-        return None, "set is not autonomous (a cycle equation fails)"
-    blocks = dependency_partition(fw)
-    block = next((b for b in blocks if b & chosen), None)
-    if block is None or block != chosen:
-        return None, "set is not a single full dependency block"
-    return characteristic_vector(fw, chosen), "certified ray"
+    return [
+        characteristic_vector(fw, b) if is_autonomous(fw, b) else None
+        for b in dependency_partition(fw)
+    ]
 
 
-def is_simplicial_by_partition(fw: Framework):
-    """(flag, rays): simplicial with one ray per block when every
-    dependency block is autonomous."""
-    blocks = dependency_partition(fw)
-    if not blocks:
-        return False, []
-    rays = []
-    for b in blocks:
-        if not is_autonomous(fw, b):
-            return False, []
-        rays.append(characteristic_vector(fw, b))
-    return True, sorted(rays)
+def is_implicit_edge(fw: Framework, u: str, v: str) -> bool:
+    """Does the pair u, v behave like an edge in every deformation?
+
+    An edge does, and a pair in two components never does (each component
+    translates freely).  Otherwise the pair is implicit when every
+    deformation lam in the cone places v - u at c(v - u) with c >= 0, and
+    places coincident u and v together.  Testing the rays of
+    `enumerate_rays` is exact: u and v share the anchor `realize` keeps
+    fixed, so the placed difference is linear in lam; the lam that send it
+    into the line of v - u form a subspace, on which c is linear; and the
+    rays generate the cone and span its linear hull (the unit vector is
+    relatively interior).  So the subspace holds the hull, and c >= 0 on
+    the cone, as soon as both hold on every ray.  Above the ray guard this
+    raises `ResourceLimitError`.
+    """
+    if u == v:
+        raise InputError("implicit edge needs two distinct vertices")
+    if u not in fw.vertex_ids or v not in fw.vertex_ids:
+        raise InputError("unknown vertex label")
+    if edge_key(u, v) in fw.edges:
+        return True
+    if not any({u, v} <= set(c) for c in components(fw)):
+        return False
+    base = vec_sub(fw.point(v), fw.point(u))
+    for r in enumerate_rays(deformation_space(fw)).rays:
+        pos = realize(fw, r)
+        moved = vec_sub(pos[v], pos[u])
+        if is_zero_vec(base):
+            if not is_zero_vec(moved):
+                return False
+        elif not parallel(base, moved) or vec_dot(base, moved) < 0:
+            return False
+    return True
+
+
+def closure(fw: Framework) -> Framework:
+    """Add every implicit pair as an edge; the cone is unchanged up to a
+    linear isomorphism, so downstream dimensions are preserved."""
+    pairs = itertools.combinations(fw.vertex_ids, 2)
+    extra = {edge_key(u, v) for u, v in pairs if is_implicit_edge(fw, u, v)}
+    return Framework(fw.vertex_ids, fw.coords, tuple(sorted(set(fw.edges) | extra)))
 
 
 def factor_edges(edges, provenance: dict, side: int) -> list[Edge | None]:
-    """The product law's lift: for each edge of a product or Minkowski sum,
-    the edge of factor `side` (0 left, 1 right) it translates, or None.
+    """For each edge of a product or Minkowski sum, the edge of factor
+    `side` (0 left, 1 right) it translates, or None.
 
     `provenance` maps each vertex of the sum to its (left, right) pair of
     factor vertices; an edge translates a factor edge when its endpoints
@@ -128,33 +162,32 @@ def factor_edges(edges, provenance: dict, side: int) -> list[Edge | None]:
     return out
 
 
-def lifted_blocks(fw: Framework, provenance: dict, left: Framework, right: Framework):
-    """Each dependency block of both factors, lifted to the edges of fw
-    that translate its edges; fw is their product or sum."""
-    out = []
+def factorization(fw: Framework, provenance: dict, left: Framework, right: Framework):
+    """((dc left, dc right, dc fw), whether the dependency blocks of fw are
+    exactly the factors' blocks lifted to the edges that translate them).
+
+    fw is the product or Minkowski sum of left and right, and `provenance`
+    gives each of its vertices as a (left, right) pair: in
+    `itertools.product` order for `product_framework`, and
+    `minkowski_sum_labeled(...).provenance` for a sum.  The law (the
+    dimensions add up and the blocks are lifts) holds for every product and
+    for sums in parallelogramic position.
+    """
+    lifts = set()
     for side, factor in enumerate((left, right)):
         source = factor_edges(fw.edges, provenance, side)
         for block in dependency_partition(factor):
-            out.append(frozenset(e for e, f in zip(fw.edges, source) if f in block))
-    return out
+            lifts.add(frozenset(e for e, f in zip(fw.edges, source) if f in block))
+    dims = (dc_dimension(left), dc_dimension(right), dc_dimension(fw))
+    return dims, set(dependency_partition(fw)) == lifts
 
 
-def embed_product_ray(product: Framework, factor: Framework, ray: Vec, side: str) -> Vec:
-    """Lift a factor ray to the product framework's edge coordinates.
-
-    The product's vertices come in `product_framework` order, one per pair
-    of factor vertices with the left one outer; an edge of the left factor
-    shows up once per right vertex, and symmetrically.
-    """
-    others = range(len(product.vertex_ids) // len(factor.vertex_ids))
-    if side == "left":
-        k, pairs = 0, itertools.product(factor.vertex_ids, others)
-    elif side == "right":
-        k, pairs = 1, itertools.product(others, factor.vertex_ids)
-    else:
-        raise InputError("side must be 'left' or 'right'")
+def lift_ray(fw: Framework, provenance: dict, factor: Framework, side: int, ray: Vec) -> Vec:
+    """A ray of the factor on `side`, on the edges of fw (provenance as for
+    `factorization`): an edge takes the factor of the edge it translates,
+    and 0 where it translates an edge of the other factor."""
     eidx = {e: i for i, e in enumerate(factor.edges)}
-    lift = factor_edges(product.edges, dict(zip(product.vertex_ids, pairs)), k)
+    lift = factor_edges(fw.edges, provenance, side)
     return tuple(Fraction(0) if f is None else ray[eidx[f]] for f in lift)
 
 
@@ -178,26 +211,3 @@ def product_framework(a: Framework, b: Framework) -> Framework:
         for w in a.vertex_ids:
             edges.append(edge_key(f"{w}|{u}", f"{w}|{v}"))
     return Framework(*product_points(a, b), tuple(sorted(edges)))
-
-
-@dataclass
-class ProductReport:
-    dim_left: int
-    dim_right: int
-    dim_product: int
-    dims_add_up: bool
-    partition_is_lift: bool
-
-
-def product_report(a: Framework, b: Framework) -> ProductReport:
-    """Check that deformations of a product are products of deformations.
-
-    Verifies the dimension law and that the dependency blocks of the
-    product are exactly the lifted factor blocks matched through the edge
-    classes.
-    """
-    prod = product_framework(a, b)
-    da, db, dp = dc_dimension(a), dc_dimension(b), dc_dimension(prod)
-    provenance = dict(zip(prod.vertex_ids, itertools.product(a.vertex_ids, b.vertex_ids)))
-    lifted = set(lifted_blocks(prod, provenance, a, b))
-    return ProductReport(da, db, dp, dp == da + db, set(dependency_partition(prod)) == lifted)

@@ -12,32 +12,28 @@ Everything is deterministic; there is no randomness anywhere.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graphs
-from .cones import lifted_blocks, product_points
+from .cones import product_points
 from .errors import ContractError, InputError, ResourceLimitError
 from .deduction import flat_direction
 from .exact import Vec, affine_rank, in_span, nullspace, parallel, vec_dot, vec_sub
 from .framework import (
     Framework,
-    dc_dimension,
-    dependency_partition,
     edge_key,
     framework,
     is_indecomposable,
     labelled_points,
 )
 from .polytope import (
-    MAX_VERTICES,
+    MAX_DIM,
     PolytopeV,
     edges,
     f_vector,
     faces,
     facets,
-    framework_of,
     hull_dim,
     hull_frame,
     hull_vertices,
@@ -437,42 +433,39 @@ def verify_exchange(mb: MatroidBases) -> bool:
     return True
 
 
-def _check_bases(count: int):
-    """A matroid polytope has one vertex per basis, so the polytope guard
-    bounds the bases; callers check before listing them."""
-    if count > MAX_VERTICES:
-        raise ResourceLimitError(f"matroid guard: more than {MAX_VERTICES} bases")
+def _check_ground(size: int):
+    """A matroid polytope has one coordinate per element, so the polytope
+    guard's dimension bounds the ground set; callers check before listing
+    anything.  The bases, k-subsets of at most MAX_DIM elements, then number
+    at most C(MAX_DIM, MAX_DIM // 2), within the vertex guard."""
+    if size > MAX_DIM:
+        raise ResourceLimitError(f"matroid guard: {size} elements exceed dimension {MAX_DIM}")
 
 
 def uniform_matroid(k: int, n: int) -> MatroidBases:
     if not 0 <= k <= n:
         raise InputError("a uniform matroid needs 0 <= k <= n")
-    _check_bases(math.comb(n, k))
+    _check_ground(n)
     ground = tuple(f"e{i}" for i in range(1, n + 1))
     return MatroidBases(ground, frozenset(frozenset(b) for b in itertools.combinations(ground, k)))
 
 
 def graphic_matroid(g: SimpleGraph) -> MatroidBases:
-    """Bases are the spanning trees (the graph must be connected).
-
-    A connected graph has at least E - V + 2 spanning trees: a tree T, and
-    for each arc e outside it, T + e less a tree arc on the cycle e closes.
-    That bound meets the guard before any tree is listed."""
+    """Bases are the spanning trees (the graph must be connected)."""
+    _check_ground(len(g.arcs))
     n = len(g.nodes)
     if len(graphs.components(g.nodes, graphs.adjacency(g.nodes, g.arcs))) != 1:
         raise InputError("a graphic matroid needs a connected graph")
-    _check_bases(len(g.arcs) - n + 2)
     trees = []
     for comb in itertools.combinations(g.arcs, n - 1):
         if len(graphs.components(g.nodes, graphs.adjacency(g.nodes, comb))) == 1:
             trees.append(frozenset(f"{u}-{v}" for u, v in comb))
-            _check_bases(len(trees))
     ground = tuple(sorted(f"{u}-{v}" for u, v in g.arcs))
     return MatroidBases(ground, frozenset(trees))
 
 
 def matroid_direct_sum(*parts: MatroidBases) -> MatroidBases:
-    _check_bases(math.prod(len(mb.bases) for mb in parts))
+    _check_ground(sum(len(mb.ground) for mb in parts))
     ground = []
     for i, mb in enumerate(parts):
         ground.extend(f"s{i}.{e}" for e in mb.ground)
@@ -623,31 +616,3 @@ def parallelogramic_position(a: PolytopeV, b: PolytopeV):
                 if in_span(dirs, vec_sub(p.point(e[1]), p.point(e[0]))):
                     return False, f"edge {e} is parallel to 2-face {sorted(face)}"
     return True, None
-
-
-@dataclass
-class SumFactorizationReport:
-    ok: bool
-    reason: str | None
-    dim_left: int | None = None
-    dim_right: int | None = None
-    dim_sum: int | None = None
-    dims_add_up: bool | None = None
-    partition_is_lift: bool | None = None
-
-
-def parallelogramic_sum_report(a: PolytopeV, b: PolytopeV) -> SumFactorizationReport:
-    """Verify the product law for a Minkowski sum in parallelogramic
-    position: dimensions add and the sum's dependency blocks are the lifts
-    of the summand blocks along edge classes."""
-    ok, reason = parallelogramic_position(a, b)
-    if not ok:
-        return SumFactorizationReport(False, reason)
-    s = minkowski_sum_labeled(a, b)
-    fa, fb, fs = framework_of(a), framework_of(b), framework_of(s.polytope)
-    expected = lifted_blocks(fs, s.provenance, fa, fb)
-    da, db, dsum = dc_dimension(fa), dc_dimension(fb), dc_dimension(fs)
-    got = set(dependency_partition(fs))
-    return SumFactorizationReport(
-        True, None, da, db, dsum, dsum == da + db, got == set(x for x in expected if x)
-    )

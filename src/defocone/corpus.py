@@ -77,6 +77,27 @@ def coplanar_stacked_cube() -> PolytopeV:
     return stack_vertex(cube, [left, right])
 
 
+def minkowski_summands() -> dict[str, tuple[PolytopeV, PolytopeV]]:
+    """The two triangles of each Minkowski-sum entry of the corpus."""
+    half = Fraction(1, 2)
+    pairs = {
+        "hemicube": (((0, 0, 0), (1, 0, 0), (2, 0, 1)), ((0, 0, 0), (0, 1, 0), (0, 2, 1))),
+        "triangle_sum_shared_direction": (
+            ((0, 0, 0), (4, 0, 0), (2, 0, 3)),
+            ((0, 0, 0), (0, 4, 0), (2, 0, 3)),
+        ),
+        "gyrobifastigium": (((0, 0, 0), (1, 0, 0), (half, 0, 1)), ((0, 0, 0), (0, 1, 0), (0, half, -1))),
+        "diminished_trapezohedron": (
+            ((0, 0, 0), (1, 0, 0), (half, 0, 1)),
+            ((0, 0, 0), (0, 1, 0), (0, half, 1)),
+        ),
+    }
+    return {
+        name: (polytope(_triangle_points(*a)), polytope(_triangle_points(*b)))
+        for name, (a, b) in pairs.items()
+    }
+
+
 def corpus() -> dict[str, CorpusEntry]:
     entries: list[CorpusEntry] = []
     half = Fraction(1, 2)
@@ -133,12 +154,9 @@ def corpus() -> dict[str, CorpusEntry]:
             {"dc_dimension": 2, "indecomposable": False, "rays": 2},
         )
     )
-    hemi = minkowski_sum_labeled(
-        polytope(_triangle_points((0, 0, 0), (1, 0, 0), (2, 0, 1))),
-        polytope(_triangle_points((0, 0, 0), (0, 1, 0), (0, 2, 1))),
-    ).polytope
+    sums = {name: minkowski_sum_labeled(a, b).polytope for name, (a, b) in minkowski_summands().items()}
     entries.append(
-        _poly_entry("hemicube", hemi, {"dc_dimension": 2, "indecomposable": False})
+        _poly_entry("hemicube", sums["hemicube"], {"dc_dimension": 2, "indecomposable": False})
     )
     hexa = regular_hexagon()
     entries.append(
@@ -217,30 +235,21 @@ def corpus() -> dict[str, CorpusEntry]:
     entries.append(
         _poly_entry(
             "triangle_sum_shared_direction",
-            minkowski_sum_labeled(
-                polytope(_triangle_points((0, 0, 0), (4, 0, 0), (2, 0, 3))),
-                polytope(_triangle_points((0, 0, 0), (0, 4, 0), (2, 0, 3))),
-            ).polytope,
+            sums["triangle_sum_shared_direction"],
             {"dc_dimension": 2, "dim_bound": 2},
         )
     )
     entries.append(
         _poly_entry(
             "gyrobifastigium",
-            minkowski_sum_labeled(
-                polytope(_triangle_points((0, 0, 0), (1, 0, 0), (half, 0, 1))),
-                polytope(_triangle_points((0, 0, 0), (0, 1, 0), (0, half, -1))),
-            ).polytope,
+            sums["gyrobifastigium"],
             {"dc_dimension": 2, "indecomposable": False},
         )
     )
     entries.append(
         _poly_entry(
             "diminished_trapezohedron",
-            minkowski_sum_labeled(
-                polytope(_triangle_points((0, 0, 0), (1, 0, 0), (half, 0, 1))),
-                polytope(_triangle_points((0, 0, 0), (0, 1, 0), (0, half, 1))),
-            ).polytope,
+            sums["diminished_trapezohedron"],
             {"dc_dimension": 2, "indecomposable": False},
         )
     )

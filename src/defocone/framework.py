@@ -5,8 +5,9 @@ edge set.  Its deformations are reparametrizations of the edges by
 nonnegative factors that satisfy, for every cycle, the vector equation
 saying the weighted edge vectors still close up.  `realize` places the
 vertices under given factors, or finds an edge that does not close up,
-in O(E*d); dimensions, dependency classes and rays are computed from the
-exact nullspace of that linear system.
+in O(E*d); dimensions and dependency classes are computed from the exact
+nullspace of that linear system.  Questions about the cone itself (its
+rays, implicit edges, the closure) are answered from its rays in `cones`.
 
 A fundamental cycle basis suffices: the closing-up equation depends
 linearly on the cycle (as an element of the rational cycle space), so a
@@ -21,15 +22,7 @@ from functools import lru_cache
 
 from . import graphs
 from .errors import InputError
-from .exact import (
-    Vec,
-    is_zero_vec,
-    nullspace,
-    parallel,
-    vec_scale,
-    vec_sub,
-)
-from .simplex import OPTIMAL, LinearProgram, solve
+from .exact import Vec, is_zero_vec, nullspace, vec_scale, vec_sub
 
 Edge = tuple[str, str]
 
@@ -243,81 +236,6 @@ def dependency_partition(fw: Framework) -> tuple[frozenset[Edge], ...]:
         groups.setdefault(key, []).append(e)
     blocks = [frozenset(g) for g in groups.values()]
     return tuple(sorted(blocks, key=lambda b: min(b)))
-
-
-def implicit_edge_coefficients(fw: Framework, u: str, v: str):
-    """If every basis deformation moves v-u along its base direction,
-    return the per-basis-vector scale factors; otherwise None.
-
-    For coincident endpoints the factor list is all zeros when the pair
-    moves rigidly, else None.
-    """
-    direction = vec_sub(fw.point(v), fw.point(u))
-    j = next((i for i, x in enumerate(direction) if x != 0), None)
-    coeffs = []
-    for b in deformation_space(fw).basis:
-        pos = realize(fw, b)
-        disp = vec_sub(pos[v], pos[u])
-        if not parallel(direction, disp) or (j is None and not is_zero_vec(disp)):
-            return None
-        coeffs.append(Fraction(0) if j is None else disp[j] / direction[j])
-    return coeffs
-
-
-def is_implicit_edge(fw: Framework, u: str, v: str) -> bool:
-    """Does the pair u,v behave like an edge in every deformation?
-
-    Checks: same component; displacement stays on the base direction for
-    the whole linear span; and the induced factor is nonnegative over the
-    cone (one LP over the normalized slice).
-    """
-    if u == v:
-        raise InputError("implicit edge needs two distinct vertices")
-    if u not in fw.vertex_ids or v not in fw.vertex_ids:
-        raise InputError("unknown vertex label")
-    if edge_key(u, v) in fw.edges:
-        return True
-    comp = {c: i for i, cs in enumerate(components(fw)) for c in cs}
-    if comp[u] != comp[v]:
-        return False
-    coeffs = implicit_edge_coefficients(fw, u, v)
-    if coeffs is None:
-        return False
-    if all(c == 0 for c in coeffs):
-        return True
-    ds = deformation_space(fw)
-    k = ds.dim
-    nd = [i for i, e in enumerate(fw.edges) if e not in ds.degenerate]
-    if not nd:
-        return True
-    # variables: coordinates t in the span basis; cone is (basis^T t) >= 0
-    ge_rows = [[-b[i] for b in ds.basis] for i in nd]
-    norm_row = [sum(b[i] for i in nd) for b in ds.basis]
-    lp = LinearProgram(
-        n=k,
-        objective=coeffs,
-        eq=[(norm_row, Fraction(1))],
-        le=[(r, Fraction(0)) for r in ge_rows],
-    )
-    res = solve(lp)
-    if res.status != OPTIMAL:
-        # the slice is a nonempty bounded polytope whenever E_nd is nonempty
-        raise AssertionError("implicit-edge slice LP must be solvable")
-    return res.value >= 0
-
-
-def closure(fw: Framework) -> Framework:
-    """Add every implicit pair as an edge; the cone is unchanged up to a
-    linear isomorphism, so downstream dimensions are preserved."""
-    extra = []
-    ids = fw.vertex_ids
-    for i, u in enumerate(ids):
-        for v in ids[i + 1 :]:
-            e = edge_key(u, v)
-            if e not in fw.edges and is_implicit_edge(fw, u, v):
-                extra.append(e)
-    edges = tuple(sorted(set(fw.edges) | set(extra)))
-    return Framework(fw.vertex_ids, fw.coords, edges)
 
 
 def quotient_degenerate(fw: Framework):

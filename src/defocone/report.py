@@ -30,7 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import deduction
-from .cones import embed_product_ray, enumerate_rays, product_framework, product_report
+from .cones import (
+    block_rays,
+    closure,
+    enumerate_rays,
+    factorization,
+    lift_ray,
+    product_framework,
+)
 from .constructions import (
     bipartite_truncation,
     bipartite_zonotope_facet_count,
@@ -41,6 +48,8 @@ from .constructions import (
     graphical_zonotope,
     matroid_direct_sum,
     matroid_polytope,
+    minkowski_sum_labeled,
+    parallelogramic_position,
     permutahedral_wedge,
     smilansky_check,
     stack_vertex,
@@ -48,7 +57,7 @@ from .constructions import (
     uniform_matroid,
     zonotope,
 )
-from .corpus import corpus, facet_flats
+from .corpus import corpus, facet_flats, minkowski_summands
 from .deduction import (
     Step,
     conclude_indecomposable,
@@ -59,7 +68,6 @@ from .deduction import (
 from .exact import in_span, nullspace, rank
 from .framework import (
     Framework,
-    closure,
     cycle_basis,
     cycle_equation_rows,
     dc_dimension,
@@ -259,6 +267,21 @@ def crit_5_facet_formula(cp):
     return ok, "; ".join(details)
 
 
+def _factor_law(fw, provenance, fa, fb):
+    """(law holds, detail) for fw, the product or sum of fa and fb: the
+    dimensions add up, the blocks are lifts, and the rays are the lifted
+    factor rays."""
+    (da, db, dw), lifts = factorization(fw, provenance, fa, fb)
+    cone = enumerate_rays(deformation_space(fw), max_edges=80)
+    lifted = {
+        lift_ray(fw, provenance, f, side, r)
+        for side, f in enumerate((fa, fb))
+        for r in enumerate_rays(deformation_space(f)).rays
+    }
+    union_ok = set(cone.rays) == lifted
+    return dw == da + db and lifts and union_ok, f"dims {da}+{db}={dw} rays={union_ok}"
+
+
 def crit_6_products(cp):
     shapes = {
         "triangle": cp["triangle"].framework,
@@ -270,17 +293,22 @@ def crit_6_products(cp):
     details = []
     for a, b in itertools.combinations_with_replacement(sorted(shapes), 2):
         fa, fb = shapes[a], shapes[b]
-        rep = product_report(fa, fb)
         prod = product_framework(fa, fb)
-        cone = enumerate_rays(deformation_space(prod), max_edges=80)
-        ra = enumerate_rays(deformation_space(fa)).rays
-        rb = enumerate_rays(deformation_space(fb)).rays
-        embedded = {embed_product_ray(prod, fa, r, "left") for r in ra}
-        embedded |= {embed_product_ray(prod, fb, r, "right") for r in rb}
-        union_ok = set(cone.rays) == embedded
-        good = rep.dims_add_up and rep.partition_is_lift and union_ok
+        provenance = dict(zip(prod.vertex_ids, itertools.product(fa.vertex_ids, fb.vertex_ids)))
+        good, detail = _factor_law(prod, provenance, fa, fb)
         ok = ok and good
-        details.append(f"{a}x{b}: dims {rep.dim_left}+{rep.dim_right}={rep.dim_product} rays={union_ok}")
+        details.append(f"{a}x{b}: {detail}")
+    # Minkowski sums: the law holds for summands in parallelogramic position
+    # and fails for the others here; a triangle plus its negative is a
+    # hexagon with dc 4, not 1 + 1
+    tri = cp["triangle"].polytope
+    negative = polytope({v: tuple(-x for x in c) for v, c in tri.points.items()})
+    for name, (a, b) in {**minkowski_summands(), "triangle+negative": (tri, negative)}.items():
+        s = minkowski_sum_labeled(a, b)
+        law, detail = _factor_law(framework_of(s.polytope), s.provenance, framework_of(a), framework_of(b))
+        para = parallelogramic_position(a, b)[0]
+        ok = ok and law == para
+        details.append(f"{name}: parallelogramic={para} law={law} {detail}")
     return ok, "; ".join(details)
 
 
@@ -589,6 +617,27 @@ def crit_11_properties(cp):
 
 
 # ---------------------------------------------------------------------------
+# criterion 12: the characteristic rays of autonomous blocks
+
+
+def crit_12_block_rays(cp):
+    """Every autonomous block's characteristic vector is an extreme ray; on
+    a framework whose blocks are all autonomous they are all the rays."""
+    bad = []
+    given = complete = 0
+    for name, entry in cp.items():
+        vectors = block_rays(entry.framework)
+        rays = set(enumerate_rays(deformation_space(entry.framework)).rays)
+        found = {r for r in vectors if r is not None}
+        given += len(found)
+        complete += None not in vectors
+        if not found <= rays or (None not in vectors and found != rays):
+            bad.append(name)
+    detail = f"{given} block rays on {len(cp)} frameworks, rays = blocks on {complete}"
+    return not bad, detail + (f"; not rays: {bad}" if bad else "")
+
+
+# ---------------------------------------------------------------------------
 # the full table
 
 
@@ -605,6 +654,7 @@ def all_rows():
         (9, "deduction soundness and completeness", crit_9_deduction, 120.0),
         (10, "stacking and truncation laws", crit_10_stack_truncate, 60.0),
         (11, "property spot checks", crit_11_properties, 60.0),
+        (12, "characteristic rays of autonomous blocks", crit_12_block_rays, 30.0),
     ]
     return rows
 

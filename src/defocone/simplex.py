@@ -4,9 +4,9 @@ Textbook two-phase simplex over Fractions with Bland's pivot rule, which
 guarantees termination without perturbation.  The tableau is one matrix:
 the constraint rows [A | b], then the row [reduced costs | -value].  Every
 step, from pricing out a basis to driving artificials out after phase 1,
-is a pivot on it through `exact.pivot`.  Problem sizes here are desk
-scale (the vertex check on polytope input, nonnegativity tests on
-deformation cones), so exactness beats speed.
+is a pivot on it through `exact.pivot`.  It serves the vertex check on
+polytope input, at desk scale, so exactness beats speed; no question
+about a deformation cone solves an LP.
 """
 
 from __future__ import annotations

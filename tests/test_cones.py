@@ -1,23 +1,36 @@
-"""Ray enumeration, autonomous sets, simpliciality, product laws."""
+"""Ray enumeration, autonomous sets, block rays, implicit edges, the
+factorization law."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defocone.cones import (
-    characteristic_ray,
+    block_rays,
     characteristic_vector,
-    embed_product_ray,
+    closure,
     enumerate_rays,
+    factorization,
     is_autonomous,
-    is_simplicial_by_partition,
+    is_implicit_edge,
+    lift_ray,
     product_framework,
-    product_report,
 )
 from defocone.corpus import corpus
 from defocone.errors import ResourceLimitError
-from defocone.framework import dc_dimension, deformation_space, dependency_partition, framework
+from defocone.exact import is_zero_vec, parallel, vec_sub
+from defocone.framework import (
+    components,
+    dc_dimension,
+    deformation_space,
+    dependency_partition,
+    edge_key,
+    framework,
+    realize,
+)
 from defocone.simplex import OPTIMAL, LinearProgram, solve
 
 
@@ -75,10 +88,10 @@ def test_ray_count_versus_dimension(cp):
         ds = deformation_space(cp[name].framework)
         cone = enumerate_rays(ds)
         assert len(cone.rays) >= ds.dim
-        simplicial, rays = is_simplicial_by_partition(cp[name].framework)
-        if simplicial:
+        vectors = block_rays(cp[name].framework)
+        if None not in vectors:
             assert len(cone.rays) == ds.dim
-            assert sorted(rays) == sorted(cone.rays)
+            assert sorted(vectors) == sorted(cone.rays)
 
 
 def test_resource_guard(cp):
@@ -106,28 +119,26 @@ def test_autonomous_examples(cp):
 
 
 def test_characteristic_ray(cp):
+    """An autonomous block gives its characteristic vector, an extreme ray;
+    a block that is not autonomous gives None."""
     cube = cp["cube"].framework
-    block = max(dependency_partition(cube), key=len)
-    ray, reason = characteristic_ray(cube, block)
-    assert ray == characteristic_vector(cube, block)
+    assert block_rays(cube) == [characteristic_vector(cube, b) for b in dependency_partition(cube)]
     hexa = cp["hexagon"].framework
-    ray, reason = characteristic_ray(hexa, list(hexa.edges[:2]))
-    assert ray is None and "block" in reason or "autonomous" in reason
+    assert block_rays(hexa) == [None] * 6  # no lone edge closes the hexagon
     prism = cp["prism"].framework
-    tri_block = next(b for b in dependency_partition(prism) if len(b) == 3)
-    ray, _ = characteristic_ray(prism, tri_block)
-    assert ray is not None
+    rays = set(enumerate_rays(deformation_space(prism)).rays)
+    blocks = dependency_partition(prism)
+    tri = next(i for i, b in enumerate(blocks) if len(b) == 3)
+    assert block_rays(prism)[tri] in rays
 
 
 def test_simpliciality(cp):
-    ok, rays = is_simplicial_by_partition(cp["hexagon"].framework)
-    assert not ok
-    ok, rays = is_simplicial_by_partition(cp["cube"].framework)
-    assert ok and len(rays) == 3
+    assert None in block_rays(cp["hexagon"].framework)
+    rays = block_rays(cp["cube"].framework)
+    assert None not in rays and len(rays) == 3
     tri = cp["triangle"].framework
-    prod = product_framework(tri, tri)
-    ok, rays = is_simplicial_by_partition(prod)
-    assert ok and len(rays) == 2
+    rays = block_rays(product_framework(tri, tri))
+    assert None not in rays and len(rays) == 2
 
 
 def test_parallelogramic_zonotope_simplicial():
@@ -135,8 +146,8 @@ def test_parallelogramic_zonotope_simplicial():
     from defocone.polytope import framework_of
 
     z = zonotope([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 2, 3)])
-    ok, rays = is_simplicial_by_partition(framework_of(z.polytope))
-    assert ok and len(rays) == 4
+    rays = block_rays(framework_of(z.polytope))
+    assert None not in rays and len(rays) == 4
 
 
 def test_autonomous_complement(cp):
@@ -165,34 +176,126 @@ def test_autonomous_complement(cp):
         assert dc_dimension(fw) == dc_dimension(contracted) + 1
 
 
+def _product(a, b):
+    """The product framework and its provenance map."""
+    prod = product_framework(a, b)
+    return prod, dict(zip(prod.vertex_ids, itertools.product(a.vertex_ids, b.vertex_ids)))
+
+
 def test_product_reports(cp):
     tri = cp["triangle"].framework
     seg = framework({"x": (0,), "y": (1,)}, [("x", "y")])
-    rep = product_report(tri, seg)
-    assert rep.dims_add_up and rep.partition_is_lift
-    assert (rep.dim_left, rep.dim_right, rep.dim_product) == (1, 1, 2)
+    prod, provenance = _product(tri, seg)
+    assert factorization(prod, provenance, tri, seg) == ((1, 1, 2), True)
     # factor labels that themselves contain "|"
-    prism = product_framework(tri, seg)
-    for a, b in ((prism, seg), (seg, prism)):
-        rep = product_report(a, b)
-        assert rep.dims_add_up and rep.partition_is_lift and rep.dim_product == 3
+    for a, b in ((prod, seg), (seg, prod)):
+        nested, provenance = _product(a, b)
+        (da, db, dn), lifts = factorization(nested, provenance, a, b)
+        assert lifts and da + db == dn == 3
+
+
+def _lifted_rays(fw, provenance, left, right):
+    return {
+        lift_ray(fw, provenance, f, side, r)
+        for side, f in enumerate((left, right))
+        for r in enumerate_rays(deformation_space(f)).rays
+    }
 
 
 def test_product_ray_union(cp):
     tri = cp["triangle"].framework
     sq = cp["square"].framework
-    prod = product_framework(tri, sq)
+    prod, provenance = _product(tri, sq)
     cone = enumerate_rays(deformation_space(prod))
-    ra = enumerate_rays(deformation_space(tri)).rays
-    rb = enumerate_rays(deformation_space(sq)).rays
-    embedded = {embed_product_ray(prod, tri, r, "left") for r in ra}
-    embedded |= {embed_product_ray(prod, sq, r, "right") for r in rb}
-    assert set(cone.rays) == embedded
+    assert set(cone.rays) == _lifted_rays(prod, provenance, tri, sq)
     # a left factor whose labels contain "|"
     left = product_framework(tri, framework({"x": (0,), "y": (1,)}, [("x", "y")]))
-    nested = product_framework(left, sq)
+    nested, provenance = _product(left, sq)
     cone = enumerate_rays(deformation_space(nested))
-    ra = enumerate_rays(deformation_space(left)).rays
-    embedded = {embed_product_ray(nested, left, r, "left") for r in ra}
-    embedded |= {embed_product_ray(nested, sq, r, "right") for r in rb}
-    assert set(cone.rays) == embedded
+    assert set(cone.rays) == _lifted_rays(nested, provenance, left, sq)
+
+
+def lp_implicit_edge(fw, u, v) -> bool:
+    """Reference oracle for `is_implicit_edge`, by one LP.
+
+    An edge is implicit and a pair in two components is not.  Otherwise
+    every vector of the span basis must move v - u along its base
+    direction (coincident u and v not at all), and the factor this induces,
+    a linear form on the span, must have a nonnegative minimum over the
+    slice of the cone where the nondegenerate factors sum to 1.
+    """
+    if edge_key(u, v) in fw.edges:
+        return True
+    if not any({u, v} <= set(c) for c in components(fw)):
+        return False
+    direction = vec_sub(fw.point(v), fw.point(u))
+    j = next((i for i, x in enumerate(direction) if x != 0), None)
+    ds = deformation_space(fw)
+    coeffs = []
+    for b in ds.basis:
+        pos = realize(fw, b)
+        disp = vec_sub(pos[v], pos[u])
+        if not parallel(direction, disp) or (j is None and not is_zero_vec(disp)):
+            return False
+        coeffs.append(Fraction(0) if j is None else disp[j] / direction[j])
+    nd = [i for i, e in enumerate(fw.edges) if e not in ds.degenerate]
+    if not nd or all(c == 0 for c in coeffs):
+        return True
+    lp = LinearProgram(
+        n=ds.dim,
+        objective=coeffs,
+        eq=[([sum(b[i] for i in nd) for b in ds.basis], Fraction(1))],
+        le=[([-b[i] for b in ds.basis], Fraction(0)) for i in nd],
+    )
+    res = solve(lp)
+    assert res.status == OPTIMAL  # the slice is a nonempty polytope
+    return res.value >= 0
+
+
+def _agrees_with_lp(fw):
+    pairs = list(itertools.combinations(fw.vertex_ids, 2))
+    for u, v in pairs:
+        assert is_implicit_edge(fw, u, v) == lp_implicit_edge(fw, u, v), (u, v)
+    return len(pairs)
+
+
+def test_implicit_edge_matches_lp_oracle_on_corpus(cp):
+    assert sum(_agrees_with_lp(entry.framework) for entry in cp.values()) == 604
+
+
+def test_implicit_edge_on_a_bare_collinear_framework():
+    """On a bare framework the induced factor can be negative: v - u is
+    2 lam_uw - lam_wv times its base, so the pair is not implicit."""
+    fw = framework({"u": (0, 0), "w": (2, 0), "v": (1, 0)}, [("u", "w"), ("w", "v")])
+    assert dc_dimension(fw) == 2
+    assert not is_implicit_edge(fw, "u", "v")
+    assert not lp_implicit_edge(fw, "u", "v")
+    assert closure(fw).edges == fw.edges
+
+
+@st.composite
+def small_frameworks(draw):
+    """Up to six points on a small grid, coincident points included, and a
+    random edge set: far inside the ray guard."""
+    n = draw(st.integers(2, 6))
+    coord = st.integers(-2, 2).map(lambda x: Fraction(x, 2))
+    points = {f"p{i}": draw(st.tuples(coord, coord)) for i in range(n)}
+    pairs = list(itertools.combinations(points, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    return framework(points, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_frameworks())
+def test_implicit_edge_matches_lp_oracle_on_small_frameworks(fw):
+    _agrees_with_lp(fw)
+
+
+def test_implicit_edge_above_the_ray_guard():
+    # a path deforms edge by edge: 13 edges give dc = 13 > MAX_SPAN_DIM
+    path = framework({f"v{i}": (i, i * i) for i in range(14)}, [(f"v{i}", f"v{i + 1}") for i in range(13)])
+    assert is_implicit_edge(path, "v0", "v1")  # an edge needs no rays
+    with pytest.raises(ResourceLimitError, match="span dimension 13"):
+        is_implicit_edge(path, "v0", "v2")
+    with pytest.raises(ResourceLimitError, match="span dimension 13"):
+        closure(path)

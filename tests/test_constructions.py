@@ -25,7 +25,6 @@ from defocone.constructions import (
     matroid_polytope,
     minkowski_sum_labeled,
     parallelogramic_position,
-    parallelogramic_sum_report,
     permutahedral_wedge,
     product_polytope,
     smilansky_check,
@@ -35,16 +34,18 @@ from defocone.constructions import (
     verify_exchange,
     zonotope,
 )
+from defocone.cones import block_rays, factorization, is_implicit_edge
 from defocone.corpus import corpus
 from defocone.ddcore import canonical_ray
 from defocone.errors import ContractError, InputError, ResourceLimitError
+from defocone.exact import is_zero_vec, parallel, vec_sub
 from defocone.framework import (
     components,
     dc_dimension,
+    deformation_space,
     edge_key,
-    implicit_edge_coefficients,
-    is_implicit_edge,
     is_indecomposable,
+    realize,
 )
 from defocone.polytope import edges, f_vector, faces, facets, framework_of, polytope
 
@@ -280,6 +281,19 @@ def test_matroid_polytopes():
         graphic_matroid(graph("abcd", [("a", "b"), ("c", "d")]))  # no spanning tree
 
 
+def test_matroid_ground_set_guard():
+    """One coordinate per element: a ground set past the polytope guard's
+    dimension is refused before any basis is listed."""
+    assert len(uniform_matroid(4, 8).bases) == 70
+    for k, n in ((0, 9), (1, 100000), (0, 100000)):
+        with pytest.raises(ResourceLimitError, match=f"{n} elements"):
+            uniform_matroid(k, n)
+    with pytest.raises(ResourceLimitError, match="10 elements"):
+        graphic_matroid(complete_graph(5))
+    with pytest.raises(ResourceLimitError, match="9 elements"):
+        matroid_direct_sum(uniform_matroid(2, 4), uniform_matroid(2, 5))
+
+
 def test_exchange_axiom_rejection():
     bad = MatroidBases(
         ("a", "b", "c", "d"),
@@ -383,30 +397,37 @@ def test_products():
         minkowski_sum_labeled(a, b)  # ("x+", "y") and ("x", "+y") are both x++y
 
 
+def _sum_law(a, b):
+    """factorization() of the labelled Minkowski sum of a and b."""
+    s = minkowski_sum_labeled(a, b)
+    return factorization(framework_of(s.polytope), s.provenance, framework_of(a), framework_of(b))
+
+
 def test_parallelogramic_sums():
     t1 = polytope({"a": (0, 0, 0), "b": (1, 0, 0), "c": (Fraction(1, 2), 0, 1)})
     t2 = polytope({"a": (0, 0, 0), "b": (0, 1, 0), "c": (0, Fraction(1, 2), -1)})
-    rep = parallelogramic_sum_report(t1, t2)
-    assert rep.ok and rep.dims_add_up and rep.partition_is_lift
-    assert rep.dim_sum == 2
+    assert parallelogramic_position(t1, t2) == (True, None)
+    assert _sum_law(t1, t2) == ((1, 1, 2), True)
     s1 = polytope({"a": (0, 0, 0), "b": (1, 0, 0)})
     s2 = polytope({"a": (0, 0, 0), "b": (2, 0, 0)})
     ok, reason = parallelogramic_position(s1, s2)
     assert not ok and "parallel" in reason
-    assert not parallelogramic_sum_report(s1, s2).ok
+    assert _sum_law(s1, s2) == ((1, 1, 1), False)  # the sum's one edge translates neither
+    # a triangle plus its negative is a hexagon with dc 4, not 1 + 1
+    tri = polytope({"a": (0, 0), "b": (1, 0), "c": (0, 1)})
+    neg = polytope({"a": (0, 0), "b": (-1, 0), "c": (0, -1)})
+    assert not parallelogramic_position(tri, neg)[0]
+    assert _sum_law(tri, neg)[0] == (1, 1, 4)
 
 
 def test_triangle_free_simpliciality():
-    from defocone.cones import is_simplicial_by_partition
-
     # triangle-free: the complete bipartite zonotope is simplicial with one
     # ray per arc
     z = graphical_zonotope(complete_bipartite(2, 2))
-    ok, rays = is_simplicial_by_partition(z.framework())
-    assert ok and len(rays) == 4
+    rays = block_rays(z.framework())
+    assert None not in rays and len(rays) == 4
     hexa = graphical_zonotope(complete_graph(3))
-    ok, _ = is_simplicial_by_partition(hexa.framework())
-    assert not ok
+    assert None in block_rays(hexa.framework())
 
 
 def test_zonotope_generator_guard():
@@ -471,9 +492,12 @@ def _implicit_condition_gap(fw, u, v):
     induced factor negative somewhere on the cone."""
     if edge_key(u, v) in fw.edges or not any({u, v} <= set(c) for c in components(fw)):
         return False
-    coeffs = implicit_edge_coefficients(fw, u, v)
-    if coeffs is None or all(c == 0 for c in coeffs):
-        return False
+    base = vec_sub(fw.point(v), fw.point(u))
+    for b in deformation_space(fw).basis:
+        pos = realize(fw, b)
+        diff = vec_sub(pos[v], pos[u])
+        if not parallel(base, diff) or (is_zero_vec(base) and not is_zero_vec(diff)):
+            return False
     return not is_implicit_edge(fw, u, v)
 
 

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defocone.cones import characteristic_vector
+from defocone.cones import characteristic_vector, closure, is_implicit_edge
 from defocone.corpus import corpus
 from defocone.errors import InputError
 from defocone.exact import in_span, rank, vec_scale, vec_sub
 from defocone.framework import (
     Framework,
-    closure,
     cycle_basis,
     cycle_equation_rows,
     dc_dimension,
@@ -21,7 +20,6 @@ from defocone.framework import (
     dependency_partition,
     edge_key,
     framework,
-    is_implicit_edge,
     is_indecomposable,
     quotient_degenerate,
     realize,

@@ -127,10 +127,7 @@ def cmd_matroid_test(args) -> int:
     """Necessary-condition check: can the input be normally equivalent to a
     0/1 deformed permutahedron?  Only meaningful for indecomposable inputs,
     so the oracle gates it."""
-    obj = load_geometry(args.file)
-    if not isinstance(obj, PolytopeV):
-        print("error: the coordinate test needs a polytope input", file=sys.stderr)
-        return FAILURE
+    obj = _load_polytope(args.file)
     if not is_indecomposable(framework_of(obj)):
         print("not applicable: input is decomposable", file=sys.stderr)
         return FAILURE
@@ -144,15 +141,10 @@ def cmd_matroid_test(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    obj = load_geometry(args.file)
-    fw = _as_framework(obj)
-    flats = None
-    if args.flats == "facets":
-        if not isinstance(obj, PolytopeV):
-            print("error: facet flats need a polytope input", file=sys.stderr)
-            return FAILURE
-        flats = facet_flats(obj)
-    state = saturate(fw)
+    facet = args.flats == "facets"
+    obj = _load_polytope(args.file) if facet else load_geometry(args.file)
+    flats = facet_flats(obj) if facet else None
+    state = saturate(_as_framework(obj))
     proved, _ = conclude_indecomposable(state, flats)
     out = args.output or (args.file + ".cert.json")
     save_obj(certificate_to_obj(state.log, state.conclusion()), out)
@@ -191,91 +183,52 @@ def cmd_verify(args) -> int:
     return OK
 
 
-# The options each family cannot do without.
-FAMILY_NEEDS = {
-    "bipartite-trunc": ("n", "m"),
-    "wedge": ("input",),
-    "product": ("inputs",),
-    "hyperorder": ("n", "k"),
-    "stack": ("input",),
-    "truncate": ("input", "vertices"),
-    "corpus": ("name",),
-}
+def _load_polytope(path: str) -> PolytopeV:
+    """The polytope in a file; a framework file is refused."""
+    obj = load_geometry(path)
+    if not isinstance(obj, PolytopeV):
+        raise InputError(f"{path} holds a framework; a polytope input is needed")
+    return obj
 
 
-def _construct(args):
-    fam = args.family
-    missing = [f"--{o}" for o in FAMILY_NEEDS.get(fam, ()) if getattr(args, o) is None]
-    if missing:
-        raise InputError(f"{fam} needs {' and '.join(missing)}")
-    if fam == "zonotope":
-        if args.bipartite:
-            n, m = args.bipartite
-            g = complete_bipartite(n, m)
-        else:
-            g = complete_graph(3 if args.complete is None else args.complete)
-        return graphical_zonotope(g).polytope
-    if fam == "bipartite-trunc":
-        return bipartite_truncation(args.n, args.m, args.kind).polytope
-    if fam == "wedge":
-        base = load_geometry(args.input)
-        if not isinstance(base, PolytopeV):
-            raise InputError("wedge needs a polytope input")
-        return permutahedral_wedge(base, args.coord, args.side)
-    if fam == "matroid":
-        if args.uniform:
-            mb = uniform_matroid(*args.uniform)
-        elif args.graphic_complete is not None:
-            mb = graphic_matroid(complete_graph(args.graphic_complete))
-        else:
-            raise InputError("matroid needs --uniform or --graphic-complete")
-        return matroid_polytope(mb).polytope
-    if fam == "product":
-        a = load_geometry(args.inputs[0])
-        b = load_geometry(args.inputs[1])
-        if not (isinstance(a, PolytopeV) and isinstance(b, PolytopeV)):
-            raise InputError("product needs polytope inputs")
-        return product_polytope(a, b)
-    if fam == "hyperorder":
-        return hyperorder_polytope(args.n, args.k)
-    if fam == "stack":
-        base = load_geometry(args.input)
-        if not isinstance(base, PolytopeV):
-            raise InputError("stack needs a polytope input")
-        fs = facets(base)
-        if not all(0 <= i < len(fs) for i in args.facets):
-            raise InputError(f"facet indices must lie in 0..{len(fs) - 1}")
-        chosen = [fs[i].vertex_ids for i in args.facets]
-        return stack_vertex(base, chosen)
-    if fam == "truncate":
-        base = load_geometry(args.input)
-        if not isinstance(base, PolytopeV):
-            raise InputError("truncate needs a polytope input")
-        return deep_truncate(base, args.vertices.split(","))
-    if fam == "corpus":
-        entry = corpus().get(args.name)
-        if entry is None:
-            raise InputError(f"unknown corpus fixture {args.name!r}")
-        return entry.polytope if entry.polytope is not None else entry.framework
-    raise InputError(f"unknown family {fam!r}")
+def _zonotope(args):
+    g = complete_bipartite(*args.bipartite) if args.bipartite else complete_graph(args.complete)
+    return graphical_zonotope(g).polytope
+
+
+def _matroid(args):
+    if args.uniform:
+        return matroid_polytope(uniform_matroid(*args.uniform)).polytope
+    return matroid_polytope(graphic_matroid(complete_graph(args.graphic_complete))).polytope
+
+
+def _stack(args):
+    base = _load_polytope(args.input)
+    fs = facets(base)
+    if not all(0 <= i < len(fs) for i in args.facets):
+        raise InputError(f"facet indices must lie in 0..{len(fs) - 1}")
+    return stack_vertex(base, [fs[i].vertex_ids for i in args.facets])
+
+
+def _corpus(args):
+    entry = corpus().get(args.name)
+    if entry is None:
+        raise InputError(f"unknown corpus fixture {args.name!r}")
+    return entry.polytope if entry.polytope is not None else entry.framework
 
 
 def cmd_construct(args) -> int:
-    made = _construct(args)
+    made = args.build(args)
     if isinstance(made, PolytopeV):
-        save_obj(polytope_to_obj(made), args.output)
-        kind, n = "polytope", len(made.vertex_ids)
+        kind, obj = "polytope", polytope_to_obj(made)
     else:
-        save_obj(framework_to_obj(made), args.output)
-        kind, n = "framework", len(made.vertex_ids)
-    print(f"{kind} with {n} vertices written to {args.output}")
+        kind, obj = "framework", framework_to_obj(made)
+    save_obj(obj, args.output)
+    print(f"{kind} with {len(made.vertex_ids)} vertices written to {args.output}")
     return OK
 
 
 def cmd_report(args) -> int:
-    if args.topic != "paper":
-        print(f"error: unknown report topic {args.topic!r}", file=sys.stderr)
-        return FAILURE
     from .report import run_all
 
     if args.json:
@@ -306,81 +259,85 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="defocone",
         description="Minkowski decomposability and deformation cones, exactly.",
+        allow_abbrev=False,
     )
-    sub = ap.add_subparsers(dest="command")
+    sub = ap.add_subparsers()
 
-    p = sub.add_parser("analyze", help="deformation-cone analysis of a file")
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("analyze", cmd_analyze, "deformation-cone analysis of a file")
     p.add_argument("file")
     p.add_argument("--rays", action="store_true")
     p.add_argument("--deps", action="store_true")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("oracle", help="ground-truth decomposability only")
+    p = command("oracle", cmd_oracle, "ground-truth decomposability only")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser(
-        "matroid-test",
-        help="two-value coordinate test (gated on the oracle)",
-    )
-    p.add_argument("file")
+    command("matroid-test", cmd_matroid_test, "two-value coordinate test (gated on the oracle)").add_argument("file")
 
-    p = sub.add_parser("certify", help="run the deduction engine, write a certificate")
+    p = command("certify", cmd_certify, "run the deduction engine, write a certificate")
     p.add_argument("file")
     p.add_argument("--flats", choices=["facets"], default=None)
     p.add_argument("-o", "--output")
 
-    p = sub.add_parser("verify", help="replay a certificate")
+    p = command("verify", cmd_verify, "replay a certificate")
     p.add_argument("file")
     p.add_argument("certificate")
 
-    p = sub.add_parser("construct", help="emit a family member as a file")
-    p.add_argument(
-        "family",
-        choices=[
-            "zonotope",
-            "bipartite-trunc",
-            "wedge",
-            "matroid",
-            "product",
-            "hyperorder",
-            "stack",
-            "truncate",
-            "corpus",
-        ],
-    )
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--complete", type=int)
-    p.add_argument("--bipartite", type=int, nargs=2, metavar=("N", "M"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
+    # One sub-parser per family, declaring only the options its builder reads.
+    construct = command("construct", cmd_construct, "emit a family member as a file")
+    families = construct.add_subparsers(dest="family", required=True)
+
+    def family(name, build):
+        p = families.add_parser(name, allow_abbrev=False)
+        p.set_defaults(build=build)
+        p.add_argument("-o", "--output", required=True)
+        return p
+
+    g = family("zonotope", _zonotope).add_mutually_exclusive_group()
+    g.add_argument("--complete", type=int, default=3)
+    g.add_argument("--bipartite", type=int, nargs=2, metavar=("N", "M"))
+
+    p = family("bipartite-trunc", lambda a: bipartite_truncation(a.n, a.m, a.kind).polytope)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
     p.add_argument("--kind", choices=["P", "Q"], default="P")
+
+    p = family("wedge", lambda a: permutahedral_wedge(_load_polytope(a.input), a.coord, a.side))
+    p.add_argument("--input", required=True)
     p.add_argument("--coord", type=int, default=1)
     p.add_argument("--side", choices=["min", "max"], default="min")
-    p.add_argument("--input")
-    p.add_argument("--inputs", nargs=2)
-    p.add_argument("--uniform", type=int, nargs=2, metavar=("K", "N"))
-    p.add_argument("--graphic-complete", type=int)
-    p.add_argument("--facets", type=int, nargs="+", default=[0])
-    p.add_argument("--vertices")
-    p.add_argument("--name")
 
-    p = sub.add_parser("report", help="reproduction table")
-    p.add_argument("topic")
+    g = family("matroid", _matroid).add_mutually_exclusive_group(required=True)
+    g.add_argument("--uniform", type=int, nargs=2, metavar=("K", "N"))
+    g.add_argument("--graphic-complete", type=int)
+
+    p = family("product", lambda a: product_polytope(*map(_load_polytope, a.inputs)))
+    p.add_argument("--inputs", nargs=2, required=True)
+
+    p = family("hyperorder", lambda a: hyperorder_polytope(a.n, a.k))
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+
+    p = family("stack", _stack)
+    p.add_argument("--input", required=True)
+    p.add_argument("--facets", type=int, nargs="+", default=[0])
+
+    p = family("truncate", lambda a: deep_truncate(_load_polytope(a.input), a.vertices.split(",")))
+    p.add_argument("--input", required=True)
+    p.add_argument("--vertices", required=True)
+
+    family("corpus", _corpus).add_argument("--name", required=True)
+
+    p = command("report", cmd_report, "reproduction table")
+    p.add_argument("topic", choices=["paper"])
     p.add_argument("--json", action="store_true")
     return ap
-
-
-COMMANDS = {
-    "analyze": cmd_analyze,
-    "oracle": cmd_oracle,
-    "matroid-test": cmd_matroid_test,
-    "certify": cmd_certify,
-    "verify": cmd_verify,
-    "construct": cmd_construct,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -390,11 +347,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; reserve 2 for guards
         return FAILURE if exc.code else OK
-    if args.command is None:
+    if not hasattr(args, "run"):
         ap.print_help()
         return FAILURE
     try:
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return GUARD

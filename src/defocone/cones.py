@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .ddcore import canonical_ray, dd_rays
 from .errors import InputError, ResourceLimitError
@@ -128,8 +129,7 @@ def is_implicit_edge(fw: Framework, u: str, v: str) -> bool:
     if not any({u, v} <= set(c) for c in components(fw)):
         return False
     base = vec_sub(fw.point(v), fw.point(u))
-    for r in enumerate_rays(deformation_space(fw)).rays:
-        pos = realize(fw, r)
+    for pos in _placed_rays(fw):
         moved = vec_sub(pos[v], pos[u])
         if is_zero_vec(base):
             if not is_zero_vec(moved):
@@ -137,6 +137,13 @@ def is_implicit_edge(fw: Framework, u: str, v: str) -> bool:
         elif not parallel(base, moved) or vec_dot(base, moved) < 0:
             return False
     return True
+
+
+@lru_cache(maxsize=1)
+def _placed_rays(fw: Framework) -> tuple[dict, ...]:
+    """The placement `realize` gives each ray of the cone; the last
+    framework's is kept, so the pairs of one `closure` share one enumeration."""
+    return tuple(realize(fw, r) for r in enumerate_rays(deformation_space(fw)).rays)
 
 
 def closure(fw: Framework) -> Framework:

@@ -72,9 +72,17 @@ def graph(nodes, arcs) -> SimpleGraph:
     return SimpleGraph(ns, es)
 
 
+def _check_forest(forest: int):
+    """A graph with a spanning forest of `forest` arcs has at least 2^forest
+    acyclic orientations: the forest, oriented freely, always extends."""
+    if forest >= MAX_ORIENTATIONS.bit_length():  # 2^forest > MAX_ORIENTATIONS
+        raise ResourceLimitError("too many acyclic orientations")
+
+
 def complete_graph(n: int) -> SimpleGraph:
     if n < 1:
         raise InputError("a complete graph needs at least one node")
+    _check_forest(n - 1)
     ns = [f"n{i}" for i in range(1, n + 1)]
     return graph(ns, itertools.combinations(ns, 2))
 
@@ -82,6 +90,7 @@ def complete_graph(n: int) -> SimpleGraph:
 def complete_bipartite(n: int, m: int) -> SimpleGraph:
     if n < 1 or m < 1:
         raise InputError("each side of a complete bipartite graph needs a node")
+    _check_forest(n + m - 1)
     left = [f"a{i}" for i in range(1, n + 1)]
     right = [f"b{j}" for j in range(1, m + 1)]
     return graph(left + right, itertools.product(left, right))
@@ -109,14 +118,8 @@ def acyclic_orientations(g: SimpleGraph) -> list[tuple[bool, ...]]:
     """All acyclic orientations, as direction bits aligned with g.arcs
     (True orients the arc from its smaller to its larger endpoint).
     Backtracking with incremental cycle pruning; lexicographic order.
-
-    A spanning forest oriented freely always extends acyclically, so there
-    are at least 2^(V - #components) orientations; when that bound alone
-    exceeds the guard, the graph is refused before the search, which
-    recurses once per arc."""
-    forest = len(g.nodes) - len(graphs.components(g.nodes, graphs.adjacency(g.nodes, g.arcs)))
-    if 2**forest > MAX_ORIENTATIONS:
-        raise ResourceLimitError("too many acyclic orientations")
+    The search recurses once per arc, so the forest's bound is checked first."""
+    _check_forest(len(g.nodes) - len(graphs.components(g.nodes, graphs.adjacency(g.nodes, g.arcs))))
     result: list[tuple[bool, ...]] = []
     darcs: list[tuple[str, str]] = []
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defocone import cones
 from defocone.cones import (
     block_rays,
     characteristic_vector,
@@ -20,6 +21,7 @@ from defocone.cones import (
     product_framework,
 )
 from defocone.corpus import corpus
+from defocone.ddcore import dd_rays
 from defocone.errors import ResourceLimitError
 from defocone.exact import is_zero_vec, parallel, vec_sub
 from defocone.framework import (
@@ -261,6 +263,29 @@ def _agrees_with_lp(fw):
 
 def test_implicit_edge_matches_lp_oracle_on_corpus(cp):
     assert sum(_agrees_with_lp(entry.framework) for entry in cp.values()) == 604
+
+
+def test_closure_is_the_set_of_implicit_pairs(cp):
+    for entry in cp.values():
+        fw = entry.framework
+        pairs = itertools.combinations(fw.vertex_ids, 2)
+        implicit = {edge_key(u, v) for u, v in pairs if is_implicit_edge(fw, u, v)}
+        assert closure(fw).edges == tuple(sorted(set(fw.edges) | implicit))
+
+
+def test_closure_enumerates_the_rays_at_most_once(cp, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return dd_rays(*args)
+
+    monkeypatch.setattr(cones, "dd_rays", counting)
+    for name, runs in (("p_2_2", 1), ("kallay_skew", 1), ("triangle", 0), ("two_disjoint_triangles", 0)):
+        calls.clear()
+        cones._placed_rays.cache_clear()
+        closure(cp[name].framework)
+        assert len(calls) == runs, name
 
 
 def test_implicit_edge_on_a_bare_collinear_framework():

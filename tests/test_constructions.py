@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from defocone import graphs
+from defocone import constructions, graphs
 from defocone.constructions import (
     MatroidBases,
     SimpleGraph,
@@ -55,6 +55,31 @@ def test_acyclic_orientation_counts():
     c4 = graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
     assert len(acyclic_orientations(c4)) == 14
     assert len(acyclic_orientations(complete_bipartite(2, 2))) == 14
+
+
+def _no_graph(*args):
+    raise AssertionError("a graph was built")
+
+
+@pytest.mark.parametrize("family, sizes", [
+    (complete_graph, (14,)),
+    (complete_graph, (3000,)),
+    (complete_bipartite, (7, 7)),
+    (complete_bipartite, (1, 2999)),
+], ids=["K14", "K3000", "K7,7", "K1,2999"])
+def test_oversized_graph_families_are_refused_before_any_arc(monkeypatch, family, sizes):
+    """A connected graph on V nodes has at least 2^(V - 1) acyclic
+    orientations, so past MAX_ORIENTATIONS = 5000 (V >= 14) the family is
+    refused before `graph` lists an arc."""
+    monkeypatch.setattr(constructions, "graph", _no_graph)
+    with pytest.raises(ResourceLimitError, match="too many acyclic orientations"):
+        family(*sizes)
+
+
+def test_graph_families_at_the_orientation_bound():
+    # 13 nodes: 2^12 = 4096 <= 5000, so the families are still built
+    assert len(complete_graph(13).arcs) == 78
+    assert len(complete_bipartite(6, 7).arcs) == 42
 
 
 def test_graphical_zonotopes():

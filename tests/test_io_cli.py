@@ -1,5 +1,6 @@
 """File formats and the command-line interface."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import defocone
 
-from defocone.cli import main
+from defocone.cli import build_parser, main
 from defocone.corpus import corpus
 from defocone.deduction import PROJECTION_LIFT, Step, saturate
 from defocone.errors import InputError
@@ -252,6 +253,11 @@ BAD_INVOCATIONS = {
     "framework file with a repeated id": ["analyze", "{repeated_framework}"],
     "product labels that collide": ["construct", "product", "--inputs", "{seg_a}", "{seg_b}", "-o", "{out}"],
     "seedless is not an option": ["construct", "corpus", "--name", "cube", "--seedless", "-o", "{out}"],
+    # each family takes only the options its builder reads, unabbreviated
+    "corpus with a size": ["construct", "corpus", "--name", "cube", "--n", "3", "-o", "{out}"],
+    "corpus with a wedge option": ["construct", "corpus", "--name", "cube", "--coord", "2", "-o", "{out}"],
+    "zonotope of two graphs": ["construct", "zonotope", "--complete", "4", "--bipartite", "2", "2", "-o", "{out}"],
+    "matroid of two kinds": ["construct", "matroid", "--uniform", "2", "4", "--graphic-complete", "4", "-o", "{out}"],
 }
 
 # The error line of the invocations that must name their fault exactly.
@@ -260,6 +266,8 @@ BAD_INVOCATION_LINES = {
     "framework file with a repeated id": "error: duplicate vertex label\n",
     "product labels that collide": "error: duplicate vertex label\n",
     "seedless is not an option": "error: unrecognized arguments: --seedless\n",
+    "corpus with a size": "error: unrecognized arguments: --n 3\n",
+    "corpus with a wedge option": "error: unrecognized arguments: --coord 2\n",
 }
 
 # Inputs refused by a resource guard, which exits 2.
@@ -275,6 +283,9 @@ GUARDED_INVOCATIONS = {
     "graphic matroid of K300": ["construct", "matroid", "--graphic-complete", "300", "-o", "{out}"],
     "uniform matroid of rank 0 on 100000 elements": ["construct", "matroid", "--uniform", "0", "100000", "-o", "{out}"],
     "uniform matroid of rank 1 on 100000 elements": ["construct", "matroid", "--uniform", "1", "100000", "-o", "{out}"],
+    # a graph on 14 or more nodes is refused before its arcs are listed
+    "complete graph on 3000 nodes": ["construct", "zonotope", "--complete", "3000", "-o", "{out}"],
+    "graphic matroid of K3000": ["construct", "matroid", "--graphic-complete", "3000", "-o", "{out}"],
 }
 
 
@@ -313,12 +324,100 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
     assert out.returncode == code
     assert "Traceback" not in out.stderr
     err = out.stderr
-    if err.startswith("usage: "):  # argparse: its usage lines, then "defocone: error: ..."
-        err = err.splitlines()[-1].removeprefix("defocone: ") + "\n"
+    if err.startswith("usage: "):  # argparse: its usage lines, then "<prog>: error: ..."
+        prog, _, err = err.splitlines()[-1].partition(": ")
+        assert prog.startswith("defocone")
+        err += "\n"
     assert err.startswith(line)
     if name in BAD_INVOCATION_LINES:
         assert err == BAD_INVOCATION_LINES[name]
     assert not (tmp_path / "out.json").exists()
+
+
+# The places that need a polytope, each given a framework file.
+POLYTOPE_SITES = {
+    "wedge": ["construct", "wedge", "--input", "{fw}", "-o", "{out}"],
+    "product": ["construct", "product", "--inputs", "{cube}", "{fw}", "-o", "{out}"],
+    "stack": ["construct", "stack", "--input", "{fw}", "-o", "{out}"],
+    "truncate": ["construct", "truncate", "--input", "{fw}", "--vertices", "a", "-o", "{out}"],
+    "matroid-test": ["matroid-test", "{fw}"],
+    "certify with facet flats": ["certify", "{fw}", "--flats", "facets", "-o", "{out}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPE_SITES))
+def test_cli_refuses_a_framework_where_a_polytope_is_needed(tmp_path, cp, capsys, name):
+    fw = tmp_path / "tri.json"
+    fw.write_text(json.dumps(framework_to_obj(cp["triangle"].framework)))
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps(polytope_to_obj(cp["cube"].polytope)))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run_cli(*[a.format(fw=fw, cube=cube, out=out) for a in POLYTOPE_SITES[name]]) == 1
+    assert capsys.readouterr() == ("", f"error: {fw} holds a framework; a polytope input is needed\n")
+    assert not out.exists()
+
+
+# The options each family's sub-parser declares, besides -o/--output.
+FAMILY_OPTIONS = {
+    "zonotope": {"complete", "bipartite"},
+    "bipartite-trunc": {"n", "m", "kind"},
+    "wedge": {"input", "coord", "side"},
+    "matroid": {"uniform", "graphic_complete"},
+    "product": {"inputs"},
+    "hyperorder": {"n", "k"},
+    "stack": {"input", "facets"},
+    "truncate": {"input", "vertices"},
+    "corpus": {"name"},
+}
+
+# Invocations that between them take every branch of every builder.
+FAMILY_RUNS = [
+    ["zonotope"],
+    ["zonotope", "--bipartite", "1", "2"],
+    ["bipartite-trunc", "--n", "2", "--m", "1"],
+    ["wedge", "--input", "{square}"],
+    ["matroid", "--uniform", "2", "3"],
+    ["matroid", "--graphic-complete", "3"],
+    ["product", "--inputs", "{square}", "{square}"],
+    ["hyperorder", "--n", "3", "--k", "1"],
+    ["stack", "--input", "{square}"],
+    ["truncate", "--input", "{square}", "--vertices", "{vertex}"],
+    ["corpus", "--name", "triangle"],
+]
+
+
+class ReadLog(argparse.Namespace):
+    """A namespace that records the name of each attribute read from it."""
+
+    def __init__(self, values: dict):
+        super().__init__(**values)
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _subcommands(parser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_family_reads_every_option_it_declares(tmp_path, cp):
+    families = _subcommands(_subcommands(build_parser())["construct"])
+    declared = {name: {a.dest for a in p._actions} - {"help", "output"} for name, p in families.items()}
+    assert declared == FAMILY_OPTIONS
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps(polytope_to_obj(cp["square"].polytope)))
+    paths = {"square": square, "vertex": cp["square"].polytope.vertex_ids[0]}
+    read = {name: set() for name in families}
+    for run in FAMILY_RUNS:
+        args = build_parser().parse_args(["construct", *(a.format(**paths) for a in run), "-o", "unused"])
+        log = ReadLog(vars(args))
+        args.build(log)
+        read[run[0]] |= log._read
+    assert read == FAMILY_OPTIONS
 
 
 def test_cli_exit_codes(tmp_path, capsys):

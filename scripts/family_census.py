@@ -11,17 +11,17 @@ family behaves as n + m grows.  A member past a resource guard gets a
 import argparse
 import time
 
-from defocone.constructions import bipartite_truncation, truncation_f_vector
+from defocone.constructions import bipartite_truncation
 from defocone.corpus import facet_flats
 from defocone.deduction import conclude_indecomposable, saturate
 from defocone.errors import ResourceLimitError
 from defocone.framework import dc_dimension
-from defocone.polytope import is_deformed_permutahedron, matroid_coordinate_test
+from defocone.polytope import f_vector, is_deformed_permutahedron, matroid_coordinate_test
 
 
 def _member_row(n: int, m: int, kind: str) -> str:
     tr = bipartite_truncation(n, m, kind)
-    f = truncation_f_vector(n, m, kind)
+    f = f_vector(tr.polytope)
     if len(tr.polytope.vertex_ids) > 1:
         dp = is_deformed_permutahedron(tr.polytope)[0]
         coord = matroid_coordinate_test(tr.polytope)

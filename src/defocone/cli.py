@@ -30,7 +30,7 @@ from .constructions import (
 )
 from .corpus import corpus, facet_flats
 from .deduction import DeductionState, conclude_indecomposable, saturate
-from .errors import ContractError, InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .exact import rat_str
 from .framework import (
     Framework,
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return GUARD
-    except (InputError, ContractError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
 

@@ -17,21 +17,19 @@ from fractions import Fraction
 
 from . import graphs
 from .cones import product_points
-from .errors import ContractError, InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .deduction import flat_direction
 from .exact import Vec, affine_rank, in_span, nullspace, parallel, vec_dot, vec_sub
 from .framework import (
     Framework,
     edge_key,
     framework,
-    is_indecomposable,
     labelled_points,
 )
 from .polytope import (
     MAX_DIM,
     PolytopeV,
     edges,
-    f_vector,
     faces,
     facets,
     hull_dim,
@@ -72,17 +70,24 @@ def graph(nodes, arcs) -> SimpleGraph:
     return SimpleGraph(ns, es)
 
 
-def _check_forest(forest: int):
-    """A graph with a spanning forest of `forest` arcs has at least 2^forest
-    acyclic orientations: the forest, oriented freely, always extends."""
-    if forest >= MAX_ORIENTATIONS.bit_length():  # 2^forest > MAX_ORIENTATIONS
-        raise ResourceLimitError("too many acyclic orientations")
+def _check_orientations(factors):
+    """Refuse once the product of the factors exceeds MAX_ORIENTATIONS.
+    Add the nodes one by one; a node with b earlier neighbours extends each
+    acyclic orientation of the earlier ones in at least b + 1 ways (put it
+    into any gap between those neighbours in a linear extension), so the
+    factors b + 1 multiply to a lower bound on the acyclic orientations."""
+    bound = 1
+    for f in factors:
+        bound *= f
+        if bound > MAX_ORIENTATIONS:
+            raise ResourceLimitError("too many acyclic orientations")
 
 
 def complete_graph(n: int) -> SimpleGraph:
     if n < 1:
         raise InputError("a complete graph needs at least one node")
-    _check_forest(n - 1)
+    # every node but the first has an earlier neighbour, a factor of 2 at least
+    _check_orientations(itertools.repeat(2, n - 1))
     ns = [f"n{i}" for i in range(1, n + 1)]
     return graph(ns, itertools.combinations(ns, 2))
 
@@ -90,52 +95,36 @@ def complete_graph(n: int) -> SimpleGraph:
 def complete_bipartite(n: int, m: int) -> SimpleGraph:
     if n < 1 or m < 1:
         raise InputError("each side of a complete bipartite graph needs a node")
-    _check_forest(n + m - 1)
+    _check_orientations(itertools.repeat(2, n + m - 1))
     left = [f"a{i}" for i in range(1, n + 1)]
     right = [f"b{j}" for j in range(1, m + 1)]
     return graph(left + right, itertools.product(left, right))
 
 
-def _has_directed_cycle(nodes, darcs) -> bool:
-    out: dict[str, list[str]] = {n: [] for n in nodes}
-    indeg = {n: 0 for n in nodes}
-    for u, v in darcs:
-        out[u].append(v)
-        indeg[v] += 1
-    queue = [n for n in nodes if indeg[n] == 0]
-    seen = 0
-    while queue:
-        x = queue.pop()
-        seen += 1
-        for y in out[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
-    return seen != len(nodes)
-
-
 def acyclic_orientations(g: SimpleGraph) -> list[tuple[bool, ...]]:
     """All acyclic orientations, as direction bits aligned with g.arcs
     (True orients the arc from its smaller to its larger endpoint).
-    Backtracking with incremental cycle pruning; lexicographic order.
-    The search recurses once per arc, so the forest's bound is checked first."""
-    _check_forest(len(g.nodes) - len(graphs.components(g.nodes, graphs.adjacency(g.nodes, g.arcs))))
+    Backtracking over the arcs; an arc a -> b is kept unless b already
+    reaches a.  Lexicographic order.  The bound over the breadth-first
+    order, where only roots lack an earlier neighbour, is checked first."""
+    adj = graphs.adjacency(g.nodes, g.arcs)
+    order = {x: i for i, x in enumerate(graphs.bfs_parents(adj, g.nodes))}
+    _check_orientations(1 + sum(order[y] < order[x] for y in adj[x]) for x in order)
     result: list[tuple[bool, ...]] = []
-    darcs: list[tuple[str, str]] = []
+    succ: dict[str, list[str]] = {x: [] for x in g.nodes}
 
     def extend(i: int):
         if len(result) > MAX_ORIENTATIONS:
             raise ResourceLimitError("too many acyclic orientations")
         if i == len(g.arcs):
-            result.append(tuple(d[0] == a[0] for d, a in zip(darcs, g.arcs)))
+            result.append(tuple(v in succ[u] for u, v in g.arcs))
             return
         u, v = g.arcs[i]
-        for head in (False, True):
-            darc = (u, v) if head else (v, u)
-            darcs.append(darc)
-            if not _has_directed_cycle(g.nodes, darcs):
+        for a, b in ((v, u), (u, v)):
+            if a not in graphs.bfs_parents(succ, [b]):
+                succ[a].append(b)
                 extend(i + 1)
-            darcs.pop()
+                succ[a].pop()
 
     extend(0)
     return sorted(result)
@@ -233,11 +222,6 @@ def bipartite_zonotope_facet_count(n: int, m: int) -> int:
     return count
 
 
-def truncation_f_vector(n: int, m: int, kind: str) -> tuple[int, ...]:
-    """f-vector of the truncated bipartite zonotope, read off its facets."""
-    return f_vector(bipartite_truncation(n, m, kind).polytope)
-
-
 # ---------------------------------------------------------------------------
 # plain zonotopes with generator bookkeeping
 
@@ -302,7 +286,7 @@ def _cut_functional(p: PolytopeV, x: str, neighbor_ids):
     h = hull_dim(p)
     pts = [p.point(v) for v in neighbor_ids]
     if affine_rank(pts) != h - 1:
-        raise ContractError(f"no deep truncation at {x!r}: neighbors are not on a hyperplane")
+        raise InputError(f"no deep truncation at {x!r}: neighbors are not on a hyperplane")
     _, _, ys = hull_frame(p)
     yofs = dict(zip(p.vertex_ids, ys))
     rows = [vec_sub(yofs[v], yofs[neighbor_ids[0]]) for v in neighbor_ids[1:]]
@@ -314,12 +298,12 @@ def _cut_functional(p: PolytopeV, x: str, neighbor_ids):
         a = tuple(-t for t in a)
         c = -c
     if vec_dot(a, yofs[x]) == c:
-        raise ContractError(f"no deep truncation at {x!r}: vertex lies on the neighbor hyperplane")
+        raise InputError(f"no deep truncation at {x!r}: vertex lies on the neighbor hyperplane")
     for v in p.vertex_ids:
         if v == x or v in neighbor_ids:
             continue
         if vec_dot(a, yofs[v]) > c:
-            raise ContractError(
+            raise InputError(
                 f"no deep truncation at {x!r}: vertex {v!r} lies past the neighbor hyperplane"
             )
     return a, c
@@ -334,7 +318,7 @@ def deep_truncate(p: PolytopeV, labels) -> PolytopeV:
     es = edges(p)
     adj = graphs.adjacency(p.vertex_ids, es)
     if any(edge_key(a, b) in es for a, b in itertools.combinations(labels, 2)):
-        raise ContractError("truncated vertices must be pairwise non-adjacent")
+        raise InputError("truncated vertices must be pairwise non-adjacent")
     for x in labels:
         _cut_functional(p, x, sorted(adj[x]))
     keep = [v for v in p.vertex_ids if v not in labels]
@@ -488,10 +472,6 @@ class MatroidPolytope:
     framework: Framework
     components: tuple[frozenset[str], ...]
 
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
-
 
 def matroid_polytope(mb: MatroidBases) -> MatroidPolytope:
     """Indicator-vector polytope; skeleton links bases with a two-element
@@ -527,6 +507,8 @@ def hyperorder_polytope(n: int, k: int) -> PolytopeV:
     """Slice of the weakly-increasing order simplex at coordinate sum k."""
     if not 1 <= k <= n:
         raise InputError("need 1 <= k <= n")
+    if n > MAX_DIM:  # the points lie in R^n; refuse before listing them
+        raise ResourceLimitError(f"hyperorder guard: dimension {n} exceeds {MAX_DIM}")
     pts = {}
     seen = set()
 
@@ -544,29 +526,6 @@ def hyperorder_polytope(n: int, k: int) -> PolytopeV:
                 continue
             add((Fraction(0),) * (n - j - i) + (val,) * i + (Fraction(1),) * j)
     return polytope(pts)
-
-
-@dataclass
-class VertexCountReport:
-    """Data for the vertices-versus-facets decomposability conjecture in
-    dimension 4: an indecomposable member with V >= 2F - 4 refutes it."""
-
-    n_vertices: int
-    n_facets: int
-    satisfies_bound: bool
-    indecomposable: bool
-    is_counterexample: bool
-
-
-def smilansky_check(n: int, m: int, kind: str = "P") -> VertexCountReport:
-    tr = bipartite_truncation(n, m, kind)
-    f = truncation_f_vector(n, m, kind)
-    if len(f) != 4:
-        raise InputError("the conjecture check is for 4-dimensional members")
-    v_count, f_count = f[0], f[-1]
-    bound = v_count >= 2 * f_count - 4
-    indec = is_indecomposable(tr.framework)
-    return VertexCountReport(v_count, f_count, bound, indec, bound and indec)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,5 @@ class InputError(ValueError):
     """Malformed or inconsistent caller input."""
 
 
-class ContractError(ValueError):
-    """A documented precondition was violated by the caller."""
-
-
 class ResourceLimitError(RuntimeError):
     """A desk-scale guard was exceeded; raise rather than grind."""

@@ -51,9 +51,7 @@ from .constructions import (
     minkowski_sum_labeled,
     parallelogramic_position,
     permutahedral_wedge,
-    smilansky_check,
     stack_vertex,
-    truncation_f_vector,
     uniform_matroid,
     zonotope,
 )
@@ -61,7 +59,6 @@ from .corpus import corpus, facet_flats, minkowski_summands
 from .deduction import (
     Step,
     conclude_indecomposable,
-    dim_upper_bound,
     saturate,
     verify_certificate,
 )
@@ -80,6 +77,7 @@ from .framework import (
 )
 from .polytope import (
     edges,
+    f_vector,
     facets,
     framework_of,
     is_deformed_permutahedron,
@@ -129,8 +127,6 @@ def _row_oracle(name, field, stated, proven):
             got = is_indecomposable(e.framework)
         elif field == "dc":
             got = dc_dimension(e.framework)
-        elif field == "blocks":
-            got = len(dependency_partition(e.framework))
         elif field == "dependent_pairs":
             got = sum(1 for b in dependency_partition(e.framework) if len(b) == 2)
         ok, detail = _check(expect, got, f"{name} {field}")
@@ -208,12 +204,12 @@ def crit_3_f_vectors(cp):
     details = []
     ok = True
     for (n, m), want in expected.items():
-        got = truncation_f_vector(n, m, "P")
+        tr = bipartite_truncation(n, m, "P")
+        got = f_vector(tr.polytope)
         if got != want:
             ok = False
             details.append(f"P_{n},{m}: expected {want}, got {got}")
             continue
-        tr = bipartite_truncation(n, m, "P")
         n_edges = len(edges(tr.polytope))
         n_facets = len(facets(tr.polytope))
         if n_edges != want[1] or n_facets != want[-1]:
@@ -225,22 +221,17 @@ def crit_3_f_vectors(cp):
 
 
 def crit_4_smilansky(cp):
+    # an indecomposable 4-polytope with V >= 2F - 4 refutes the conjecture
     details = []
     ok = True
     for n, m, v_want, f_want in ((1, 4, 15, 9), (2, 3, 45, 23)):
-        rep = smilansky_check(n, m, "P")
-        good = (
-            rep.n_vertices == v_want
-            and rep.n_facets == f_want
-            and rep.satisfies_bound
-            and rep.indecomposable
-            and rep.is_counterexample
-        )
-        ok = ok and good
-        details.append(
-            f"P_{n},{m}: V={rep.n_vertices} F={rep.n_facets} "
-            f"bound={rep.satisfies_bound} indec={rep.indecomposable}"
-        )
+        tr = bipartite_truncation(n, m, "P")
+        f = f_vector(tr.polytope)
+        v_count, f_count = f[0], f[-1]
+        bound = v_count >= 2 * f_count - 4
+        indec = is_indecomposable(tr.framework)
+        ok = ok and len(f) == 4 and (v_count, f_count) == (v_want, f_want) and bound and indec
+        details.append(f"P_{n},{m}: V={v_count} F={f_count} bound={bound} indec={indec}")
     return ok, "; ".join(details)
 
 
@@ -323,7 +314,7 @@ def crit_7_matroids(cp):
         mp = matroid_polytope(mb)
         indec = is_indecomposable(mp.framework)
         dp = is_deformed_permutahedron(mp.polytope)[0]
-        good = indec == want_indec and dp and mp.component_count == 1
+        good = indec == want_indec and dp and len(mp.components) == 1
         ok = ok and good
         details.append(f"{label}: indec={indec} direction_check={dp}")
     u12 = uniform_matroid(1, 2)
@@ -331,7 +322,7 @@ def crit_7_matroids(cp):
         mp = matroid_polytope(matroid_direct_sum(*([u12] * r)))
         dc = dc_dimension(mp.framework)
         dp = is_deformed_permutahedron(mp.polytope)[0]
-        good = dc == r and mp.component_count == r and dp
+        good = dc == r and len(mp.components) == r and dp
         ok = ok and good
         details.append(f"U12^{r}: dc={dc}")
     return ok, "; ".join(details)
@@ -592,7 +583,7 @@ def crit_11_properties(cp):
         ok = ok and good
         details.append(f"{name}: invariants={'ok' if good else 'FAIL'}")
     for n, m in ((3, 1), (2, 2), (1, 4), (2, 3)):
-        f = truncation_f_vector(n, m, "P")
+        f = f_vector(bipartite_truncation(n, m, "P").polytope)
         euler = sum((-1) ** i * c for i, c in enumerate(f))
         want = 1 - (-1) ** len(f)
         good = euler == want

@@ -1,6 +1,7 @@
 """Family generators: zonotopes, truncations, wedges, matroids, sums."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -27,9 +28,7 @@ from defocone.constructions import (
     parallelogramic_position,
     permutahedral_wedge,
     product_polytope,
-    smilansky_check,
     stack_vertex,
-    truncation_f_vector,
     uniform_matroid,
     verify_exchange,
     zonotope,
@@ -37,7 +36,7 @@ from defocone.constructions import (
 from defocone.cones import block_rays, factorization, is_implicit_edge
 from defocone.corpus import corpus
 from defocone.ddcore import canonical_ray
-from defocone.errors import ContractError, InputError, ResourceLimitError
+from defocone.errors import InputError, ResourceLimitError
 from defocone.exact import is_zero_vec, parallel, vec_sub
 from defocone.framework import (
     components,
@@ -82,6 +81,78 @@ def test_graph_families_at_the_orientation_bound():
     assert len(complete_bipartite(6, 7).arcs) == 42
 
 
+def _brute_force_orientations(g):
+    """The direction bits, in lexicographic order, of every one of the 2^E
+    orientations under which Kahn's algorithm removes every node."""
+    out = []
+    for bits in itertools.product((False, True), repeat=len(g.arcs)):
+        succ = {x: [] for x in g.nodes}
+        indeg = Counter()
+        for (u, v), forward in zip(g.arcs, bits):
+            a, b = (u, v) if forward else (v, u)
+            succ[a].append(b)
+            indeg[b] += 1
+        ready = [x for x in g.nodes if indeg[x] == 0]
+        for x in ready:
+            for y in succ[x]:
+                indeg[y] -= 1
+                if indeg[y] == 0:
+                    ready.append(y)
+        if len(ready) == len(g.nodes):
+            out.append(bits)
+    return out
+
+
+ORIENTATION_GRAPHS = {
+    **{f"K{n}": complete_graph(n) for n in range(1, 7)},
+    **{f"K{n},{m}": complete_bipartite(n, m) for n in range(1, 4) for m in range(1, 6)},
+    "C4": graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]),
+}
+
+
+@pytest.mark.parametrize("name", ORIENTATION_GRAPHS)
+def test_acyclic_orientations_match_brute_force_within_the_bound(monkeypatch, name):
+    """The search lists exactly the acyclic orientations, and its bound is at
+    most their number: with the limit set to that number, it still runs."""
+    g = ORIENTATION_GRAPHS[name]
+    want = _brute_force_orientations(g)
+    monkeypatch.setattr(constructions, "MAX_ORIENTATIONS", len(want))
+    assert acyclic_orientations(g) == want
+
+
+def _count_searches(monkeypatch) -> list:
+    calls = []
+    search = graphs.bfs_parents
+
+    def counted(adj, roots):
+        calls.append(tuple(roots))
+        return search(adj, roots)
+
+    monkeypatch.setattr(graphs, "bfs_parents", counted)
+    return calls
+
+
+@pytest.mark.parametrize("g", [complete_graph(7), complete_graph(13), complete_bipartite(6, 7)],
+                         ids=["K7", "K13", "K6,7"])
+def test_orientation_bound_refuses_before_the_search(monkeypatch, g):
+    """7! = 5040 and 2^7 * 8^5 exceed 5000: the one breadth-first search
+    that orders the nodes runs, and no reachability test after it."""
+    calls = _count_searches(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="too many acyclic orientations"):
+        acyclic_orientations(g)
+    assert calls == [g.nodes]
+
+
+def test_orientation_bound_is_n_factorial_on_complete_graphs(monkeypatch):
+    for n in range(1, 7):
+        g = ORIENTATION_GRAPHS[f"K{n}"]
+        monkeypatch.setattr(constructions, "MAX_ORIENTATIONS", math.factorial(n) - 1)
+        calls = _count_searches(monkeypatch)
+        with pytest.raises(ResourceLimitError):
+            acyclic_orientations(g)
+        assert calls == [g.nodes], n
+
+
 def test_graphical_zonotopes():
     star = graphical_zonotope(complete_bipartite(1, 3))
     assert len(star.polytope.vertex_ids) == 8  # a 3-cube
@@ -108,16 +179,20 @@ def test_bipartite_truncations():
         bipartite_truncation(1, 2, "Q")  # needs n*m > 2
 
 
+def _truncation_f_vector(n, m, kind):
+    return f_vector(bipartite_truncation(n, m, kind).polytope)
+
+
 def test_truncation_f_vectors():
-    assert truncation_f_vector(3, 1, "P") == (7, 12, 7)
-    assert truncation_f_vector(2, 2, "P") == (13, 24, 13)
-    assert truncation_f_vector(1, 4, "P") == (15, 34, 28, 9)
-    assert truncation_f_vector(2, 3, "P") == (45, 111, 89, 23)
+    assert _truncation_f_vector(3, 1, "P") == (7, 12, 7)
+    assert _truncation_f_vector(2, 2, "P") == (13, 24, 13)
+    assert _truncation_f_vector(1, 4, "P") == (15, 34, 28, 9)
+    assert _truncation_f_vector(2, 3, "P") == (45, 111, 89, 23)
 
 
 def test_euler_relation_on_f_vectors():
     for n, m, kind in ((3, 1, "P"), (2, 2, "P"), (1, 4, "P"), (2, 3, "P"), (2, 2, "Q")):
-        f = truncation_f_vector(n, m, kind)
+        f = _truncation_f_vector(n, m, kind)
         assert sum((-1) ** i * c for i, c in enumerate(f)) == 1 - (-1) ** len(f)
 
 
@@ -265,14 +340,6 @@ def test_corrected_facet_count_closed_form():
             assert closed == bipartite_zonotope_facet_count(n, m), (n, m)
 
 
-def test_smilansky_check():
-    rep = smilansky_check(1, 4, "P")
-    assert (rep.n_vertices, rep.n_facets) == (15, 9)
-    assert rep.satisfies_bound and rep.indecomposable and rep.is_counterexample
-    with pytest.raises(InputError):
-        smilansky_check(3, 1, "P")  # three-dimensional member
-
-
 def test_wedge_vertices_and_preservation():
     point = polytope({"p": (3,)})
     w = permutahedral_wedge(point, 1)
@@ -292,16 +359,16 @@ def test_wedge_vertices_and_preservation():
 def test_matroid_polytopes():
     u24 = matroid_polytope(uniform_matroid(2, 4))
     assert len(u24.polytope.vertex_ids) == 6  # octahedron
-    assert u24.component_count == 1
+    assert len(u24.components) == 1
     assert is_indecomposable(u24.framework)
     assert set(u24.framework.edges) == set(edges(u24.polytope))
     two_segments = matroid_polytope(matroid_direct_sum(uniform_matroid(1, 2), uniform_matroid(1, 2)))
     assert len(two_segments.polytope.vertex_ids) == 4  # a square
-    assert two_segments.component_count == 2
+    assert len(two_segments.components) == 2
     assert dc_dimension(two_segments.framework) == 2
     k4 = matroid_polytope(graphic_matroid(complete_graph(4)))
     assert len(k4.polytope.vertex_ids) == 16  # one vertex per spanning tree
-    assert k4.component_count == 1 and is_indecomposable(k4.framework)
+    assert len(k4.components) == 1 and is_indecomposable(k4.framework)
     with pytest.raises(InputError, match="connected graph"):
         graphic_matroid(graph("abcd", [("a", "b"), ("c", "d")]))  # no spanning tree
 
@@ -337,7 +404,7 @@ def test_loops_and_coloops_are_isolated_components():
     )
     mp = matroid_polytope(mb)
     assert frozenset({"x"}) in mp.components
-    assert mp.component_count == 2
+    assert len(mp.components) == 2
     assert dc_dimension(mp.framework) == 1  # the polytope is a segment
 
 
@@ -354,10 +421,10 @@ def test_deep_truncation():
     assert z.class_components([]) == 3
     # a vertex with one incident edge too long has non-coplanar neighbors
     lopsided = zonotope([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -2, 2)])
-    with pytest.raises(ContractError):
+    with pytest.raises(InputError):
         deep_truncate(lopsided.polytope, ["z0000"])
     z13 = graphical_zonotope(complete_bipartite(1, 3))
-    with pytest.raises(ContractError):
+    with pytest.raises(InputError):
         deep_truncate(z13.polytope, ["o111", "o110"])  # adjacent pair
 
 
@@ -402,6 +469,18 @@ def test_hyperorder():
     label = next(v for v in p42.vertex_ids if p42.point(v) == apex)
     incident = sum(1 for e in edges(p42) if label in e)
     assert incident == len(p42.vertex_ids) - 1
+
+
+def _no_fraction(*args):
+    raise AssertionError("a point was listed")
+
+
+@pytest.mark.parametrize("n, k", [(9, 9), (100000, 1)])
+def test_hyperorder_is_refused_above_the_dimension_guard(monkeypatch, n, k):
+    """The points lie in R^n, so n > MAX_DIM is refused before any is listed."""
+    monkeypatch.setattr(constructions, "Fraction", _no_fraction)
+    with pytest.raises(ResourceLimitError, match=f"dimension {n} exceeds 8"):
+        hyperorder_polytope(n, k)
 
 
 def test_products():
@@ -546,5 +625,5 @@ def test_mixed_matroid_direct_sums():
     }
     for label, parts in pieces.items():
         mp = matroid_polytope(matroid_direct_sum(*parts))
-        assert mp.component_count == len(parts), label
+        assert len(mp.components) == len(parts), label
         assert dc_dimension(mp.framework) == len(parts), label

@@ -268,6 +268,27 @@ def test_projection_lift_requires_parallel_paths(cp):
     assert not ok and "parallel" in reason
 
 
+def test_projection_lift_along_a_path():
+    """A trapezoid with a vertex on its long side: the two legs meet the
+    horizontal class at both ends, so projecting along it merges them over
+    a two-edge path, which the quadrilateral rule cannot find."""
+    fw = framework(
+        {"a0": (0, 0), "a1": (1, 0), "a2": (2, 0), "b0": (0, 1), "b1": (2, 1)},
+        [("a0", "a1"), ("a1", "a2"), ("b0", "b1"), ("a0", "b0"), ("a2", "b1")],
+    )
+    st = saturate(fw)
+    assert st.log == [Step(PROJECTION_LIFT, {
+        "kernel": [["1", "0"]],
+        "edge_a": ["a0", "b0"],
+        "edge_b": ["a2", "b1"],
+        "path_a": ["a0", "a1", "a2"],
+        "path_b": ["b0", "b1"],
+    })]
+    assert verify_certificate(fw, st.log) == (True, None, None)
+    assert frozenset({("a0", "b0"), ("a2", "b1")}) in dependency_partition(fw)
+    assert dc_dimension(fw) == 3
+
+
 def _rejected_steps(cp):
     """name -> (framework, step, words of the reason the kernel must give)."""
     collinear = framework(

@@ -286,6 +286,8 @@ GUARDED_INVOCATIONS = {
     # a graph on 14 or more nodes is refused before its arcs are listed
     "complete graph on 3000 nodes": ["construct", "zonotope", "--complete", "3000", "-o", "{out}"],
     "graphic matroid of K3000": ["construct", "matroid", "--graphic-complete", "3000", "-o", "{out}"],
+    # the points of a hyperorder polytope lie in R^n, refused above dimension 8
+    "hyperorder in dimension 100000": ["construct", "hyperorder", "--n", "100000", "--k", "1", "-o", "{out}"],
 }
 
 

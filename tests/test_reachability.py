@@ -1,7 +1,8 @@
 """Every top-level function and class of the package is reached by the
 program: the package itself, scripts/ or perfbench/; every field of its
-dataclasses is read there; and every defaulted parameter of its functions
-is passed by some call there.
+dataclasses is read there; every defaulted parameter of its functions
+is passed by some call there; and every name a package module imports is
+used in that module.
 
 A field counts as read when its name is loaded as an attribute or appears
 as a string constant anywhere in the program; a parameter counts as passed
@@ -156,6 +157,34 @@ def unpassed_defaults(sources) -> list[str]:
     return sorted(out)
 
 
+def _exported(tree) -> set:
+    """The names listed in a module's `__all__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return {e.value for e in node.value.elts}
+    return set()
+
+
+def unused_imports(sources) -> list[str]:
+    """module.name of each name that a package module imports at top level
+    and never loads; `__future__` imports and names in `__all__` are exempt."""
+    out = []
+    for path, tree in sources:
+        if os.path.dirname(path) != PKG:
+            continue
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        loaded |= _exported(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in loaded:
+                        out.append(f"{os.path.basename(path)[:-3]}.{name}")
+    return sorted(out)
+
+
 def test_every_definition_is_reached():
     assert unreached(list(_sources())) == []
 
@@ -166,3 +195,7 @@ def test_every_dataclass_field_is_read():
 
 def test_every_defaulted_parameter_is_passed():
     assert unpassed_defaults(list(_sources())) == []
+
+
+def test_every_import_is_used():
+    assert unused_imports(list(_sources())) == []

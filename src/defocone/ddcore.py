@@ -3,8 +3,9 @@
 Incremental insertion starting from a simplicial subcone picked from the
 first full-rank subset of constraint rows.  Adjacency of rays is decided
 algebraically: two rays are adjacent when their common tight constraints
-have rank dim-2.  The cone must be pointed (the rows span the dual space);
-callers guarantee that or get a ValueError.
+have rank dim-2, which fewer than dim-2 of them never have.  The cone must
+be pointed (the rows span the dual space); callers guarantee that or get a
+ValueError.
 
 Rows and rays are primitive integer vectors, which changes no cone.  Each
 ray carries the rows tight at it, exactly: a new ray is a positive sum of
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import Vec, rank, rref
+from .exact import Vec, primitive, rank, rref
 
 
 def canonical_ray(r) -> Vec:
@@ -26,14 +27,6 @@ def canonical_ray(r) -> Vec:
         raise ValueError("zero ray")
     scale = Fraction(1) / abs(r[j])
     return tuple(scale * x for x in r)
-
-
-def _primitive(v) -> tuple[int, ...]:
-    """The positive multiple of a rational vector with coprime integer entries."""
-    d = math.lcm(*(x.denominator for x in v))
-    v = [x.numerator * (d // x.denominator) for x in v]
-    g = math.gcd(*v)
-    return tuple(x // g for x in v)
 
 
 def _initial_simplicial(rows, dim):
@@ -49,7 +42,7 @@ def _initial_simplicial(rows, dim):
     aug = [row + [Fraction(1 if i == j else 0) for j in range(dim)] for i, row in enumerate(mat)]
     reduced, pivots = rref(aug, 2 * dim)
     assert pivots == list(range(dim))
-    return chosen, [_primitive([reduced[i][dim + j] for i in range(dim)]) for j in range(dim)]
+    return chosen, [primitive([reduced[i][dim + j] for i in range(dim)]) for j in range(dim)]
 
 
 def dd_rays(rows, dim: int) -> list[tuple[Vec, frozenset[int]]]:
@@ -62,7 +55,7 @@ def dd_rays(rows, dim: int) -> list[tuple[Vec, frozenset[int]]]:
         return []
     if not live:
         raise ValueError("cone is not pointed (no constraints)")
-    rows = [_primitive(rows[i]) for i in live]
+    rows = [primitive(rows[i]) for i in live]
     chosen, rays = _initial_simplicial(rows, dim)
     # ray k is a column of the inverse: it meets chosen row i in 0 unless i is the k-th
     tight = [set(chosen) - {i} for i in chosen]
@@ -77,7 +70,7 @@ def dd_rays(rows, dim: int) -> list[tuple[Vec, frozenset[int]]]:
         for p in pos:
             for q in neg:
                 common = tight[p] & tight[q]
-                if rank([rows[i] for i in common], dim) != dim - 2:
+                if len(common) < dim - 2 or rank([rows[i] for i in common], dim) != dim - 2:
                     continue
                 r = [vals[p] * x - vals[q] * y for x, y in zip(rays[q], rays[p])]
                 g = math.gcd(*r)

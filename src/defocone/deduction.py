@@ -17,7 +17,8 @@ dimension upper bounds) are steps too.  Replaying a certificate applies
 its steps to a fresh state, so the engine cannot log a step the replay
 rejects, and `DeductionState.conclusion` says what the replay established.
 No step consults the deformation-space nullspace; the covering test takes
-only the annihilators of the flats, once per state.
+only the annihilators of the flats, once per state.  A rank of one or two
+edge directions is read off their memoized primitive keys, not eliminated.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from . import graphs
 from .errors import InputError
-from .exact import Vec, affine_rank, in_span, is_zero_vec, nullspace, rank, vec_sub
+from .exact import Vec, affine_rank, in_span, is_zero_vec, nullspace, primitive, rank, vec_sub
 from .framework import Edge, Framework, adjacency, components, edge_key
 
 TRIANGLE = "Triangle"
@@ -76,7 +77,7 @@ class DeductionState:
         self.log: list[Step] = []
         self._pins: dict[frozenset, bool] = {}
         self._vecs: dict[tuple[str, str], Vec] = {}
-        self._keys: dict[Edge, Vec | None] = {}
+        self._keys: dict[Edge, tuple[int, ...] | None] = {}
 
     # union-find over the non-degenerate known edges ------------------------
     def find(self, e: Edge) -> Edge:
@@ -144,16 +145,24 @@ class DeductionState:
             d = self._vecs[e] = vec_sub(self.base.point(e[1]), self.base.point(e[0]))
         return d
 
-    def direction_key(self, e: tuple[str, str]) -> Vec | None:
-        """The pair's difference divided by its first nonzero entry, or None
-        when it is zero: two nonzero differences are parallel exactly when
-        their keys are equal.  Computed once per unordered pair."""
+    def direction_key(self, e: tuple[str, str]) -> tuple[int, ...] | None:
+        """The pair's difference as the primitive integer vector whose first
+        nonzero entry is positive, or None when it is zero: two nonzero
+        differences are parallel exactly when their keys are equal.
+        Computed once per unordered pair."""
         e = edge_key(*e)
         if e not in self._keys:
             d = self.direction(e)
             lead = next((x for x in d if x != 0), None)
-            self._keys[e] = None if lead is None else tuple(x / lead for x in d)
+            self._keys[e] = None if lead is None else primitive(d if lead > 0 else [-x for x in d])
         return self._keys[e]
+
+    def small_rank(self, pairs) -> int:
+        """Rank of the pairs' differences: up to two of them, the number of
+        distinct nonzero keys; more, by `rank`."""
+        if len(pairs) > 2:
+            return rank([self.direction(e) for e in pairs], self.base.dim)
+        return len({self.direction_key(e) for e in pairs} - {None})
 
     def known_adjacency(self) -> dict[str, tuple[str, ...]]:
         return graphs.adjacency(self.base.vertex_ids, self.known)
@@ -268,17 +277,16 @@ def _run_rigid_cycles(state: DeductionState) -> bool:
     after skipping a small subset: the remaining edges merge."""
     fw = state.base
     adj = state.known_adjacency()
-    d = fw.dim
     progress = False
     budget = MAX_CYCLES_SCANNED
 
     def handle(cycle: tuple[str, ...]) -> bool:
         k = len(cycle)
-        es = [edge_key(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
+        pairs = [(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
+        es = [edge_key(*e) for e in pairs]
         if not all(state.tracked(e) for e in es):
             return False
-        signed = [state.direction((cycle[i], cycle[(i + 1) % k])) for i in range(k)]
-        full_rank = rank(signed, d)
+        full_rank = state.small_rank(pairs)
         for skip_size in range(0, MAX_SKIP + 1):
             for skip in itertools.combinations(range(k), skip_size):
                 keep = [i for i in range(k) if i not in skip]
@@ -286,8 +294,7 @@ def _run_rigid_cycles(state: DeductionState) -> bool:
                     continue
                 if len({state.find(es[i]) for i in keep}) == 1:
                     continue
-                sub_rank = rank([signed[i] for i in skip], d) if skip else 0
-                if k - skip_size != full_rank - sub_rank + 1:
+                if k - skip_size != full_rank - state.small_rank([pairs[i] for i in skip]) + 1:
                     continue
                 step = Step(RIGID_CYCLE, {"cycle": list(cycle), "skip": [list(es[i]) for i in skip]})
                 if state.apply(step) is None:
@@ -506,31 +513,27 @@ def _one_piece(fw: Framework, edges, s) -> bool:
 
 
 def _check_triangle(state: DeductionState, p):
-    fw = state.base
     a, b, c = p["vertices"]
     es = [edge_key(a, b), edge_key(a, c), edge_key(b, c)]
     if any(e not in state.known for e in es):
         return "triangle edge not known"
-    if affine_rank([fw.point(v) for v in (a, b, c)]) != 2:
+    if state.small_rank([(a, b), (a, c)]) != 2:
         return "triangle vertices not affinely independent"
     return es
 
 
 def _check_rigid_cycle(state: DeductionState, p):
-    fw = state.base
     cycle = p["cycle"]
     skip_edges = {edge_key(*e) for e in p["skip"]}
     k = len(cycle)
-    es = [edge_key(cycle[j], cycle[(j + 1) % k]) for j in range(k)]
+    pairs = [(cycle[j], cycle[(j + 1) % k]) for j in range(k)]
+    es = [edge_key(*e) for e in pairs]
     if any(e not in state.known for e in es):
         return "cycle edge not known"
     if not skip_edges <= set(es):
         return "skip set is not part of the cycle"
-    signed = [state.direction((cycle[j], cycle[(j + 1) % k])) for j in range(k)]
-    skip = [j for j in range(k) if es[j] in skip_edges]
-    full_rank = rank(signed, fw.dim)
-    sub_rank = rank([signed[j] for j in skip], fw.dim) if skip else 0
-    if k - len(skip) != full_rank - sub_rank + 1:
+    skip = [pairs[j] for j in range(k) if es[j] in skip_edges]
+    if k - len(skip) != state.small_rank(pairs) - state.small_rank(skip) + 1:
         return "cycle rank condition fails"
     return [e for e in es if e not in skip_edges]
 

@@ -4,10 +4,12 @@ Scalars are `fractions.Fraction` (arbitrary precision, always gcd-reduced
 with positive denominator, so equality is structural).  Vectors are tuples
 of Fractions, matrices are lists of row lists.  Every elimination that
 returns reduced rows, here and in the simplex tableau, goes through one
-Gauss-Jordan step, `pivot`; `rank` only counts pivots, fraction-free.  The
+Gauss-Jordan step, `pivot`; `rank` only counts pivots, fraction-free, and
+`parallel` and the one-vector case of `in_span` eliminate nothing.  The
 routines here use a fixed pivot rule (first nonzero entry, scanning
 columns left to right and rows top to bottom) so results are reproducible
-across runs.
+across runs.  `primitive` names a direction by coprime integers, as the
+double description and the deduction engine's direction keys use it.
 """
 
 from __future__ import annotations
@@ -50,13 +52,22 @@ def is_zero_vec(a: Vec) -> bool:
 
 
 def parallel(a: Vec, b: Vec) -> bool:
-    """True iff a and b are linearly dependent (either may be zero)."""
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return True
+    """True iff a and b are linearly dependent (either may be zero), by one
+    pass against the first nonzero entry of a.  ValueError on vectors of
+    different lengths."""
+    if len(a) != len(b):
+        raise ValueError("vectors of different lengths")
+    i = next((i for i, x in enumerate(a) if x != 0), None)
+    return i is None or all(a[i] * y == x * b[i] for x, y in zip(a, b))
+
+
+def primitive(v) -> tuple[int, ...]:
+    """The positive multiple of a nonzero rational vector with coprime
+    integer entries."""
+    d = math.lcm(*(x.denominator for x in v))
+    v = [x.numerator * (d // x.denominator) for x in v]
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def pivot(m, r: int, c: int) -> None:
@@ -150,10 +161,13 @@ def nullspace(rows, ncols: int) -> list[Vec]:
 
 
 def in_span(vectors: list[Vec], target: Vec) -> bool:
-    """True iff target lies in the linear span of the given vectors."""
+    """True iff target lies in the linear span of the given vectors; one
+    nonzero vector spans a line, so that case is `parallel`."""
     vectors = list(vectors)
     if is_zero_vec(target):
         return True
+    if len(vectors) == 1 and not is_zero_vec(vectors[0]):
+        return parallel(vectors[0], target)
     cols = len(target)
     return rank(vectors + [target], cols) == rank(vectors, cols)
 

@@ -21,10 +21,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import graphs
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .exact import Vec, is_zero_vec, nullspace, vec_scale, vec_sub
 
 Edge = tuple[str, str]
+
+# Entries (rows x columns) of the largest cycle-equation system eliminated;
+# the largest the program meets is Q_2,3's 355 x 114.
+MAX_EQ_CELLS = 50_000
 
 
 def edge_key(u: str, v: str) -> Edge:
@@ -176,7 +180,12 @@ def cycle_equation_rows(fw: Framework, cycles) -> list[list[Fraction]]:
 
 @lru_cache(maxsize=None)
 def deformation_space(fw: Framework) -> DeformationSpace:
+    """The exact nullspace of the cycle equations; ResourceLimitError,
+    before any row is built, when they exceed MAX_EQ_CELLS entries."""
     cycles = cycle_basis(fw)
+    shape = (len(cycles) * fw.dim + len(fw.degenerate_edges), len(fw.edges))
+    if shape[0] * shape[1] > MAX_EQ_CELLS:
+        raise ResourceLimitError(f"deformation space guard: {shape[0]}x{shape[1]} equations exceed {MAX_EQ_CELLS} entries")
     rows = cycle_equation_rows(fw, cycles)
     basis = nullspace(rows, len(fw.edges))
     return DeformationSpace(fw, tuple(basis), fw.degenerate_edges, cycles)

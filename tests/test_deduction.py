@@ -1,6 +1,7 @@
 """Rule engine: saturation, conclusions, bounds, certificate replay."""
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -38,7 +39,7 @@ from defocone.deduction import (
     verify_certificate,
 )
 from defocone.errors import InputError
-from defocone.io import certificate_to_obj
+from defocone.io import certificate_to_obj, framework_to_obj
 from defocone.exact import Vec, is_zero_vec, nullspace, rank
 from defocone.framework import dc_dimension, dependency_partition, framework
 from defocone.report import DEDUCTION_PROVABLE
@@ -295,6 +296,14 @@ def _rejected_steps(cp):
         {"a": (0, 0), "b": (1, 0), "c": (2, 0)},
         [("a", "b"), ("b", "c"), ("a", "c")],
     )
+    coincident = framework(
+        {"a": (0, 0), "b": (0, 0), "c": (1, 0)},
+        [("a", "b"), ("b", "c"), ("a", "c")],
+    )
+    doubled_square = framework(
+        {"A": (0, 0), "A2": (0, 0), "B": (1, 0), "C": (1, 1), "D": (0, 1)},
+        [("A", "A2"), ("A2", "B"), ("B", "C"), ("C", "D"), ("D", "A")],
+    )
     sq, tri = cp["square"].framework, cp["triangle"].framework
     two_points = framework({"a": (0,), "b": (1,)}, [])
     lift = {"edge_a": ["B", "C"], "edge_b": ["A", "D"], "path_a": ["B", "A"], "path_b": ["C", "D"]}
@@ -304,11 +313,31 @@ def _rejected_steps(cp):
         "collinear triangle": (
             collinear, Step(TRIANGLE, {"vertices": ["a", "b", "c"]}), "affinely independent"
         ),
+        "coincident triangle": (
+            coincident, Step(TRIANGLE, {"vertices": ["a", "b", "c"]}), "affinely independent"
+        ),
         "square cycle without a skip": (
             sq, Step(RIGID_CYCLE, {"cycle": ["A", "B", "C", "D"], "skip": []}), "rank condition"
         ),
+        "cycle skipping only a degenerate edge": (
+            doubled_square,
+            Step(RIGID_CYCLE, {"cycle": ["A", "A2", "B", "C", "D"], "skip": [["A", "A2"]]}),
+            "rank condition",
+        ),
         "lift along the wrong kernel": (
             sq, Step(PROJECTION_LIFT, {"kernel": [["0", "1"]], **lift}), "not parallel"
+        ),
+        "lift along a zero kernel row": (
+            sq, Step(PROJECTION_LIFT, {"kernel": [["0", "0"]], **lift}), "not parallel"
+        ),
+        "lift along a two-row kernel": (
+            sq, Step(PROJECTION_LIFT, {"kernel": [["1", "0"], ["0", "1"]], **lift}), "lifted edge is parallel"
+        ),
+        "lift with a kernel row too long": (
+            sq, Step(PROJECTION_LIFT, {"kernel": [["1", "0", "0"]], **lift}), "malformed payload"
+        ),
+        "lift with a kernel row too short": (
+            sq, Step(PROJECTION_LIFT, {"kernel": [["1"]], **lift}), "malformed payload"
         ),
         "degenerate contraction on a triangle": (
             tri, Step(DEGENERATE_CONTRACTION, contraction), "not degenerate"
@@ -332,6 +361,37 @@ def test_kernel_rejects_a_step_without_changing_the_state(cp):
         assert reason is not None and words in reason, (name, reason)
         assert (set(state.known), state.classes(), list(state.log)) == before, name
         assert DeductionState(fw).replay([step]) == (False, 0, reason), name
+
+
+# The forged geometry that `defocone verify` must refuse with the kernel's
+# reason: degenerate triangles, a skip of a zero direction, and kernels of
+# the wrong length, zero or of two rows.
+FORGED_GEOMETRY = (
+    "collinear triangle",
+    "coincident triangle",
+    "cycle skipping only a degenerate edge",
+    "lift along a zero kernel row",
+    "lift along a two-row kernel",
+    "lift with a kernel row too long",
+    "lift with a kernel row too short",
+)
+
+
+@pytest.mark.parametrize("name", FORGED_GEOMETRY)
+def test_verify_refuses_forged_geometry_with_the_kernels_reason(tmp_path, cp, name):
+    fw, step, words = _rejected_steps(cp)[name]
+    reason = DeductionState(fw).apply(step)
+    assert words in reason
+    fw_file, cert_file = tmp_path / "fw.json", tmp_path / "cert.json"
+    fw_file.write_text(json.dumps(framework_to_obj(fw)))
+    cert_file.write_text(json.dumps(certificate_to_obj([step])))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(defocone.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "defocone", "verify", str(fw_file), str(cert_file)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 1
+    assert out.stderr == f"invalid certificate: step 0: {reason}\n"
 
 
 def test_conclusion_states_what_the_replay_established(cp):
@@ -459,13 +519,38 @@ def test_direction_keys_name_directions_up_to_scale():
     )
     st = DeductionState(fw)
     key = st.direction_key(("o", "a"))
-    assert key == (1, 2, 3) and all(isinstance(x, Fraction) for x in key)
+    assert key == (1, 2, 3) and all(isinstance(x, int) for x in key)
     assert st.direction_key(("a", "o")) == key  # antiparallel
     assert st.direction_key(("o", "b")) == st.direction_key(("c", "o")) == key  # rational multiples
     assert st.direction_key(("a", "b")) == key  # a pair off the origin
     assert st.direction_key(("o", "d")) != key and st.direction_key(("a", "d")) == (0, 0, 1)
     assert st.direction_key(("o", "e")) is None and st.direction_key(("e", "o")) is None
     assert st.direction(("o", "a")) == (1, 2, 3) and st.direction(("a", "o")) == (-1, -2, -3)
+
+
+def test_small_rank_matches_exact_rank():
+    """`small_rank` reads up to two pairs off the direction keys and hands
+    longer lists to `rank`.  Every list of at most two pairs over zero,
+    repeated, antiparallel and rational-multiple directions, and seeded
+    longer lists, must get `rank`'s answer."""
+    rng = random.Random(19)
+    two_pair_ranks = set()
+    for dim in (1, 2, 3):
+        v, w = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)) for _ in range(2)]
+        points = {
+            "o": (0,) * dim, "z": (0,) * dim, "v": v, "2v": tuple(2 * x for x in v),
+            "-v/3": tuple(-x / 3 for x in v), "w": w, "v+w": tuple(x + y for x, y in zip(v, w)),
+        }
+        st = DeductionState(framework(points, []))
+        pairs = list(itertools.permutations(points, 2))
+        lists = [[]] + [[e] for e in pairs] + [list(es) for es in itertools.product(pairs, repeat=2)]
+        lists += [rng.sample(pairs, rng.randint(3, 5)) for _ in range(200)]
+        for es in lists:
+            want = rank([st.direction(e) for e in es], dim)
+            assert st.small_rank(es) == want, (dim, es)
+            if len(es) == 2:
+                two_pair_ranks.add(want)
+    assert two_pair_ranks == {0, 1, 2}
 
 
 def _certificate_text(fw, flats) -> str:

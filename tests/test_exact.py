@@ -201,6 +201,33 @@ def test_span_and_parallel():
     assert not parallel((1, 0), (1, 1))
 
 
+def test_parallel_refuses_vectors_of_different_lengths():
+    for a, b in (((1, 0), (1, 0, 5)), ((1, 0, 0), (1, 0))):
+        with pytest.raises(ValueError, match="different lengths"):
+            parallel(a, b)
+
+
+def test_one_vector_span_and_parallel_match_the_rank_definition():
+    """`parallel` and the one-vector `in_span` eliminate nothing; both must
+    answer as ranks do, on zero, repeated, antiparallel and rational-multiple
+    directions and on unrelated ones."""
+    rnd = random.Random(23)
+    seen = set()
+    for _ in range(400):
+        n = rnd.randint(1, 4)
+        base = [tuple(Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(n)) for _ in range(2)]
+        pool = [(Fraction(0),) * n]
+        for v in base:
+            c = Fraction(rnd.randint(-5, 5), rnd.randint(1, 4))
+            pool += [v, tuple(-x for x in v), tuple(c * x for x in v)]
+        v, t = rnd.choice(pool), rnd.choice(pool)
+        both = rank([v, t], n)
+        assert in_span([v], t) == (both == rank([v], n)), (v, t)
+        assert parallel(v, t) == (both <= 1), (v, t)
+        seen.add((rank([v], n), both))
+    assert seen == {(0, 0), (0, 1), (1, 1), (1, 2)}
+
+
 def test_affine_rank():
     assert affine_rank([]) == -1
     assert affine_rank([(Fraction(1), Fraction(1))]) == 0

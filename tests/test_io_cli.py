@@ -288,6 +288,8 @@ GUARDED_INVOCATIONS = {
     "graphic matroid of K3000": ["construct", "matroid", "--graphic-complete", "3000", "-o", "{out}"],
     # the points of a hyperorder polytope lie in R^n, refused above dimension 8
     "hyperorder in dimension 100000": ["construct", "hyperorder", "--n", "100000", "--k", "1", "-o", "{out}"],
+    # 1058 cycle equations on 1104 edges, refused before any row is built
+    "oracle on a 24 x 24 grid": ["oracle", "{grid}"],
 }
 
 
@@ -295,6 +297,14 @@ def _points(*rows, **extra) -> str:
     """The text of a file over (id, coords) rows, in order, repeats kept."""
     vertices = [{"id": v, "coords": [str(x) for x in c]} for v, c in rows]
     return json.dumps({"dim": len(rows[0][1]), "vertices": vertices, **extra})
+
+
+def _grid(k: int) -> str:
+    """The text of a framework file: the k x k grid graph on the integer points."""
+    rows = [(f"v{i}_{j}", (i, j)) for i in range(k) for j in range(k)]
+    edges = [[f"v{i}_{j}", f"v{i + 1}_{j}"] for i in range(k - 1) for j in range(k)]
+    edges += [[f"v{i}_{j}", f"v{i}_{j + 1}"] for i in range(k) for j in range(k - 1)]
+    return _points(*rows, edges=edges)
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INVOCATIONS) + sorted(GUARDED_INVOCATIONS))
@@ -312,6 +322,7 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
         "repeated_framework": _points(*square, edges=[["a", "b"], ["b", "c"], ["a", "c"]]),
         "seg_a": _points(("x|", (0,)), ("x", (1,))),
         "seg_b": _points(("y", (0,)), ("|y", (1,))),
+        "grid": _grid(24),
     }
     for key, text in files.items():
         paths[key] = tmp_path / f"{key}.json"

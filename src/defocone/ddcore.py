@@ -18,7 +18,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import ResourceLimitError
 from .exact import Vec, primitive, rank, rref
+
+# Rays one insertion may hold, kept and new together.  The most the report,
+# the census, the benchmark workloads and the tests reach is 52.
+MAX_DD_RAYS = 1000
 
 
 def canonical_ray(r) -> Vec:
@@ -47,7 +52,10 @@ def _initial_simplicial(rows, dim):
 
 def dd_rays(rows, dim: int) -> list[tuple[Vec, frozenset[int]]]:
     """Extreme rays, canonically scaled and sorted, each with the indices of
-    the rows tight at it.  Zero rows are tight at every ray."""
+    the rows tight at it.  Zero rows are tight at every ray.
+
+    ResourceLimitError as soon as one insertion holds more than MAX_DD_RAYS
+    rays."""
     rows = [tuple(Fraction(x) for x in r) for r in rows]
     zero = frozenset(i for i, r in enumerate(rows) if not any(r))
     live = [i for i in range(len(rows)) if i not in zero]
@@ -76,6 +84,8 @@ def dd_rays(rows, dim: int) -> list[tuple[Vec, frozenset[int]]]:
                 g = math.gcd(*r)
                 new_rays.append(tuple(x // g for x in r))
                 new_tight.append(common | {j})
+                if len(keep_idx) + len(new_rays) > MAX_DD_RAYS:
+                    raise ResourceLimitError(f"double description guard: more than {MAX_DD_RAYS} rays")
         rays = [rays[i] for i in keep_idx] + new_rays
         tight = [tight[i] | ({j} if vals[i] == 0 else set()) for i in keep_idx] + new_tight
     seen = {}

@@ -22,12 +22,13 @@ from functools import lru_cache
 
 from . import graphs
 from .errors import InputError, ResourceLimitError
-from .exact import Vec, is_zero_vec, nullspace, vec_scale, vec_sub
+from .exact import Vec, is_zero_vec, nullspace, rref, vec_scale, vec_sub
 
 Edge = tuple[str, str]
 
-# Entries (rows x columns) of the largest cycle-equation system eliminated;
-# the largest the program meets is Q_2,3's 355 x 114.
+# Entries of the largest cycle-equation system (rows counted per ambient
+# coordinate, times columns) and of the largest E x E kernel basis; the
+# largest the program meets is Q_2,3's 355 x 114.
 MAX_EQ_CELLS = 50_000
 
 
@@ -55,6 +56,13 @@ class Points:
     @property
     def points(self) -> dict[str, Vec]:
         return dict(zip(self.vertex_ids, self.coords))
+
+
+def hull_basis(pts: Points) -> tuple[list[Vec], list[int]]:
+    """The reduced row echelon basis of the affine hull's direction space,
+    from the differences to the first point, and its pivot columns."""
+    base = pts.coords[0] if pts.coords else ()
+    return rref([vec_sub(c, base) for c in pts.coords[1:]], pts.dim)
 
 
 def labelled_points(points) -> tuple[tuple[str, ...], tuple[Vec, ...]]:
@@ -158,18 +166,26 @@ class DeformationSpace:
 
 
 def cycle_equation_rows(fw: Framework, cycles) -> list[list[Fraction]]:
-    """One row per cycle per coordinate, plus a forced-zero row per
-    degenerate edge."""
+    """One row per cycle per pivot coordinate of the affine hull, plus a
+    forced-zero row per degenerate edge.
+
+    The pivot coordinates are those of `hull_basis`.  Every edge vector
+    lies in the hull's direction space, whose reduced basis is 1 at its own
+    pivot coordinate and 0 at the others, so a cycle sum that vanishes at
+    the pivot coordinates vanishes everywhere: the rows of the other
+    coordinates are combinations of these, and leaving them out changes no
+    row space.
+    """
     eidx = {e: i for i, e in enumerate(fw.edges)}
-    d = fw.dim
+    pivots = hull_basis(fw)[1]
     rows: list[list[Fraction]] = []
     for walk in cycles:
-        acc = [[Fraction(0)] * d for _ in fw.edges]
+        acc = [[Fraction(0)] * len(pivots) for _ in fw.edges]
         for u, v in walk_edges(walk):
             i = eidx[edge_key(u, v)]
-            step = vec_sub(fw.point(v), fw.point(u))
-            acc[i] = [a + s for a, s in zip(acc[i], step)]
-        for k in range(d):
+            pu, pv = fw.point(u), fw.point(v)
+            acc[i] = [a + pv[k] - pu[k] for a, k in zip(acc[i], pivots)]
+        for k in range(len(pivots)):
             rows.append([acc[i][k] for i in range(len(fw.edges))])
     for e in sorted(fw.degenerate_edges):
         row = [Fraction(0)] * len(fw.edges)
@@ -180,13 +196,20 @@ def cycle_equation_rows(fw: Framework, cycles) -> list[list[Fraction]]:
 
 @lru_cache(maxsize=None)
 def deformation_space(fw: Framework) -> DeformationSpace:
-    """The exact nullspace of the cycle equations; ResourceLimitError,
-    before any row is built, when they exceed MAX_EQ_CELLS entries."""
+    """The exact nullspace of the cycle equations, eliminated sparsest row
+    first.  The row order and the left-out coordinate rows change no row
+    space, so the pivot-normalized basis is the one every order gives.
+
+    ResourceLimitError, before any row is built, when the equations counted
+    per ambient coordinate, or the E x E kernel basis, exceed MAX_EQ_CELLS
+    entries."""
     cycles = cycle_basis(fw)
     shape = (len(cycles) * fw.dim + len(fw.degenerate_edges), len(fw.edges))
     if shape[0] * shape[1] > MAX_EQ_CELLS:
         raise ResourceLimitError(f"deformation space guard: {shape[0]}x{shape[1]} equations exceed {MAX_EQ_CELLS} entries")
-    rows = cycle_equation_rows(fw, cycles)
+    if shape[1] * shape[1] > MAX_EQ_CELLS:
+        raise ResourceLimitError(f"deformation space guard: {shape[1]}x{shape[1]} kernel basis exceeds {MAX_EQ_CELLS} entries")
+    rows = sorted(cycle_equation_rows(fw, cycles), key=lambda row: len(row) - row.count(0))
     basis = nullspace(rows, len(fw.edges))
     return DeformationSpace(fw, tuple(basis), fw.degenerate_edges, cycles)
 

@@ -8,9 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defocone.cones import characteristic_vector, closure, is_implicit_edge
+from defocone.constructions import (
+    bipartite_truncation,
+    complete_bipartite,
+    complete_graph,
+    graphic_matroid,
+    graphical_zonotope,
+    matroid_polytope,
+    uniform_matroid,
+)
 from defocone.corpus import corpus
 from defocone.errors import InputError
-from defocone.exact import in_span, rank, vec_scale, vec_sub
+from defocone.exact import in_span, nullspace, rank, vec_scale, vec_sub
 from defocone.framework import (
     Framework,
     cycle_basis,
@@ -23,6 +32,7 @@ from defocone.framework import (
     is_indecomposable,
     quotient_degenerate,
     realize,
+    walk_edges,
 )
 
 
@@ -291,6 +301,78 @@ def test_extra_cycles_do_not_change_rank(cp):
             extra.append(tuple(reversed(c)))
         rows = cycle_equation_rows(fw, cycles + extra)
         assert rank(rows, len(fw.edges)) == base_rank
+
+
+def _all_coordinate_rows(fw, cycles):
+    """The reference system: one row per cycle per ambient coordinate, in
+    cycle order, then a forced-zero row per degenerate edge."""
+    eidx = {e: i for i, e in enumerate(fw.edges)}
+    rows = []
+    for walk in cycles:
+        acc = [[Fraction(0)] * fw.dim for _ in fw.edges]
+        for u, v in walk_edges(walk):
+            i = eidx[edge_key(u, v)]
+            acc[i] = [a + s for a, s in zip(acc[i], vec_sub(fw.point(v), fw.point(u)))]
+        rows += [[acc[i][k] for i in range(len(fw.edges))] for k in range(fw.dim)]
+    for e in sorted(fw.degenerate_edges):
+        rows.append([Fraction(e == f) for f in fw.edges])
+    return rows
+
+
+def _assert_hull_rows_agree(fw):
+    """The hull-coordinate rows keep the reference rank, and the basis is the
+    reference nullspace, Fraction for Fraction."""
+    cycles = cycle_basis(fw)
+    reference = _all_coordinate_rows(fw, cycles)
+    n = len(fw.edges)
+    assert rank(cycle_equation_rows(fw, cycles), n) == rank(reference, n)
+    assert deformation_space(fw).basis == tuple(nullspace(reference, n))
+
+
+def _family_frameworks():
+    out = [bipartite_truncation(n, m, kind).framework
+           for kind in "PQ" for n in (1, 2) for m in (1, 2, 3) if kind == "P" or n * m > 2]
+    out += [graphical_zonotope(g).framework() for g in (complete_graph(4), complete_bipartite(2, 3))]
+    out += [matroid_polytope(mb).framework for mb in (uniform_matroid(2, 5), graphic_matroid(complete_graph(4)))]
+    return out
+
+
+def test_hull_rows_agree_with_all_coordinate_rows(cp):
+    fws = [e.framework for e in cp.values()] + [_collapsed_cube()] + _family_frameworks()
+    for fw in fws:
+        _assert_hull_rows_agree(fw)
+    # the families lie in hyperplanes, so rows were left out on them
+    assert any(len(cycle_equation_rows(fw, cycle_basis(fw))) < len(_all_coordinate_rows(fw, cycle_basis(fw)))
+               for fw in fws)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _subspace_frameworks(draw):
+    """Up to 8 rational points in a random affine subspace of R^d (d <= 5),
+    at small integer parameters so points coincide, with random edges, some
+    of them between coincident points."""
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(0, d))
+    base = draw(st.lists(_small, min_size=d, max_size=d))
+    dirs = draw(st.lists(st.lists(_small, min_size=d, max_size=d), min_size=k, max_size=k))
+    params = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), min_size=1, max_size=6))
+    params += [params[i] for i in draw(st.lists(st.integers(0, len(params) - 1), max_size=2))]
+    points = {
+        f"v{i}": tuple(b + sum((t * w[j] for t, w in zip(p, dirs)), Fraction(0)) for j, b in enumerate(base))
+        for i, p in enumerate(params)
+    }
+    pairs = list(itertools.combinations(points, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    return framework(points, edges)
+
+
+@given(_subspace_frameworks())
+@settings(max_examples=200, deadline=None)
+def test_hull_rows_agree_on_frameworks_in_subspaces(fw):
+    _assert_hull_rows_agree(fw)
 
 
 @given(st.integers(0, 400))

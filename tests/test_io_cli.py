@@ -14,6 +14,7 @@ import defocone
 
 from defocone.cli import build_parser, main
 from defocone.corpus import corpus
+from defocone.ddcore import MAX_DD_RAYS
 from defocone.deduction import PROJECTION_LIFT, Step, saturate
 from defocone.errors import InputError
 from defocone.io import (
@@ -290,6 +291,21 @@ GUARDED_INVOCATIONS = {
     "hyperorder in dimension 100000": ["construct", "hyperorder", "--n", "100000", "--k", "1", "-o", "{out}"],
     # 1058 cycle equations on 1104 edges, refused before any row is built
     "oracle on a 24 x 24 grid": ["oracle", "{grid}"],
+    # no cycle equations, but a 2999 x 2999 kernel basis
+    "analyze on a 3000-vertex path": ["analyze", "{path}"],
+    "oracle on a 3000-vertex path": ["oracle", "{path}"],
+    # the cyclic polytope C(30, 8): 17,250 facets, refused while DD inserts
+    "analyze on 30 moment-curve points in R^8": ["analyze", "{moment}"],
+}
+
+# The guard each of these inputs must meet first.
+GUARDED_INVOCATION_LINES = {
+    "analyze on a 3000-vertex path":
+        "resource guard: deformation space guard: 2999x2999 kernel basis exceeds 50000 entries\n",
+    "oracle on a 3000-vertex path":
+        "resource guard: deformation space guard: 2999x2999 kernel basis exceeds 50000 entries\n",
+    "analyze on 30 moment-curve points in R^8":
+        f"resource guard: double description guard: more than {MAX_DD_RAYS} rays\n",
 }
 
 
@@ -297,6 +313,11 @@ def _points(*rows, **extra) -> str:
     """The text of a file over (id, coords) rows, in order, repeats kept."""
     vertices = [{"id": v, "coords": [str(x) for x in c]} for v, c in rows]
     return json.dumps({"dim": len(rows[0][1]), "vertices": vertices, **extra})
+
+
+def _path(n: int) -> str:
+    """The text of a framework file: a path on n points of the line."""
+    return _points(*[(f"v{i}", (i,)) for i in range(n)], edges=[[f"v{i}", f"v{i + 1}"] for i in range(n - 1)])
 
 
 def _grid(k: int) -> str:
@@ -323,6 +344,8 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
         "seg_a": _points(("x|", (0,)), ("x", (1,))),
         "seg_b": _points(("y", (0,)), ("|y", (1,))),
         "grid": _grid(24),
+        "path": _path(3000),
+        "moment": _points(*[(f"t{t}", [t**k for k in range(1, 9)]) for t in range(30)]),
     }
     for key, text in files.items():
         paths[key] = tmp_path / f"{key}.json"
@@ -342,8 +365,8 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
         assert prog.startswith("defocone")
         err += "\n"
     assert err.startswith(line)
-    if name in BAD_INVOCATION_LINES:
-        assert err == BAD_INVOCATION_LINES[name]
+    if name in BAD_INVOCATION_LINES or name in GUARDED_INVOCATION_LINES:
+        assert err == {**BAD_INVOCATION_LINES, **GUARDED_INVOCATION_LINES}[name]
     assert not (tmp_path / "out.json").exists()
 
 

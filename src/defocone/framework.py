@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from . import graphs
 from .errors import InputError, ResourceLimitError
-from .exact import Vec, is_zero_vec, nullspace, rref, vec_scale, vec_sub
+from .exact import Vec, is_zero_vec, nullspace, rank, vec_scale, vec_sub
 
 Edge = tuple[str, str]
 
@@ -56,13 +56,6 @@ class Points:
     @property
     def points(self) -> dict[str, Vec]:
         return dict(zip(self.vertex_ids, self.coords))
-
-
-def hull_basis(pts: Points) -> tuple[list[Vec], list[int]]:
-    """The reduced row echelon basis of the affine hull's direction space,
-    from the differences to the first point, and its pivot columns."""
-    base = pts.coords[0] if pts.coords else ()
-    return rref([vec_sub(c, base) for c in pts.coords[1:]], pts.dim)
 
 
 def labelled_points(points) -> tuple[tuple[str, ...], tuple[Vec, ...]]:
@@ -165,11 +158,24 @@ class DeformationSpace:
         )
 
 
+def _hull_pivots(fw: Framework) -> list[int]:
+    """The coordinates a left-to-right scan finds independent on the point
+    differences: the pivot columns of their reduced row echelon form, by
+    which `polytope.hull_frame` reads hull coordinates."""
+    base = fw.coords[0] if fw.coords else ()
+    cols = list(zip(*(vec_sub(c, base) for c in fw.coords[1:])))
+    pivots: list[int] = []
+    for k, col in enumerate(cols):
+        if rank([cols[i] for i in pivots] + [col], len(col)) > len(pivots):
+            pivots.append(k)
+    return pivots
+
+
 def cycle_equation_rows(fw: Framework, cycles) -> list[list[Fraction]]:
     """One row per cycle per pivot coordinate of the affine hull, plus a
     forced-zero row per degenerate edge.
 
-    The pivot coordinates are those of `hull_basis`.  Every edge vector
+    The pivot coordinates are those of `_hull_pivots`.  Every edge vector
     lies in the hull's direction space, whose reduced basis is 1 at its own
     pivot coordinate and 0 at the others, so a cycle sum that vanishes at
     the pivot coordinates vanishes everywhere: the rows of the other
@@ -177,7 +183,7 @@ def cycle_equation_rows(fw: Framework, cycles) -> list[list[Fraction]]:
     row space.
     """
     eidx = {e: i for i, e in enumerate(fw.edges)}
-    pivots = hull_basis(fw)[1]
+    pivots = _hull_pivots(fw)
     rows: list[list[Fraction]] = []
     for walk in cycles:
         acc = [[Fraction(0)] * len(pivots) for _ in fw.edges]

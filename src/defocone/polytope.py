@@ -22,7 +22,7 @@ from functools import lru_cache, wraps
 from .ddcore import dd_rays
 from .errors import InputError, ResourceLimitError
 from .exact import Vec, affine_rank, rref, vec_dot, vec_sub
-from .framework import Framework, Points, edge_key, hull_basis, labelled_points
+from .framework import Framework, Points, edge_key, labelled_points
 from .simplex import LinearProgram, feasible
 
 MAX_VERTICES = 200
@@ -92,7 +92,8 @@ def hull_frame(p: PolytopeV):
     others, and y_i is simply x - base read at the pivot column of b_i.
     """
     base = p.coords[0]
-    basis, pivots = hull_basis(p)
+    diffs = [vec_sub(c, base) for c in p.coords[1:]]
+    basis, pivots = rref(diffs, p.dim) if diffs else ([], [])
     ys = tuple(tuple(c[k] - base[k] for k in pivots) for c in p.coords)
     return base, tuple(tuple(b) for b in basis), ys
 

@@ -19,9 +19,10 @@ from defocone.constructions import (
 )
 from defocone.corpus import corpus
 from defocone.errors import InputError
-from defocone.exact import in_span, nullspace, rank, vec_scale, vec_sub
+from defocone.exact import in_span, nullspace, rank, rref, vec_scale, vec_sub
 from defocone.framework import (
     Framework,
+    _hull_pivots,
     cycle_basis,
     cycle_equation_rows,
     dc_dimension,
@@ -320,8 +321,11 @@ def _all_coordinate_rows(fw, cycles):
 
 
 def _assert_hull_rows_agree(fw):
-    """The hull-coordinate rows keep the reference rank, and the basis is the
-    reference nullspace, Fraction for Fraction."""
+    """The hull coordinates are the pivot columns of the reduced point
+    differences, the hull-coordinate rows keep the reference rank, and the
+    basis is the reference nullspace, Fraction for Fraction."""
+    diffs = [vec_sub(c, fw.coords[0]) for c in fw.coords[1:]]
+    assert _hull_pivots(fw) == rref(diffs, fw.dim)[1]
     cycles = cycle_basis(fw)
     reference = _all_coordinate_rows(fw, cycles)
     n = len(fw.edges)

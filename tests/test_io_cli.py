@@ -365,8 +365,9 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
         assert prog.startswith("defocone")
         err += "\n"
     assert err.startswith(line)
-    if name in BAD_INVOCATION_LINES or name in GUARDED_INVOCATION_LINES:
-        assert err == {**BAD_INVOCATION_LINES, **GUARDED_INVOCATION_LINES}[name]
+    exact_lines = {**BAD_INVOCATION_LINES, **GUARDED_INVOCATION_LINES}
+    if name in exact_lines:
+        assert err == exact_lines[name]
     assert not (tmp_path / "out.json").exists()
 
 

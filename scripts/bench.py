@@ -17,7 +17,9 @@ and checks that the rows, apart from `seconds`, are the same on both
 sides.
 
 The file holds every run's metrics, each side's median and quartiles per
-metric, the pairs the head won and the verdict of the gain rule (head
+metric and of the ops each run completed (the ops `op_tail_ms` is
+estimated from, and whose samples weigh on `peak_rss_mb`), the pairs the
+head won and the verdict of the gain rule (head
 better in at least nine tenths of the pairs, by more than the base's
 interquartile range) and of the bound of BENCHMARK.json, plus the
 machine (nproc, CPU, Python version) and both commits.  A metric is
@@ -111,6 +113,12 @@ def compare(b: list[float], h: list[float], metric: dict) -> dict:
     }
 
 
+def ops_completed(runs: list[dict]) -> dict:
+    """Median and quartiles of the ops the runs completed, passes times ops
+    per pass from each run record."""
+    return summary([r["run"]["passes"] * r["run"]["ops_per_pass"] for r in runs])
+
+
 def traced_counts(traced: dict, counters: list[str]) -> dict:
     """Do the traced runs of the two sides make the same exact counts, and
     which counters differ (name -> [base, head])?"""
@@ -164,6 +172,7 @@ def main(argv=None) -> int:
                 "correct": all(r["correct"] for r in [*runs["base"], *runs["head"], *traced.values()]),
                 "end_to_end": {m["name"]: compare(values("base", m["name"]), values("head", m["name"]), m)
                                for m in bench["end_to_end"]},
+                "ops_completed": {side: ops_completed(runs[side]) for side in runs},
                 **traced_counts(traced, counters),
                 "runs": runs,
                 "traced": traced,

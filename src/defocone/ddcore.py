@@ -39,8 +39,8 @@ def _initial_simplicial(rows, dim):
     primitive integer vectors.
 
     The rows a left-to-right scan finds independent are the pivot columns
-    of the RREF of the transposed rows."""
-    chosen = rref(list(zip(*rows)), len(rows))[1]
+    of the transposed rows, which their echelon form already gives."""
+    chosen = rref(list(zip(*rows)), len(rows), echelon=True)[1]
     if len(chosen) < dim:
         raise ValueError("cone is not pointed (constraint rows do not span)")
     mat = [list(rows[i]) for i in chosen]

@@ -3,12 +3,14 @@
 Scalars are `fractions.Fraction` (arbitrary precision, always gcd-reduced
 with positive denominator, so equality is structural).  Vectors are tuples
 of Fractions, matrices are lists of row lists.  Every elimination that
-returns reduced rows, here and in the simplex tableau, goes through one
-Gauss-Jordan step, `pivot`; `rank` only counts pivots, fraction-free, and
-`parallel` and the one-vector case of `in_span` eliminate nothing.  The
-routines here use a fixed pivot rule (first nonzero entry, scanning
-columns left to right and rows top to bottom) so results are reproducible
-across runs.  `primitive` names a direction by coprime integers, as the
+returns reduced or echelon rows, here and in the simplex tableau, goes
+through one Gauss-Jordan step, `pivot`: `rref` stops at the echelon form
+when asked to, clearing each pivot column only below its pivot, and
+`nullspace` reads its kernel from that form by back-substitution.  `rank`
+only counts pivots, fraction-free, and `parallel` and the one-vector case
+of `in_span` eliminate nothing.  The routines here use a fixed pivot rule
+(first nonzero entry, scanning columns left to right and rows top to
+bottom) so results are reproducible across runs.  `primitive` names a direction by coprime integers, as the
 double description and the deduction engine's direction keys use it.
 """
 
@@ -70,21 +72,25 @@ def primitive(v) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def pivot(m, r: int, c: int) -> None:
+def pivot(m, r: int, c: int, below: bool = False) -> None:
     """One Gauss-Jordan step, in place on a list of row lists: scale row r
-    so that m[r][c] == 1, then clear column c from every other row."""
+    so that m[r][c] == 1, then clear column c from every other row, or with
+    ``below`` only from the rows after r (one step of forward elimination)."""
     row = m[r]
     if row[c] != 1:
         inv = 1 / row[c]
         m[r] = row = [inv * x for x in row]
-    for i in range(len(m)):
+    for i in range(r + 1 if below else 0, len(m)):
         if i != r and m[i][c] != 0:
             f = m[i][c]
             m[i] = [x - f * y for x, y in zip(m[i], row)]
 
 
-def rref(rows, ncols: int | None = None):
-    """Reduced row echelon form.
+def rref(rows, ncols: int | None = None, echelon: bool = False):
+    """Reduced row echelon form, or with ``echelon`` the row echelon form
+    with unit pivots: each pivot column is cleared only below its pivot, so
+    the entries above the pivots are left as they are.  Both forms have the
+    same pivot columns.
 
     Returns (reduced_rows, pivot_columns).  Accepts an empty row list when
     ``ncols`` is given.
@@ -98,7 +104,7 @@ def rref(rows, ncols: int | None = None):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot(m, r, c)
+        pivot(m, r, c, below=echelon)
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -145,17 +151,23 @@ def nullspace(rows, ncols: int) -> list[Vec]:
     """Deterministic kernel basis, pivot-normalized.
 
     Each basis vector has a 1 in one free column and zeros in the other
-    free columns; the empty matrix yields the standard basis.
+    free columns; the empty matrix yields the standard basis.  That vector
+    is unique, so it is read from the echelon form by back-substitution,
+    from the last pivot row up, skipping zero terms: v[p] is minus the sum
+    of row[j] * v[j] over the columns j after the row's pivot p.
     """
-    reduced, pivots = rref(rows, ncols)
+    echelon, pivots = rref(rows, ncols, echelon=True)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis: list[Vec] = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivot_set):
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
+        nonzero = [f]
+        for row, p in zip(reversed(echelon), reversed(pivots)):
+            s = sum(row[j] * v[j] for j in nonzero if row[j])
+            if s:
+                v[p] = -s
+                nonzero.append(p)
         basis.append(tuple(v))
     return basis
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import graphs
 from .errors import InputError, ResourceLimitError
@@ -88,8 +88,9 @@ class Framework(Points):
     def is_degenerate(self, e: Edge) -> bool:
         return is_zero_vec(self.edge_vector(e))
 
-    @property
+    @cached_property
     def degenerate_edges(self) -> frozenset[Edge]:
+        """Edges whose endpoints coincide, computed once per framework."""
         return frozenset(e for e in self.edges if self.is_degenerate(e))
 
     @property
@@ -183,13 +184,14 @@ def cycle_equation_rows(fw: Framework, cycles) -> list[list[Fraction]]:
     row space.
     """
     eidx = {e: i for i, e in enumerate(fw.edges)}
+    points = fw.points
     pivots = _hull_pivots(fw)
     rows: list[list[Fraction]] = []
     for walk in cycles:
         acc = [[Fraction(0)] * len(pivots) for _ in fw.edges]
         for u, v in walk_edges(walk):
             i = eidx[edge_key(u, v)]
-            pu, pv = fw.point(u), fw.point(v)
+            pu, pv = points[u], points[v]
             acc[i] = [a + pv[k] - pu[k] for a, k in zip(acc[i], pivots)]
         for k in range(len(pivots)):
             rows.append([acc[i][k] for i in range(len(fw.edges))])

@@ -105,3 +105,12 @@ def test_bench_compares_the_traced_counts():
                                  "head": traced("cd", **{"exact.calls": 4, "io.cert_bytes": 9})}, counters)
     assert moved == {"traced_counts_identical": False, "traced_counters_differing": {"exact.calls": [3, 4]}}
     assert not bench.traced_counts({"base": traced(None), "head": traced(None)}, counters)["traced_counts_identical"]
+
+
+def test_bench_summarizes_the_ops_each_run_completed():
+    """bench.py records the median and quartiles of passes x ops per pass."""
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    runs = [{"run": {"passes": p, "ops_per_pass": 29}} for p in (4, 2, 5, 3, 6)]
+    assert bench.ops_completed(runs) == {"median": 116, "q1": 87, "q3": 145}

@@ -10,8 +10,9 @@ when asked to, clearing each pivot column only below its pivot, and
 only counts pivots, fraction-free, and `parallel` and the one-vector case
 of `in_span` eliminate nothing.  The routines here use a fixed pivot rule
 (first nonzero entry, scanning columns left to right and rows top to
-bottom) so results are reproducible across runs.  `primitive` names a direction by coprime integers, as the
-double description and the deduction engine's direction keys use it.
+bottom) so results are reproducible across runs.  `primitive` names a
+direction by coprime integers, as the double description and the
+deduction engine's direction keys use it.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def rref(rows, ncols: int | None = None, echelon: bool = False):
     the entries above the pivots are left as they are.  Both forms have the
     same pivot columns.
 
-    Returns (reduced_rows, pivot_columns).  Accepts an empty row list when
+    Returns (rows, pivot_columns).  Accepts an empty row list when
     ``ncols`` is given.
     """
     m = [list(map(Fraction, r)) for r in rows]
@@ -158,8 +159,9 @@ def nullspace(rows, ncols: int) -> list[Vec]:
     """
     echelon, pivots = rref(rows, ncols, echelon=True)
     pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis: list[Vec] = []
-    for f in (c for c in range(ncols) if c not in pivot_set):
+    for f in free:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         nonzero = [f]

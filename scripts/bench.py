@@ -19,10 +19,10 @@ sides.
 The file holds every run's metrics, each side's median and quartiles per
 metric and of the ops each run completed (the ops `op_tail_ms` is
 estimated from, and whose samples weigh on `peak_rss_mb`), the pairs the
-head won and the verdict of the gain rule (head
-better in at least nine tenths of the pairs, by more than the base's
-interquartile range) and of the bound of BENCHMARK.json, plus the
-machine (nproc, CPU, Python version) and both commits.  A metric is
+head won and the verdict of the gain rule (head better in at least nine
+tenths of the pairs, by more than the base's interquartile range) and of
+the bound of BENCHMARK.json, plus the machine (nproc, CPU, Python
+version) and both commits.  A metric is
 `unresolved` when the base's interquartile range is wider than its bound
 times its median, unless every head run is better than every base run:
 its runs spread too widely to tell a move within the bound.

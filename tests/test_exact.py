@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defocone.constructions import bipartite_truncation, complete_bipartite, complete_graph, graphical_zonotope
+from defocone.corpus import corpus
 from defocone.exact import (
     affine_rank,
     in_span,
@@ -21,6 +23,8 @@ from defocone.exact import (
     rref,
     vec_dot,
 )
+from defocone.framework import cycle_basis, cycle_equation_rows
+from defocone.report import DEDUCTION_PROVABLE
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -197,11 +201,6 @@ def test_nullspace_matches_the_reduced_form_on_cycle_systems():
     """The cycle equations `deformation_space` eliminates, sparsest row
     first: the corpus, the members the deduction engine proves, P/Q_2,3,
     P_1,5 and the K4 and K_{2,3} zonotopes."""
-    from defocone.constructions import bipartite_truncation, complete_bipartite, complete_graph, graphical_zonotope
-    from defocone.corpus import corpus
-    from defocone.framework import cycle_basis, cycle_equation_rows
-    from defocone.report import DEDUCTION_PROVABLE
-
     fws = [e.framework for e in corpus().values()]
     fws += [bipartite_truncation(n, m, kind).framework for kind, n, m in [*DEDUCTION_PROVABLE, ("P", 1, 5)]]
     fws += [graphical_zonotope(g).framework() for g in (complete_graph(4), complete_bipartite(2, 3))]

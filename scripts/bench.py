@@ -2,6 +2,7 @@
 """Compare two commits on the defocone benchmark and write a BENCH JSON file.
 
     python3 scripts/bench.py --base <rev> [--head <rev>] --out BENCH_<tag>.json
+    python3 scripts/bench.py --bases-digest
 
 Run it from inside the git checkout.  Both revisions are exported with
 `git archive` into a temporary directory (no network, no install), so
@@ -14,7 +15,10 @@ two traced runs agree on their exact counts (`exact_counts_digest`),
 naming every per-layer counter that differs.  Last it times
 `defocone report paper --json` on each side in PAIRS alternating pairs
 and checks that the rows, apart from `seconds`, are the same on both
-sides.
+sides, and that both sides give the same `DeformationSpace.basis`, Fraction
+for Fraction, on the corpus and on every workload input under the seeded
+variants 41-43 (`bases_identical`).  `--bases-digest` prints that digest
+for the checkout in the current directory.
 
 The file holds every run's metrics, each side's median and quartiles per
 metric and of the ops each run completed (the ops `op_tail_ms` is
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import platform
@@ -40,10 +45,12 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
 FIRST_SEED = 41
+BASIS_VARIANTS = (41, 42, 43)
 
 
 def git(*args: str) -> str:
@@ -85,6 +92,46 @@ def report(tree: str) -> tuple[float, list]:
     if out.returncode != 0:
         raise RuntimeError(f"defocone report paper in {tree} exited {out.returncode}:\n{out.stderr}")
     return seconds, [{k: v for k, v in row.items() if k != "seconds"} for row in json.loads(out.stdout)]
+
+
+def bases_digest(root: str, variants=BASIS_VARIANTS) -> dict:
+    """sha256 of the edges and `DeformationSpace.basis` of every corpus
+    framework and every workload input under the seeded variants, with the
+    package and perfbench's workloads imported from the checkout at root.
+    A guard's message stands in for a refused basis."""
+    for sub in ("perfbench", "src"):
+        if os.path.join(root, sub) not in sys.path:
+            sys.path.insert(0, os.path.join(root, sub))
+    workloads = importlib.import_module("workloads")
+    pkg = types.SimpleNamespace(**{m: importlib.import_module(f"defocone.{m}") for m in
+                                   ("constructions", "corpus", "errors", "framework", "io", "polytope", "report")})
+    fws = [e.framework for _, e in sorted(pkg.corpus.corpus().items())]
+    for name in workloads.WORKLOADS:
+        base = workloads.build(pkg, name)
+        for variant in variants:
+            for _, obj in workloads.serialize(pkg, name, base, variant):
+                if name == "faces":
+                    fws.append(pkg.polytope.framework_of(pkg.io.polytope_from_obj(obj)))
+                else:
+                    fws.append(pkg.io.framework_from_obj(obj if name == "oracle" else obj["framework"]))
+    h = hashlib.sha256()
+    for fw in fws:
+        try:
+            basis = [[str(x) for x in v] for v in pkg.framework.deformation_space(fw).basis]
+        except pkg.errors.ResourceLimitError as exc:
+            basis = str(exc)
+        h.update(json.dumps([fw.edges, basis]).encode())
+    return {"frameworks": len(fws), "digest": h.hexdigest()}
+
+
+def tree_bases_digest(tree: str) -> dict:
+    """`bases_digest` of an exported tree, in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--bases-digest"],
+                         cwd=tree, env=env, capture_output=True, text=True)
+    if out.returncode != 0:
+        raise RuntimeError(f"--bases-digest in {tree} exited {out.returncode}:\n{out.stderr}")
+    return json.loads(out.stdout)
 
 
 def summary(values: list[float]) -> dict:
@@ -135,10 +182,17 @@ def traced_counts(traced: dict, counters: list[str]) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--base", required=True, help="parent revision")
+    ap.add_argument("--base", help="parent revision (required)")
     ap.add_argument("--head", default="HEAD", help="changed revision (default HEAD)")
-    ap.add_argument("--out", required=True, help="path of the BENCH JSON file to write")
+    ap.add_argument("--out", help="path of the BENCH JSON file to write (required)")
+    ap.add_argument("--bases-digest", action="store_true",
+                    help="print the deformation-basis digest of the checkout in the current directory and exit")
     args = ap.parse_args(argv)
+    if args.bases_digest:
+        print(json.dumps(bases_digest(os.getcwd())))
+        return 0
+    if args.base is None or args.out is None:
+        ap.error("--base and --out are required")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
@@ -154,6 +208,10 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="defocone-bench-") as tmp:
         trees = {side: export(rev, os.path.join(tmp, side)) for side, rev in commits.items()}
+        bases = {side: tree_bases_digest(tree) for side, tree in trees.items()}
+        doc["bases"] = bases
+        doc["bases_identical"] = bases["base"] == bases["head"]
+        print(f"bases identical: {doc['bases_identical']}", file=sys.stderr)
         for name in (w["name"] for w in bench["workloads"]):
             runs = {"base": [], "head": []}
             for i in range(PAIRS):

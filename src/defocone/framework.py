@@ -22,13 +22,15 @@ from functools import cached_property, lru_cache
 
 from . import graphs
 from .errors import InputError, ResourceLimitError
-from .exact import Vec, is_zero_vec, nullspace, rank, vec_scale, vec_sub
+from .exact import Vec, is_zero_vec, nullspace, rref, vec_scale, vec_sub
 
 Edge = tuple[str, str]
 
 # Entries of the largest cycle-equation system (rows counted per ambient
-# coordinate, times columns) and of the largest E x E kernel basis; the
-# largest the program meets is Q_2,3's 355 x 114.
+# coordinate, times columns) and of the largest E x E kernel basis.  Of
+# the report's and the benchmark's inputs Q_2,3 counts largest, 355 x 114
+# (it eliminates 284 x 114 in hull coordinates); P/Q_2,4 (1776 x 440) and
+# P/Q_3,3 are refused.
 MAX_EQ_CELLS = 50_000
 
 
@@ -90,8 +92,10 @@ class Framework(Points):
 
     @cached_property
     def degenerate_edges(self) -> frozenset[Edge]:
-        """Edges whose endpoints coincide, computed once per framework."""
-        return frozenset(e for e in self.edges if self.is_degenerate(e))
+        """Edges whose endpoints coincide, computed once per framework from
+        the label->point map."""
+        points = self.points
+        return frozenset((u, v) for u, v in self.edges if points[u] == points[v])
 
     @property
     def nondegenerate_edges(self) -> tuple[Edge, ...]:
@@ -124,10 +128,13 @@ def is_connected(fw: Framework) -> bool:
 
 
 def cycle_basis(fw: Framework) -> tuple[tuple[str, ...], ...]:
-    """Fundamental cycles of the BFS forest, as closed vertex walks.
+    """Fundamental cycles of the BFS forest, as closed vertex walks, one
+    per chord (non-tree edge) in edge order.
 
-    A walk (u0, ..., uk) stands for the edge sequence u0u1, ..., uk u0.
-    Count equals |E| - |V| + #components.
+    A walk (u0, ..., uk) stands for the edge sequence u0u1, ..., uk u0: the
+    tree path from the chord's smaller end u0 to its other end uk, closed
+    by the chord itself, so the closing edge of each walk is its chord and
+    lies in no other walk.  Count equals |E| - |V| + #components.
     """
     parent = graphs.bfs_parents(adjacency(fw), fw.vertex_ids)
     tree = {edge_key(x, p) for x, p in parent.items() if p is not None}
@@ -160,16 +167,11 @@ class DeformationSpace:
 
 
 def _hull_pivots(fw: Framework) -> list[int]:
-    """The coordinates a left-to-right scan finds independent on the point
-    differences: the pivot columns of their reduced row echelon form, by
-    which `polytope.hull_frame` reads hull coordinates."""
+    """The pivot columns of the point differences, by which
+    `polytope.hull_frame` reads hull coordinates; one forward elimination
+    finds them, since the echelon form has the reduced form's pivots."""
     base = fw.coords[0] if fw.coords else ()
-    cols = list(zip(*(vec_sub(c, base) for c in fw.coords[1:])))
-    pivots: list[int] = []
-    for k, col in enumerate(cols):
-        if rank([cols[i] for i in pivots] + [col], len(col)) > len(pivots):
-            pivots.append(k)
-    return pivots
+    return rref([vec_sub(c, base) for c in fw.coords[1:]], fw.dim, echelon=True)[1]
 
 
 def cycle_equation_rows(fw: Framework, cycles) -> list[list[Fraction]]:
@@ -202,24 +204,55 @@ def cycle_equation_rows(fw: Framework, cycles) -> list[list[Fraction]]:
     return rows
 
 
+def _edge_order_basis(kernel, order: list[int]) -> list[Vec]:
+    """The pivot-normalized kernel basis in edge order, from any basis of
+    the kernel whose column j is edge order[j].
+
+    Column f is free in edge order exactly when some kernel vector has its
+    last nonzero entry at f.  So one reduction of the kernel with its
+    columns scanned right to left pivots on the free columns, and its
+    reduced rows are the vectors that are 1 at one free column and 0 at
+    the others: the basis `nullspace` gives in edge order, read back in
+    ascending free column.
+    """
+    n = len(order)
+    mapped = []
+    for vec in kernel:
+        v = [Fraction(0)] * n
+        for j, x in zip(order, vec):
+            v[j] = x
+        mapped.append(v[::-1])
+    reduced, _ = rref(mapped, n)
+    return [tuple(row[::-1]) for row in reversed(reduced)]
+
+
 @lru_cache(maxsize=None)
 def deformation_space(fw: Framework) -> DeformationSpace:
     """The exact nullspace of the cycle equations, eliminated sparsest row
-    first.  The row order and the left-out coordinate rows change no row
-    space, so the pivot-normalized basis is the one every order gives.
+    first with the chord columns first: the chord of each fundamental
+    cycle (the closing edge of its walk) appears in that cycle's rows
+    alone, so pivoting on the chords first fills in no other cycle's rows.
+    The tree edges follow in edge order.  `_edge_order_basis` reads the
+    kernel back in edge order; the row order, the column order and the
+    left-out coordinate rows change no kernel, so the basis is the
+    pivot-normalized one of `nullspace` in edge order.
 
-    ResourceLimitError, before any row is built, when the equations counted
-    per ambient coordinate, or the E x E kernel basis, exceed MAX_EQ_CELLS
-    entries."""
-    cycles = cycle_basis(fw)
-    shape = (len(cycles) * fw.dim + len(fw.degenerate_edges), len(fw.edges))
+    ResourceLimitError, before any cycle or row is built, when the
+    equations counted per ambient coordinate (|E| - |V| + #components
+    cycles), or the E x E kernel basis, exceed MAX_EQ_CELLS entries."""
+    ncycles = len(fw.edges) - len(fw.vertex_ids) + len(components(fw))
+    shape = (ncycles * fw.dim + len(fw.degenerate_edges), len(fw.edges))
     if shape[0] * shape[1] > MAX_EQ_CELLS:
         raise ResourceLimitError(f"deformation space guard: {shape[0]}x{shape[1]} equations exceed {MAX_EQ_CELLS} entries")
     if shape[1] * shape[1] > MAX_EQ_CELLS:
         raise ResourceLimitError(f"deformation space guard: {shape[1]}x{shape[1]} kernel basis exceeds {MAX_EQ_CELLS} entries")
+    cycles = cycle_basis(fw)
     rows = sorted(cycle_equation_rows(fw, cycles), key=lambda row: len(row) - row.count(0))
-    basis = nullspace(rows, len(fw.edges))
-    return DeformationSpace(fw, tuple(basis), fw.degenerate_edges, cycles)
+    eidx = {e: i for i, e in enumerate(fw.edges)}
+    chords = [eidx[edge_key(w[-1], w[0])] for w in cycles]
+    order = chords + sorted(set(range(len(fw.edges))).difference(chords))
+    kernel = nullspace([[row[j] for j in order] for row in rows], len(order))
+    return DeformationSpace(fw, tuple(_edge_order_basis(kernel, order)), fw.degenerate_edges, cycles)
 
 
 def dc_dimension(fw: Framework) -> int:

@@ -1,12 +1,16 @@
 """Framework semantics: cycle equations, placement, oracle, partitions."""
 
+import hashlib
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defocone.framework
 from defocone.cones import characteristic_vector, closure, is_implicit_edge
 from defocone.constructions import (
     bipartite_truncation,
@@ -18,10 +22,11 @@ from defocone.constructions import (
     uniform_matroid,
 )
 from defocone.corpus import corpus
-from defocone.errors import InputError
+from defocone.errors import InputError, ResourceLimitError
 from defocone.exact import in_span, nullspace, rank, rref, vec_scale, vec_sub
 from defocone.framework import (
     Framework,
+    _edge_order_basis,
     _hull_pivots,
     cycle_basis,
     cycle_equation_rows,
@@ -35,6 +40,7 @@ from defocone.framework import (
     realize,
     walk_edges,
 )
+from defocone.report import DEDUCTION_PROVABLE
 
 
 @pytest.fixture(scope="module")
@@ -333,16 +339,19 @@ def _assert_hull_rows_agree(fw):
     assert deformation_space(fw).basis == tuple(nullspace(reference, n))
 
 
-def _family_frameworks():
-    out = [bipartite_truncation(n, m, kind).framework
-           for kind in "PQ" for n in (1, 2) for m in (1, 2, 3) if kind == "P" or n * m > 2]
-    out += [graphical_zonotope(g).framework() for g in (complete_graph(4), complete_bipartite(2, 3))]
-    out += [matroid_polytope(mb).framework for mb in (uniform_matroid(2, 5), graphic_matroid(complete_graph(4)))]
+def _family_frameworks() -> dict:
+    """P/Q for n <= 2, m <= 3, the K4 and K2,3 zonotopes, U(2,5) and M(K4)."""
+    out = {f"{kind}_{n}_{m}": bipartite_truncation(n, m, kind).framework
+           for kind in "PQ" for n in (1, 2) for m in (1, 2, 3) if kind == "P" or n * m > 2}
+    out["zono_k4"] = graphical_zonotope(complete_graph(4)).framework()
+    out["zono_k2_3"] = graphical_zonotope(complete_bipartite(2, 3)).framework()
+    out["u_2_5"] = matroid_polytope(uniform_matroid(2, 5)).framework
+    out["m_k4"] = matroid_polytope(graphic_matroid(complete_graph(4))).framework
     return out
 
 
 def test_hull_rows_agree_with_all_coordinate_rows(cp):
-    fws = [e.framework for e in cp.values()] + [_collapsed_cube()] + _family_frameworks()
+    fws = [e.framework for e in cp.values()] + [_collapsed_cube()] + list(_family_frameworks().values())
     for fw in fws:
         _assert_hull_rows_agree(fw)
     # the families lie in hyperplanes, so rows were left out on them
@@ -377,6 +386,169 @@ def _subspace_frameworks(draw):
 @settings(max_examples=200, deadline=None)
 def test_hull_rows_agree_on_frameworks_in_subspaces(fw):
     _assert_hull_rows_agree(fw)
+
+
+def _sorted_rows_nullspace(fw):
+    """The reference basis: the kernel of the sorted cycle equations,
+    eliminated with the columns in edge order."""
+    rows = sorted(cycle_equation_rows(fw, cycle_basis(fw)), key=lambda row: len(row) - row.count(0))
+    return tuple(nullspace(rows, len(fw.edges)))
+
+
+def _named_frameworks(cp) -> dict:
+    """The corpus, the collapsed cube, the families and DEDUCTION_PROVABLE, by name."""
+    out = {name: e.framework for name, e in cp.items()}
+    out["collapsed_cube"] = _collapsed_cube()
+    out.update(_family_frameworks())
+    out.update({f"{kind}_{n}_{m}": bipartite_truncation(n, m, kind).framework for kind, n, m in DEDUCTION_PROVABLE})
+    return out
+
+
+def _small_cases() -> dict:
+    """Hand-made frameworks: a degenerate chord, a degenerate tree edge, a
+    triangle beside a lone vertex, a tree, and no edges."""
+    return {
+        "degenerate chord": framework({"a": (0, 0), "b": (1, 0), "c": (1, 0)}, [("a", "b"), ("a", "c"), ("b", "c")]),
+        "degenerate tree edge": framework({"a": (0, 0), "b": (0, 0), "c": (1, 0)}, [("a", "b"), ("a", "c"), ("b", "c")]),
+        "triangle and a point": framework({"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (5, 5)},
+                                          [("a", "b"), ("a", "c"), ("b", "c")]),
+        "path": framework({"a": (0,), "b": (1,), "c": (3,)}, [("a", "b"), ("b", "c")]),
+        "no edges": framework({"a": (0, 1), "b": (2, 3)}, []),
+    }
+
+
+def _chords(fw):
+    return {edge_key(w[-1], w[0]) for w in cycle_basis(fw)}
+
+
+def test_chord_first_basis_is_the_edge_order_nullspace(cp):
+    """The chord-first elimination, read back in edge order, gives the
+    basis of the sorted rows eliminated in edge order, element for element."""
+    fws = {**_named_frameworks(cp), **_small_cases()}
+    for name, fw in fws.items():
+        basis = deformation_space(fw).basis
+        assert basis == _sorted_rows_nullspace(fw), name
+        assert all(type(x) is Fraction for v in basis for x in v), name
+    small = _small_cases()
+    assert _chords(small["degenerate chord"]) == {("b", "c")} <= small["degenerate chord"].degenerate_edges
+    assert ("a", "b") in small["degenerate tree edge"].degenerate_edges - _chords(small["degenerate tree edge"])
+    # the chords are not a prefix of the edges on the families, so the
+    # column order really changed
+    assert any(sorted(fw.edges.index(e) for e in _chords(fw)) != list(range(len(_chords(fw))))
+               for fw in fws.values())
+
+
+@given(_subspace_frameworks())
+@settings(max_examples=200, deadline=None)
+def test_chord_first_basis_on_frameworks_in_subspaces(fw):
+    assert deformation_space(fw).basis == _sorted_rows_nullspace(fw)
+
+
+def test_edge_order_read_back_on_permuted_random_kernels():
+    """Any basis of the kernel of the column-permuted matrix, mapped back
+    by the permutation, reads back to `nullspace` of the matrix itself."""
+    rnd = random.Random(2026)
+    seen_dims = set()
+    for _ in range(300):
+        n = rnd.randint(0, 9)
+        rows = [[Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)) if rnd.random() < 0.5 else Fraction(0)
+                 for _ in range(n)] for _ in range(rnd.randint(0, 6))]
+        rows += [list(rows[0])] if rows and rnd.random() < 0.3 else []
+        order = list(range(n))
+        rnd.shuffle(order)
+        kernel = nullspace([[row[j] for j in order] for row in rows], n)
+        # another basis of the same kernel: add random multiples of the
+        # earlier vectors to each one, then reverse the list
+        mixed = []
+        for i, v in enumerate(kernel):
+            coeffs = [rnd.randint(-2, 2) for _ in range(i)]
+            mixed.append(tuple(x + sum((c * w[k] for c, w in zip(coeffs, kernel)), Fraction(0))
+                               for k, x in enumerate(v)))
+        mixed.reverse()
+        expected = tuple(nullspace(rows, n))
+        assert tuple(_edge_order_basis(kernel, order)) == expected
+        assert tuple(_edge_order_basis(mixed, order)) == expected
+        seen_dims.add(len(expected))
+    assert {0, 1, 2, 3} <= seen_dims
+
+
+def _basis_digest(fw) -> str:
+    text = json.dumps([[str(x) for x in v] for v in deformation_space(fw).basis])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of the deformation bases (entries as "p/q" text), recorded
+# with the columns eliminated in edge order, before the chord-first order.
+BASIS_DIGESTS = {
+    "triangle": "2697a6a0fa542cf4",
+    "scalene_quadrilateral": "2de334317d2426ab",
+    "trapezoid": "3e27889e51065102",
+    "parallelogram": "239c7192bef61112",
+    "square": "239c7192bef61112",
+    "cube": "e6f13e1d7a287aab",
+    "prism": "18b3c3c62d8799d6",
+    "hemicube": "b46bfcd7633ca95a",
+    "hexagon": "6cde2640e6844d3e",
+    "hexagonal_pyramid": "60c7e7953ea21476",
+    "kallay_coplanar": "9e54106f64cf1220",
+    "kallay_skew": "b10855be199a1de8",
+    "triangular_cupola": "f358617600ce255b",
+    "chiseled_cube": "86c6357595e0f298",
+    "chiseled_square_pyramid": "9772e8957d46aebd",
+    "triangle_sum_shared_direction": "4fcd98a0d2e9f0de",
+    "gyrobifastigium": "7d1c5ecb361cd776",
+    "diminished_trapezohedron": "be96d45b39bbadec",
+    "p_3_1": "60c7e7953ea21476",
+    "q_3_1": "60c7e7953ea21476",
+    "p_2_2": "597ef783bdca04d3",
+    "q_2_2": "ded67558f563129d",
+    "two_disjoint_triangles": "a32fabae99e2320e",
+    "collapsed_cube": "a557bd7d49dc7ee4",
+    "P_1_1": "4f53cda18c2baa0c",
+    "P_1_2": "2697a6a0fa542cf4",
+    "P_1_3": "60c7e7953ea21476",
+    "P_2_1": "2697a6a0fa542cf4",
+    "P_2_2": "597ef783bdca04d3",
+    "P_2_3": "a400df1d707567cf",
+    "Q_1_3": "60c7e7953ea21476",
+    "Q_2_2": "ded67558f563129d",
+    "Q_2_3": "317b581f6b14cea9",
+    "zono_k4": "9ab435b455a48602",
+    "zono_k2_3": "586ae28fe8498156",
+    "u_2_5": "cde332ce8e2de982",
+    "m_k4": "09972d05b674a220",
+    "P_3_1": "60c7e7953ea21476",
+    "P_1_4": "83ade43a0cb0ff75",
+    "P_4_1": "83ade43a0cb0ff75",
+    "P_3_2": "a400df1d707567cf",
+    "Q_3_1": "60c7e7953ea21476",
+    "Q_1_4": "da965dfff8ea53de",
+    "Q_4_1": "da965dfff8ea53de",
+    "Q_3_2": "317b581f6b14cea9",
+}
+
+
+def test_basis_digests_are_pinned(cp):
+    assert {name: _basis_digest(fw) for name, fw in _named_frameworks(cp).items()} == BASIS_DIGESTS
+
+
+def test_guard_fires_before_any_cycle_is_built(monkeypatch):
+    """The guard's shape comes from |E| - |V| + #components, so a framework
+    past it is refused without a cycle basis or a row."""
+
+    def refuse(fw):
+        raise AssertionError("cycle_basis called")
+
+    monkeypatch.setattr(defocone.framework, "cycle_basis", refuse)
+    n = 30
+    grid = framework({f"{i},{j}": (i, j) for i in range(n) for j in range(n)},
+                     [(f"{i},{j}", f"{i + 1},{j}") for i in range(n - 1) for j in range(n)]
+                     + [(f"{i},{j}", f"{i},{j + 1}") for i in range(n) for j in range(n - 1)])
+    with pytest.raises(ResourceLimitError, match=r"^deformation space guard: 1682x1740 equations exceed 50000 entries$"):
+        deformation_space(grid)
+    path = framework({f"v{i}": (i,) for i in range(300)}, [(f"v{i}", f"v{i + 1}") for i in range(299)])
+    with pytest.raises(ResourceLimitError, match=r"^deformation space guard: 299x299 kernel basis exceeds 50000 entries$"):
+        deformation_space(path)
 
 
 @given(st.integers(0, 400))

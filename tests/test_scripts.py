@@ -1,5 +1,6 @@
 """The runnable scripts under scripts/."""
 
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import defocone
+import defocone.framework
 import defocone.polytope
 from defocone.constructions import bipartite_truncation
 from defocone.errors import ResourceLimitError
@@ -114,3 +116,23 @@ def test_bench_summarizes_the_ops_each_run_completed():
     spec.loader.exec_module(bench)
     runs = [{"run": {"passes": p, "ops_per_pass": 29}} for p in (4, 2, 5, 3, 6)]
     assert bench.ops_completed(runs) == {"median": 116, "q1": 87, "q3": 145}
+
+
+def test_bench_digests_the_deformation_bases(monkeypatch):
+    """bench.py hashes every corpus basis (and, per seeded variant, every
+    workload input's), so a changed basis entry changes the digest."""
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    root = os.path.dirname(SRC)
+    first = bench.bases_digest(root, variants=())
+    assert first == bench.bases_digest(root, variants=())
+    assert first["frameworks"] == 23
+    real = defocone.framework.deformation_space
+
+    def shifted(fw):
+        ds = real(fw)
+        return dataclasses.replace(ds, basis=tuple(tuple(x + (i == 0) for i, x in enumerate(v)) for v in ds.basis))
+
+    monkeypatch.setattr(defocone.framework, "deformation_space", shifted)
+    assert bench.bases_digest(root, variants=())["digest"] != first["digest"]

@@ -205,15 +205,11 @@ def cycle_equation_rows(fw: Framework, cycles) -> list[list[Fraction]]:
 
 
 def _edge_order_basis(kernel, order: list[int]) -> list[Vec]:
-    """The pivot-normalized kernel basis in edge order, from any basis of
-    the kernel whose column j is edge order[j].
-
-    Column f is free in edge order exactly when some kernel vector has its
-    last nonzero entry at f.  So one reduction of the kernel with its
-    columns scanned right to left pivots on the free columns, and its
-    reduced rows are the vectors that are 1 at one free column and 0 at
-    the others: the basis `nullspace` gives in edge order, read back in
-    ascending free column.
+    """The pivot-normalized basis `nullspace` gives in edge order, from any
+    kernel basis whose column j is edge order[j].  Column f is free in edge
+    order exactly when some kernel vector has its last nonzero entry at f,
+    so one reduction with the columns scanned right to left pivots on the
+    free columns, and its rows are 1 at one free column, 0 at the others.
     """
     n = len(order)
     mapped = []
@@ -228,18 +224,16 @@ def _edge_order_basis(kernel, order: list[int]) -> list[Vec]:
 
 @lru_cache(maxsize=None)
 def deformation_space(fw: Framework) -> DeformationSpace:
-    """The exact nullspace of the cycle equations, eliminated sparsest row
-    first with the chord columns first: the chord of each fundamental
-    cycle (the closing edge of its walk) appears in that cycle's rows
-    alone, so pivoting on the chords first fills in no other cycle's rows.
-    The tree edges follow in edge order.  `_edge_order_basis` reads the
-    kernel back in edge order; the row order, the column order and the
-    left-out coordinate rows change no kernel, so the basis is the
-    pivot-normalized one of `nullspace` in edge order.
+    """The exact nullspace of the cycle equations, rows sparsest first and
+    chord columns first: each cycle's chord, the closing edge of its walk,
+    lies in that cycle's rows alone, so its pivot fills in no other cycle's
+    rows.  Neither order, nor the left-out coordinate rows, changes the
+    kernel, so `_edge_order_basis` reads back the one pivot-normalized basis
+    in edge order.
 
-    ResourceLimitError, before any cycle or row is built, when the
-    equations counted per ambient coordinate (|E| - |V| + #components
-    cycles), or the E x E kernel basis, exceed MAX_EQ_CELLS entries."""
+    ResourceLimitError, before any cycle is built, when the equations
+    counted per ambient coordinate (|E| - |V| + #components cycles), or the
+    E x E kernel basis, exceed MAX_EQ_CELLS entries."""
     ncycles = len(fw.edges) - len(fw.vertex_ids) + len(components(fw))
     shape = (ncycles * fw.dim + len(fw.degenerate_edges), len(fw.edges))
     if shape[0] * shape[1] > MAX_EQ_CELLS:

@@ -128,7 +128,7 @@ def is_implicit_edge(fw: Framework, u: str, v: str) -> bool:
         return True
     if not any({u, v} <= set(c) for c in components(fw)):
         return False
-    base = vec_sub(fw.point(v), fw.point(u))
+    base = fw.edge_vector((u, v))
     for pos in _placed_rays(fw):
         moved = vec_sub(pos[v], pos[u])
         if is_zero_vec(base):

@@ -32,8 +32,6 @@ from .polytope import (
     edges,
     faces,
     facets,
-    hull_dim,
-    hull_frame,
     hull_vertices,
     polytope,
 )
@@ -233,7 +231,7 @@ class Zonotope:
 
     def edge_class(self, e) -> int:
         """Index of the generator parallel to the given edge."""
-        d = vec_sub(self.polytope.point(e[1]), self.polytope.point(e[0]))
+        d = self.polytope.edge_vector(e)
         for i, gen in enumerate(self.generators):
             if parallel(gen, d):
                 return i
@@ -283,12 +281,11 @@ def zonotope(generators) -> Zonotope:
 def _cut_functional(p: PolytopeV, x: str, neighbor_ids):
     """Hyperplane through the neighbors of x, oriented toward x; errors out
     if the neighbors are not coplanar or another vertex sticks past it."""
-    h = hull_dim(p)
+    h = p.hull_dim
     pts = [p.point(v) for v in neighbor_ids]
     if affine_rank(pts) != h - 1:
         raise InputError(f"no deep truncation at {x!r}: neighbors are not on a hyperplane")
-    _, _, ys = hull_frame(p)
-    yofs = dict(zip(p.vertex_ids, ys))
+    yofs = dict(zip(p.vertex_ids, p.hull_frame[2]))
     rows = [vec_sub(yofs[v], yofs[neighbor_ids[0]]) for v in neighbor_ids[1:]]
     normals = nullspace(rows, h)
     assert len(normals) == 1
@@ -564,17 +561,14 @@ def parallelogramic_position(a: PolytopeV, b: PolytopeV):
     ea, eb = edges(a), edges(b)
     for e in ea:
         for f in eb:
-            da = vec_sub(a.point(e[1]), a.point(e[0]))
-            db = vec_sub(b.point(f[1]), b.point(f[0]))
-            if parallel(da, db):
+            if parallel(a.edge_vector(e), b.edge_vector(f)):
                 return False, f"edge {e} of the first summand is parallel to edge {f} of the second"
     for p, q, ep in ((a, b, ea), (b, a, eb)):
-        pts = q.points
         for face in faces(q):
-            if affine_rank([pts[v] for v in face]) != 2:
+            if affine_rank([q.point(v) for v in face]) != 2:
                 continue
             dirs = flat_direction(q, face)
             for e in ep:
-                if in_span(dirs, vec_sub(p.point(e[1]), p.point(e[0]))):
+                if in_span(dirs, p.edge_vector(e)):
                     return False, f"edge {e} is parallel to 2-face {sorted(face)}"
     return True, None

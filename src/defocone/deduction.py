@@ -73,7 +73,7 @@ class DeductionState:
     def __init__(self, fw: Framework):
         self.base = fw
         self.known: set[Edge] = set(fw.edges)
-        self._classes = graphs.UnionFind(e for e in fw.edges if not fw.is_degenerate(e))
+        self._classes = graphs.UnionFind(fw.nondegenerate_edges)
         self.log: list[Step] = []
         self._pins: dict[frozenset, bool] = {}
         self._vecs: dict[tuple[str, str], Vec] = {}
@@ -142,7 +142,7 @@ class DeductionState:
         """p(e[1]) - p(e[0]), computed once per ordered pair."""
         d = self._vecs.get(e)
         if d is None:
-            d = self._vecs[e] = vec_sub(self.base.point(e[1]), self.base.point(e[0]))
+            d = self._vecs[e] = self.base.edge_vector(e)
         return d
 
     def direction_key(self, e: tuple[str, str]) -> tuple[int, ...] | None:

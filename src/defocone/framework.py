@@ -12,6 +12,10 @@ rays, implicit edges, the closure) are answered from its rays in `cones`.
 A fundamental cycle basis suffices: the closing-up equation depends
 linearly on the cycle (as an element of the rational cycle space), so a
 spanning-forest basis generates the equations of all cycles.
+
+`Points`, the base of `Framework` and `polytope.PolytopeV`, holds a point
+set's label->point map, edge vectors and affine-hull frame, each computed
+once per instance; the cycle equations are written in hull coordinates.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ def edge_key(u: str, v: str) -> Edge:
 @dataclass(frozen=True)
 class Points:
     """A labelled set of rational points: vertex_ids[i] sits at coords[i].
-    Equality compares classes first, so a polytope never equals a framework."""
+    Equality compares classes first, so a polytope never equals a framework;
+    the cached facts below are not fields, so equality and hashing ignore them."""
 
     vertex_ids: tuple[str, ...]
     coords: tuple[Vec, ...]
@@ -52,12 +57,34 @@ class Points:
     def dim(self) -> int:
         return len(self.coords[0]) if self.coords else 0
 
+    @cached_property
+    def points(self) -> dict[str, Vec]:
+        """The label->point map, one dict shared by every reader."""
+        return dict(zip(self.vertex_ids, self.coords))
+
     def point(self, v: str) -> Vec:
-        return self.coords[self.vertex_ids.index(v)]
+        return self.points[v]
+
+    def edge_vector(self, e: Edge) -> Vec:
+        """p(e[1]) - p(e[0]), for any ordered pair of labels."""
+        u, v = e
+        return vec_sub(self.points[v], self.points[u])
+
+    @cached_property
+    def hull_frame(self) -> tuple[Vec, tuple[Vec, ...], tuple[Vec, ...]]:
+        """(base, basis, hull coordinates) of the affine hull; ((), (), ()) for
+        no points.  The basis is the reduced form of the differences from the
+        first point, so b_i is 1 at its pivot column and 0 at the others, and
+        the coordinates y of x, solving x - base = sum y_i b_i, are x - base
+        read at the pivot columns, in vertex order."""
+        base = self.coords[0] if self.coords else ()
+        diffs = [vec_sub(c, base) for c in self.coords]
+        basis, pivots = rref(diffs[1:], self.dim)
+        return base, tuple(basis), tuple(tuple(d[k] for k in pivots) for d in diffs)
 
     @property
-    def points(self) -> dict[str, Vec]:
-        return dict(zip(self.vertex_ids, self.coords))
+    def hull_dim(self) -> int:
+        return len(self.hull_frame[1])
 
 
 def labelled_points(points) -> tuple[tuple[str, ...], tuple[Vec, ...]]:
@@ -82,13 +109,6 @@ def labelled_points(points) -> tuple[tuple[str, ...], tuple[Vec, ...]]:
 @dataclass(frozen=True)
 class Framework(Points):
     edges: tuple[Edge, ...]
-
-    def edge_vector(self, e: Edge) -> Vec:
-        u, v = e
-        return vec_sub(self.point(v), self.point(u))
-
-    def is_degenerate(self, e: Edge) -> bool:
-        return is_zero_vec(self.edge_vector(e))
 
     @cached_property
     def degenerate_edges(self) -> frozenset[Edge]:
@@ -166,36 +186,28 @@ class DeformationSpace:
         )
 
 
-def _hull_pivots(fw: Framework) -> list[int]:
-    """The pivot columns of the point differences, by which
-    `polytope.hull_frame` reads hull coordinates; one forward elimination
-    finds them, since the echelon form has the reduced form's pivots."""
-    base = fw.coords[0] if fw.coords else ()
-    return rref([vec_sub(c, base) for c in fw.coords[1:]], fw.dim, echelon=True)[1]
-
-
 def cycle_equation_rows(fw: Framework, cycles) -> list[list[Fraction]]:
     """One row per cycle per pivot coordinate of the affine hull, plus a
     forced-zero row per degenerate edge.
 
-    The pivot coordinates are those of `_hull_pivots`.  Every edge vector
-    lies in the hull's direction space, whose reduced basis is 1 at its own
+    The rows are read in `fw.hull_frame`'s hull coordinates y, and y(v) -
+    y(u) is p(v) - p(u) at the pivot coordinates.  Every edge vector lies
+    in the hull's direction space, whose reduced basis is 1 at its own
     pivot coordinate and 0 at the others, so a cycle sum that vanishes at
     the pivot coordinates vanishes everywhere: the rows of the other
     coordinates are combinations of these, and leaving them out changes no
     row space.
     """
     eidx = {e: i for i, e in enumerate(fw.edges)}
-    points = fw.points
-    pivots = _hull_pivots(fw)
+    ys = dict(zip(fw.vertex_ids, fw.hull_frame[2]))
+    h = fw.hull_dim
     rows: list[list[Fraction]] = []
     for walk in cycles:
-        acc = [[Fraction(0)] * len(pivots) for _ in fw.edges]
+        acc = [[Fraction(0)] * h for _ in fw.edges]
         for u, v in walk_edges(walk):
             i = eidx[edge_key(u, v)]
-            pu, pv = points[u], points[v]
-            acc[i] = [a + pv[k] - pu[k] for a, k in zip(acc[i], pivots)]
-        for k in range(len(pivots)):
+            acc[i] = [a + y - x for a, y, x in zip(acc[i], ys[v], ys[u])]
+        for k in range(h):
             rows.append([acc[i][k] for i in range(len(fw.edges))])
     for e in sorted(fw.degenerate_edges):
         row = [Fraction(0)] * len(fw.edges)
@@ -273,16 +285,15 @@ def realize(fw: Framework, lam) -> dict[str, Vec] | None:
     factor.  The smallest label of each component keeps its point; every
     other vertex is placed along the BFS forest by lam-scaled edge steps.
     """
-    points = fw.points
     eidx = {e: i for i, e in enumerate(fw.edges)}
     anchors = [comp[0] for comp in components(fw)]
-    pos = {a: points[a] for a in anchors}
+    pos = {a: fw.point(a) for a in anchors}
     for y, x in graphs.bfs_parents(adjacency(fw), anchors).items():
         if x is not None:
-            step = vec_scale(lam[eidx[edge_key(x, y)]], vec_sub(points[y], points[x]))
+            step = vec_scale(lam[eidx[edge_key(x, y)]], fw.edge_vector((x, y)))
             pos[y] = tuple(a + b for a, b in zip(pos[x], step))
     for t, (u, v) in zip(lam, fw.edges):
-        base = vec_sub(points[v], points[u])
+        base = fw.edge_vector((u, v))
         if (t != 0 and is_zero_vec(base)) or vec_sub(pos[v], pos[u]) != vec_scale(t, base):
             return None
     return pos

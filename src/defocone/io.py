@@ -36,6 +36,8 @@ def _points_from_obj(obj: dict, kind: str) -> list:
         dict(pairs)  # a list or object id is unhashable, hence malformed
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed {kind} file: {exc}")
+    if not pairs:
+        raise InputError(f"{kind} file has no vertices")
     if any(len(coords) != dim for _, coords in pairs):
         raise InputError("coordinate length does not match dim")
     return pairs

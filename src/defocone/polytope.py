@@ -3,7 +3,8 @@
 Facets come from ray enumeration of the dual of the homogenization cone,
 computed inside the affine hull so lower-dimensional inputs (zonotopes on
 hyperplanes) work unchanged; their outward normals are taken inside the
-span of the hull, so each one is a true supporting functional.
+span of the hull, so each one is a true supporting functional.  The hull
+is the one frame every point set carries, `Points.hull_frame`.
 
 Edges are read off the facet incidences by the combinatorial adjacency
 test of double description: two vertices span an edge exactly when the
@@ -21,7 +22,7 @@ from functools import lru_cache, wraps
 
 from .ddcore import dd_rays
 from .errors import InputError, ResourceLimitError
-from .exact import Vec, affine_rank, rref, vec_dot, vec_sub
+from .exact import Vec, affine_rank, rref, vec_dot
 from .framework import Framework, Points, edge_key, labelled_points
 from .simplex import LinearProgram, feasible
 
@@ -82,26 +83,6 @@ def hull_vertices(points):
         yield not feasible(LinearProgram(n=len(others), eq=eq, nonneg=True))
 
 
-@lru_cache(maxsize=None)
-def hull_frame(p: PolytopeV):
-    """(base point, affine-hull direction basis) and hull coordinates.
-
-    Hull coordinates of x solve x - base = sum y_i b_i; returned as a map
-    aligned with vertex order.  The basis is the reduced row echelon form
-    of the vertex differences, so b_i is 1 at its pivot column and 0 at the
-    others, and y_i is simply x - base read at the pivot column of b_i.
-    """
-    base = p.coords[0]
-    diffs = [vec_sub(c, base) for c in p.coords[1:]]
-    basis, pivots = rref(diffs, p.dim) if diffs else ([], [])
-    ys = tuple(tuple(c[k] - base[k] for k in pivots) for c in p.coords)
-    return base, tuple(tuple(b) for b in basis), ys
-
-
-def hull_dim(p: PolytopeV) -> int:
-    return len(hull_frame(p)[1])
-
-
 @_guarded
 def edges(p: PolytopeV) -> tuple[tuple[str, str], ...]:
     """All 1-faces, as sorted label pairs.
@@ -114,7 +95,7 @@ def edges(p: PolytopeV) -> tuple[tuple[str, str], ...]:
     n = len(p.vertex_ids)
     if n < 2:
         return ()
-    h = hull_dim(p)
+    h = p.hull_dim
     index = {v: i for i, v in enumerate(p.vertex_ids)}
     masks = [sum(1 << index[v] for v in f.vertex_ids) for f in facets(p)]
     on = [{k for k, m in enumerate(masks) if m >> i & 1} for i in range(n)]
@@ -152,7 +133,7 @@ def facets(p: PolytopeV) -> tuple[Facet, ...]:
     """
     if len(p.vertex_ids) < 2:
         return ()
-    base, hbasis, ys = hull_frame(p)
+    base, hbasis, ys = p.hull_frame
     h = len(hbasis)
     rays = dd_rays([(Fraction(1),) + y for y in ys], h + 1)
     gram = [[vec_dot(a, b) for b in hbasis] for a in hbasis]
@@ -185,11 +166,10 @@ def faces(p: PolytopeV) -> tuple[frozenset[str], ...]:
 
 def f_vector(p: PolytopeV) -> tuple[int, ...]:
     """Face counts by dimension, from the vertices up to the facets."""
-    h = hull_dim(p)
-    pts = p.points
+    h = p.hull_dim
     counts = [0] * h
     for face in faces(p):
-        d = affine_rank([pts[v] for v in face])
+        d = affine_rank([p.point(v) for v in face])
         if d < h:
             counts[d] += 1
     return tuple(counts)
@@ -204,7 +184,7 @@ def is_deformed_permutahedron(p: PolytopeV):
     """(flag, witness): every edge direction must be parallel to a
     difference of two coordinate directions."""
     for u, v in edges(p):
-        direction = vec_sub(p.point(v), p.point(u))
+        direction = p.edge_vector((u, v))
         support = [i for i, x in enumerate(direction) if x != 0]
         if len(support) != 2 or direction[support[0]] + direction[support[1]] != 0:
             return False, (u, v)

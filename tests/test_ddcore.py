@@ -9,7 +9,7 @@ from defocone.constructions import bipartite_truncation
 from defocone.corpus import corpus
 from defocone.ddcore import canonical_ray, dd_rays
 from defocone.exact import rank, rref, vec_dot
-from defocone.polytope import facets, hull_frame
+from defocone.polytope import facets
 
 # ---------------------------------------------------------------------------
 # the reference: the Fraction double description, with incidences taken by
@@ -143,7 +143,7 @@ def test_incidences_use_the_callers_row_numbering():
 
 def test_facets_match_the_dot_product_incidence():
     for name, p in _polytopes():
-        _, hbasis, ys = hull_frame(p)
+        _, hbasis, ys = p.hull_frame
         rows = [(Fraction(1),) + y for y in ys]
         assert_matches_reference(rows, len(hbasis) + 1)
         expected = sorted(

@@ -27,7 +27,6 @@ from defocone.exact import in_span, nullspace, rank, rref, vec_scale, vec_sub
 from defocone.framework import (
     Framework,
     _edge_order_basis,
-    _hull_pivots,
     cycle_basis,
     cycle_equation_rows,
     dc_dimension,
@@ -327,11 +326,14 @@ def _all_coordinate_rows(fw, cycles):
 
 
 def _assert_hull_rows_agree(fw):
-    """The hull coordinates are the pivot columns of the reduced point
-    differences, the hull-coordinate rows keep the reference rank, and the
-    basis is the reference nullspace, Fraction for Fraction."""
-    diffs = [vec_sub(c, fw.coords[0]) for c in fw.coords[1:]]
-    assert _hull_pivots(fw) == rref(diffs, fw.dim)[1]
+    """The hull frame is the reduced point differences with the points read
+    at its pivot columns, the hull-coordinate rows keep the reference rank,
+    and the basis is the reference nullspace, Fraction for Fraction."""
+    base = fw.coords[0]
+    basis, pivots = rref([vec_sub(c, base) for c in fw.coords[1:]], fw.dim)
+    ys = tuple(tuple(c[k] - base[k] for k in pivots) for c in fw.coords)
+    assert fw.hull_frame == (base, tuple(basis), ys)
+    assert fw.hull_dim == len(pivots)
     cycles = cycle_basis(fw)
     reference = _all_coordinate_rows(fw, cycles)
     n = len(fw.edges)

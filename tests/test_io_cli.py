@@ -66,6 +66,9 @@ def test_rationals_in_files_are_strings(cp):
 def test_malformed_inputs_rejected():
     with pytest.raises(InputError):
         framework_from_obj({"dim": 2, "vertices": []})
+    for read in (polytope_from_obj, framework_from_obj):
+        with pytest.raises(InputError, match="has no vertices"):
+            read({"dim": 2, "vertices": [], "edges": []})
     with pytest.raises(InputError):
         polytope_from_obj(
             {"dim": 1, "vertices": [{"id": "a", "coords": ["0.25"]}]}
@@ -252,6 +255,8 @@ BAD_INVOCATIONS = {
     "analyze non-UTF-8 file": ["analyze", "{binary}"],
     "polytope file with a repeated id": ["analyze", "{repeated_polytope}"],
     "framework file with a repeated id": ["analyze", "{repeated_framework}"],
+    "polytope file with no vertices": ["analyze", "{empty_polytope}"],
+    "framework file with no vertices": ["analyze", "{empty_framework}"],
     "product labels that collide": ["construct", "product", "--inputs", "{seg_a}", "{seg_b}", "-o", "{out}"],
     "seedless is not an option": ["construct", "corpus", "--name", "cube", "--seedless", "-o", "{out}"],
     # each family takes only the options its builder reads, unabbreviated
@@ -265,6 +270,8 @@ BAD_INVOCATIONS = {
 BAD_INVOCATION_LINES = {
     "polytope file with a repeated id": "error: duplicate vertex label\n",
     "framework file with a repeated id": "error: duplicate vertex label\n",
+    "polytope file with no vertices": "error: polytope file has no vertices\n",
+    "framework file with no vertices": "error: framework file has no vertices\n",
     "product labels that collide": "error: duplicate vertex label\n",
     "seedless is not an option": "error: unrecognized arguments: --seedless\n",
     "corpus with a size": "error: unrecognized arguments: --n 3\n",
@@ -341,6 +348,8 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
     files = {
         "repeated_polytope": _points(*square),
         "repeated_framework": _points(*square, edges=[["a", "b"], ["b", "c"], ["a", "c"]]),
+        "empty_polytope": json.dumps({"dim": 2, "vertices": []}),
+        "empty_framework": json.dumps({"dim": 2, "vertices": [], "edges": []}),
         "seg_a": _points(("x|", (0,)), ("x", (1,))),
         "seg_b": _points(("y", (0,)), ("|y", (1,))),
         "grid": _grid(24),

@@ -18,13 +18,12 @@ from defocone.constructions import (
 from defocone.corpus import corpus
 from defocone.errors import InputError
 from defocone.exact import rref, vec_dot, vec_sub
-from defocone.framework import edge_key
+from defocone.framework import Framework, deformation_space, edge_key, framework
 from defocone.polytope import (
+    PolytopeV,
     edges,
     facets,
     framework_of,
-    hull_dim,
-    hull_frame,
     hull_vertices,
     is_deformed_permutahedron,
     matroid_coordinate_test,
@@ -142,7 +141,7 @@ def test_facet_flats_are_connected(cp):
 def test_every_edge_in_enough_facets(cp):
     for name in ("cube", "hexagonal_pyramid", "q_2_2"):
         p = cp[name].polytope
-        h = hull_dim(p)
+        h = p.hull_dim
         fs = facets(p)
         for e in edges(p):
             count = sum(1 for f in fs if set(e) <= f.vertex_ids)
@@ -217,14 +216,53 @@ def test_hull_frame_coordinates_solve_the_basis_system(cp):
         p = e.polytope
         if p is None:
             continue
-        base, basis, ys = hull_frame(p)
-        h = len(basis)
+        base, basis, ys = p.hull_frame
+        h = p.hull_dim
+        assert h == len(basis), name
         for x, y in zip(p.coords, ys):
             target = vec_sub(x, base)
             aug = [[b[i] for b in basis] + [target[i]] for i in range(p.dim)]
             reduced, pivots = rref(aug, h + 1)
             assert pivots == list(range(h)), name
             assert y == tuple(reduced[i][h] for i in range(h)), name
+
+
+def test_hull_frame_of_no_points_and_of_one_point():
+    empty = Framework((), (), ())
+    assert empty.hull_frame == ((), (), ()) and empty.hull_dim == 0
+    assert deformation_space(empty).basis == ()
+    one = (Fraction(1), Fraction(-2))
+    for p in (framework({"a": one}, []), polytope({"a": one})):
+        assert p.hull_frame == (one, (), ((),)) and p.hull_dim == 0
+    assert deformation_space(framework({"a": one}, [])).basis == ()
+
+
+def test_framework_and_polytope_on_the_same_points_share_the_frame(cp, families):
+    polys = [e.polytope for e in cp.values() if e.polytope is not None] + list(families.values())
+    for p in polys:
+        fw = framework_of(p)
+        assert fw.hull_frame == p.hull_frame and fw.hull_dim == p.hull_dim
+
+
+def test_cached_facts_leave_identity_alone(cp):
+    """Reading a point set's cached facts stores nothing that equality or
+    hashing sees, so a fresh copy still meets the caches keyed by it."""
+    p = cp["hexagon"].polytope
+    read = PolytopeV(p.vertex_ids, p.coords)
+    assert read.points is read.points
+    assert read.hull_dim == 2
+    fw = Framework(read.vertex_ids, read.coords, edges(read))
+    assert fw.points == read.points and fw.hull_frame == read.hull_frame
+    for cached, old, fresh in (
+        (edges, read, PolytopeV(p.vertex_ids, p.coords)),
+        (facets, read, PolytopeV(p.vertex_ids, p.coords)),
+        (deformation_space, fw, Framework(fw.vertex_ids, fw.coords, fw.edges)),
+    ):
+        assert old == fresh and hash(old) == hash(fresh)
+        want = cached(old)
+        hits = cached.cache_info().hits
+        assert cached(fresh) is want
+        assert cached.cache_info().hits == hits + 1
 
 
 def test_deformed_permutahedron_checks(cp):

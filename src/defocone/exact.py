@@ -4,15 +4,15 @@ Scalars are `fractions.Fraction` (arbitrary precision, always gcd-reduced
 with positive denominator, so equality is structural).  Vectors are tuples
 of Fractions, matrices are lists of row lists.  Every elimination that
 returns reduced or echelon rows, here and in the simplex tableau, goes
-through one Gauss-Jordan step, `pivot`: `rref` stops at the echelon form
-when asked to, clearing each pivot column only below its pivot, and
-`nullspace` reads its kernel from that form by back-substitution.  `rank`
-only counts pivots, fraction-free, and `parallel` and the one-vector case
-of `in_span` eliminate nothing.  The routines here use a fixed pivot rule
-(first nonzero entry, scanning columns left to right and rows top to
-bottom) so results are reproducible across runs.  `primitive` names a
-direction by coprime integers, as the double description and the
-deduction engine's direction keys use it.
+through one Gauss-Jordan step, `pivot`, which updates each row from the
+pivot row's first nonzero column on: in `rref` that is the pivot column,
+so only the trailing block is touched.  `rref` can stop at the echelon
+form, from which `nullspace` reads its kernel by back-substitution.
+`rank` counts pivots fraction-free; `parallel` and one-vector `in_span`
+eliminate nothing.  Pivots are the first nonzero entry, scanning columns
+left to right and rows top to bottom, so results are reproducible.
+`primitive` names a direction by coprime integers, for the double
+description and the deduction engine's direction keys.
 """
 
 from __future__ import annotations
@@ -74,17 +74,20 @@ def primitive(v) -> tuple[int, ...]:
 
 
 def pivot(m, r: int, c: int, below: bool = False) -> None:
-    """One Gauss-Jordan step, in place on a list of row lists: scale row r
-    so that m[r][c] == 1, then clear column c from every other row, or with
-    ``below`` only from the rows after r (one step of forward elimination)."""
+    """One Gauss-Jordan step on m, a list of distinct row lists the caller
+    owns: scale row r so that m[r][c] == 1, then clear column c from every
+    other row (with ``below``, only from the rows after r), in place from
+    the pivot row's first nonzero column on; left of it x - f*y is x."""
     row = m[r]
     if row[c] != 1:
         inv = 1 / row[c]
         m[r] = row = [inv * x for x in row]
+    lo = next(j for j, x in enumerate(row) if x)
+    tail = row[lo:]
     for i in range(r + 1 if below else 0, len(m)):
         if i != r and m[i][c] != 0:
             f = m[i][c]
-            m[i] = [x - f * y for x, y in zip(m[i], row)]
+            m[i][lo:] = [x - f * y for x, y in zip(m[i][lo:], tail)]
 
 
 def rref(rows, ncols: int | None = None, echelon: bool = False):

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from defocone.constructions import bipartite_truncation, complete_bipartite, complete_graph, graphical_zonotope
 from defocone.corpus import corpus
+from defocone.ddcore import dd_rays
 from defocone.exact import (
     affine_rank,
     in_span,
     nullspace,
     parallel,
     parse_rat,
+    pivot,
     rank,
     rat_str,
     rref,
@@ -25,6 +27,7 @@ from defocone.exact import (
 )
 from defocone.framework import cycle_basis, cycle_equation_rows
 from defocone.report import DEDUCTION_PROVABLE
+from defocone.simplex import OPTIMAL, LinearProgram, solve
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -249,6 +252,66 @@ def test_one_shot_iterables():
     assert rank(iter([[1, 0], [0, 1]]), 2) == 2
     assert nullspace(iter([[1, 0]]), 2) == [(0, 1)]
     assert in_span(iter([(1, 0)]), (1, 0))
+
+
+def _dense_pivot(m, r, c, below=False):
+    """The reference step: the Gauss-Jordan step that updates every row
+    across its full width."""
+    row = m[r]
+    if row[c] != 1:
+        inv = 1 / row[c]
+        m[r] = row = [inv * x for x in row]
+    for i in range(r + 1 if below else 0, len(m)):
+        if i != r and m[i][c] != 0:
+            f = m[i][c]
+            m[i] = [x - f * y for x, y in zip(m[i], row)]
+
+
+def test_pivot_matches_the_dense_step():
+    """Seeded random Fraction matrices, dense and sparse, short and long
+    entries, through chains of pivots at random nonzero entries in both
+    modes.  Half the pivot rows are zeroed left of the pivot column, as in
+    `rref`; the others keep nonzeros there, as a simplex pivot row may.
+    After every step the matrix is the dense step's, Fraction for Fraction."""
+    rnd = random.Random(20261020)
+    seen = set()
+    for _ in range(600):
+        nrows, ncols = rnd.randint(1, 7), rnd.randint(1, 8)
+        density, size = rnd.choice([0.3, 0.6, 1.0]), rnd.choice([5, 10**20])
+        m = [[Fraction(rnd.randint(-size, size), rnd.randint(1, size)) if rnd.random() < density else Fraction(0)
+              for _ in range(ncols)] for _ in range(nrows)]
+        want = [list(row) for row in m]
+        for _ in range(rnd.randint(1, 4)):
+            cells = [(r, c) for r in range(nrows) for c in range(ncols) if m[r][c]]
+            if not cells:
+                break
+            r, c = rnd.choice(cells)
+            if rnd.random() < 0.5:
+                m[r][:c] = want[r][:c] = [Fraction(0)] * c
+            below = rnd.random() < 0.5
+            seen.add((density, next(j for j, x in enumerate(m[r]) if x) < c, below))
+            pivot(m, r, c, below)
+            _dense_pivot(want, r, c, below)
+            assert m == want
+            assert all(type(x) is Fraction for row in m for x in row)
+    assert len(seen) == 12
+
+
+def test_eliminations_leave_the_callers_rows_unchanged():
+    """`pivot` updates rows in place, so its callers hand it copies: the
+    caller's rows, as lists of Fractions, come back as they went in."""
+    rnd = random.Random(24)
+    for _ in range(20):
+        rows = [[Fraction(rnd.randint(1, 6), rnd.randint(1, 3)) for _ in range(4)] for _ in range(3)]
+        rows += [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+        before, lists = [list(row) for row in rows], list(rows)
+        rref(rows)
+        rref(rows, echelon=True)
+        nullspace(rows, 4)
+        dd_rays(rows, 4)
+        lp = LinearProgram(4, [-1] * 4, eq=[(rows[0], 1)], le=[(row, 9) for row in rows[1:]], nonneg=True)
+        assert solve(lp).status == OPTIMAL
+        assert rows == before and all(a is b for a, b in zip(rows, lists))
 
 
 def test_rref_deterministic_pivots():

@@ -10,7 +10,9 @@ each side runs from its own committed sources with cold caches.  For each
 workload of BENCHMARK.json the script runs `perfbench/run.py --trace 0`
 for BENCHMARK.json's run length in PAIRS base/head pairs, alternating
 which side runs first and giving pair i the seed FIRST_SEED + i; then one
-`--trace 1` run per side for the per-layer numbers, and checks that the
+pair at the held-out seed FIRST_SEED + PAIRS, recorded apart (`held_out`)
+and left out of the gain and bound verdicts; then one `--trace 1` run per
+side for the per-layer numbers, and checks that the
 two traced runs agree on their exact counts (`exact_counts_digest`),
 naming every per-layer counter that differs.  Last it times
 `defocone report paper --json` on each side in PAIRS alternating pairs
@@ -22,8 +24,9 @@ for the checkout in the current directory.
 
 The file holds every run's metrics, each side's median and quartiles per
 metric and of the ops each run completed (the ops `op_tail_ms` is
-estimated from, and whose samples weigh on `peak_rss_mb`), the pairs the
-head won and the verdict of the gain rule (head better in at least nine
+estimated from, and whose samples weigh on `peak_rss_mb`, so each run's
+count also stands beside that metric's runs as `ops_per_run`), the pairs
+the head won and the verdict of the gain rule (head better in at least nine
 tenths of the pairs, by more than the base's interquartile range) and of
 the bound of BENCHMARK.json, plus the machine (nproc, CPU, Python
 version) and both commits.  A metric is
@@ -160,10 +163,15 @@ def compare(b: list[float], h: list[float], metric: dict) -> dict:
     }
 
 
+def ops_per_run(runs: list[dict]) -> list[int]:
+    """The ops each run completed, passes times ops per pass from its run
+    record."""
+    return [r["run"]["passes"] * r["run"]["ops_per_pass"] for r in runs]
+
+
 def ops_completed(runs: list[dict]) -> dict:
-    """Median and quartiles of the ops the runs completed, passes times ops
-    per pass from each run record."""
-    return summary([r["run"]["passes"] * r["run"]["ops_per_pass"] for r in runs])
+    """Median and quartiles of the ops the runs completed."""
+    return summary(ops_per_run(runs))
 
 
 def traced_counts(traced: dict, counters: list[str]) -> dict:
@@ -220,17 +228,23 @@ def main(argv=None) -> int:
                     runs[side].append(perfbench(trees[side], name, FIRST_SEED + i, seconds, 0))
                     r = runs[side][-1]["metrics"]
                     print(f"{name} pair {i} {side}: ops_per_s {r['ops_per_s']:.2f}", file=sys.stderr)
+            held_out = {side: perfbench(trees[side], name, FIRST_SEED + PAIRS, seconds, 0) for side in trees}
             traced = {side: perfbench(trees[side], name, FIRST_SEED, seconds, 1) for side in trees}
 
             def values(side: str, metric: str) -> list[float]:
                 return [r["metrics"][metric] for r in runs[side]]
 
             doc["machine"]["cpu"] = runs["base"][0]["run"]["cpu"]
+            end_to_end = {m["name"]: compare(values("base", m["name"]), values("head", m["name"]), m)
+                          for m in bench["end_to_end"]}
+            if "peak_rss_mb" in end_to_end:
+                end_to_end["peak_rss_mb"]["ops_per_run"] = {side: ops_per_run(runs[side]) for side in runs}
             doc["workloads"][name] = {
-                "correct": all(r["correct"] for r in [*runs["base"], *runs["head"], *traced.values()]),
-                "end_to_end": {m["name"]: compare(values("base", m["name"]), values("head", m["name"]), m)
-                               for m in bench["end_to_end"]},
+                "correct": all(r["correct"] for r in
+                               [*runs["base"], *runs["head"], *held_out.values(), *traced.values()]),
+                "end_to_end": end_to_end,
                 "ops_completed": {side: ops_completed(runs[side]) for side in runs},
+                "held_out": {side: {**run, "ops_completed": ops_per_run([run])[0]} for side, run in held_out.items()},
                 **traced_counts(traced, counters),
                 "runs": runs,
                 "traced": traced,

@@ -43,8 +43,7 @@ def _initial_simplicial(rows, dim):
     chosen = rref(list(zip(*rows)), len(rows), echelon=True)[1]
     if len(chosen) < dim:
         raise ValueError("cone is not pointed (constraint rows do not span)")
-    mat = [list(rows[i]) for i in chosen]
-    aug = [row + [Fraction(1 if i == j else 0) for j in range(dim)] for i, row in enumerate(mat)]
+    aug = [list(rows[i]) + [Fraction(k == j) for j in range(dim)] for k, i in enumerate(chosen)]
     reduced, pivots = rref(aug, 2 * dim)
     assert pivots == list(range(dim))
     return chosen, [primitive([reduced[i][dim + j] for i in range(dim)]) for j in range(dim)]
@@ -56,7 +55,7 @@ def dd_rays(rows, dim: int) -> list[tuple[Vec, frozenset[int]]]:
 
     ResourceLimitError as soon as one insertion holds more than MAX_DD_RAYS
     rays."""
-    rows = [tuple(Fraction(x) for x in r) for r in rows]
+    rows = [tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows]
     zero = frozenset(i for i, r in enumerate(rows) if not any(r))
     live = [i for i in range(len(rows)) if i not in zero]
     if dim == 0:

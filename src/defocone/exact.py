@@ -4,10 +4,12 @@ Scalars are `fractions.Fraction` (arbitrary precision, always gcd-reduced
 with positive denominator, so equality is structural).  Vectors are tuples
 of Fractions, matrices are lists of row lists.  Every elimination that
 returns reduced or echelon rows, here and in the simplex tableau, goes
-through one Gauss-Jordan step, `pivot`, which updates each row from the
-pivot row's first nonzero column on: in `rref` that is the pivot column,
-so only the trailing block is touched.  `rref` can stop at the echelon
-form, from which `nullspace` reads its kernel by back-substitution.
+through one Gauss-Jordan step, `pivot`, which scales only the nonzeros of
+the pivot row and updates each row from its first nonzero column on: in
+`rref` that is the pivot column, so only the trailing block is touched.
+`rref` eliminates a copy of its rows that shares the Fractions it is given
+and converts only other entries.  It can stop at the echelon form, from
+which `nullspace` reads its kernel by back-substitution.
 `rank` counts pivots fraction-free; `parallel` and one-vector `in_span`
 eliminate nothing.  Pivots are the first nonzero entry, scanning columns
 left to right and rows top to bottom, so results are reproducible.
@@ -75,13 +77,14 @@ def primitive(v) -> tuple[int, ...]:
 
 def pivot(m, r: int, c: int, below: bool = False) -> None:
     """One Gauss-Jordan step on m, a list of distinct row lists the caller
-    owns: scale row r so that m[r][c] == 1, then clear column c from every
-    other row (with ``below``, only from the rows after r), in place from
-    the pivot row's first nonzero column on; left of it x - f*y is x."""
+    owns: scale row r so that m[r][c] == 1, leaving its zeros as they are,
+    then clear column c from every other row (with ``below``, only from the
+    rows after r), in place from the pivot row's first nonzero column on;
+    left of it x - f*y is x."""
     row = m[r]
     if row[c] != 1:
         inv = 1 / row[c]
-        m[r] = row = [inv * x for x in row]
+        m[r] = row = [inv * x if x else x for x in row]
     lo = next(j for j, x in enumerate(row) if x)
     tail = row[lo:]
     for i in range(r + 1 if below else 0, len(m)):
@@ -97,9 +100,10 @@ def rref(rows, ncols: int | None = None, echelon: bool = False):
     same pivot columns.
 
     Returns (rows, pivot_columns).  Accepts an empty row list when
-    ``ncols`` is given.
+    ``ncols`` is given.  The copy it eliminates shares the entries that are
+    Fractions (``type(x) is Fraction``); only the others go through Fraction.
     """
-    m = [list(map(Fraction, r)) for r in rows]
+    m = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows]
     ncols = _width(m, ncols)
     pivots: list[int] = []
     r = 0

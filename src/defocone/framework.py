@@ -94,16 +94,14 @@ def labelled_points(points) -> tuple[tuple[str, ...], tuple[Vec, ...]]:
     Pairs keep a repeated label, so it is refused here instead of being
     overwritten in a map; so are points of different dimensions.
     """
-    pairs = points.items() if isinstance(points, dict) else points
-    ids, coords = [], []
-    for label, c in pairs:
-        ids.append(str(label))
-        coords.append(tuple(Fraction(x) for x in c))
+    pairs = list(points.items() if isinstance(points, dict) else points)
+    ids = tuple(str(label) for label, _ in pairs)
+    coords = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in c) for _, c in pairs)
     if len(set(ids)) != len(ids):
         raise InputError("duplicate vertex label")
     if len({len(c) for c in coords}) > 1:
         raise InputError("mixed coordinate dimensions")
-    return tuple(ids), tuple(coords)
+    return ids, coords
 
 
 @dataclass(frozen=True)

@@ -176,8 +176,11 @@ def f_vector(p: PolytopeV) -> tuple[int, ...]:
 
 
 def framework_of(p: PolytopeV) -> Framework:
-    """Identity realization on the vertex set with the polytope's edges."""
-    return Framework(p.vertex_ids, p.coords, edges(p))
+    """Identity realization on the vertex set with the polytope's edges.  The
+    same points have the same frame, so it shares p's cached `hull_frame`."""
+    fw = Framework(p.vertex_ids, p.coords, edges(p))
+    fw.__dict__["hull_frame"] = p.hull_frame
+    return fw
 
 
 def is_deformed_permutahedron(p: PolytopeV):

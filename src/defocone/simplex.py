@@ -39,12 +39,12 @@ class LinearProgram:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("variable count must be nonnegative")
-        obj = tuple(Fraction(x) for x in self.objective) if self.objective else (Fraction(0),) * self.n
+        obj = tuple(x if type(x) is Fraction else Fraction(x) for x in self.objective or (0,) * self.n)
         if len(obj) != self.n:
             raise ValueError("objective has wrong dimension")
         self.objective = obj
-        self.eq = [(tuple(Fraction(x) for x in row), Fraction(rhs)) for row, rhs in self.eq]
-        self.le = [(tuple(Fraction(x) for x in row), Fraction(rhs)) for row, rhs in self.le]
+        self.eq, self.le = ([(tuple(x if type(x) is Fraction else Fraction(x) for x in row),
+                              b if type(b) is Fraction else Fraction(b)) for row, b in rows] for rows in (self.eq, self.le))
         for row, _ in self.eq + self.le:
             if len(row) != self.n:
                 raise ValueError("constraint row has wrong dimension")
@@ -141,13 +141,9 @@ def solve(lp: LinearProgram) -> LPResult:
     status, value, point = _solve_standard(A, b, c)
     if status != OPTIMAL:
         return LPResult(status)
-    if lp.nonneg:
-        x = point[:n]
-    else:
-        x = tuple(point[2 * j] - point[2 * j + 1] for j in range(n))
+    x = point[:n] if lp.nonneg else tuple(point[2 * j] - point[2 * j + 1] for j in range(n))
     return LPResult(OPTIMAL, value, x)
 
 
 def feasible(lp: LinearProgram) -> bool:
-    probe = LinearProgram(lp.n, (Fraction(0),) * lp.n, lp.eq, lp.le, lp.nonneg)
-    return solve(probe).status == OPTIMAL
+    return solve(LinearProgram(lp.n, (Fraction(0),) * lp.n, lp.eq, lp.le, lp.nonneg)).status == OPTIMAL

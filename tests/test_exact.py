@@ -25,7 +25,7 @@ from defocone.exact import (
     rref,
     vec_dot,
 )
-from defocone.framework import cycle_basis, cycle_equation_rows
+from defocone.framework import cycle_basis, cycle_equation_rows, labelled_points
 from defocone.report import DEDUCTION_PROVABLE
 from defocone.simplex import OPTIMAL, LinearProgram, solve
 
@@ -312,6 +312,90 @@ def test_eliminations_leave_the_callers_rows_unchanged():
         lp = LinearProgram(4, [-1] * 4, eq=[(rows[0], 1)], le=[(row, 9) for row in rows[1:]], nonneg=True)
         assert solve(lp).status == OPTIMAL
         assert rows == before and all(a is b for a, b in zip(rows, lists))
+
+
+class _Rational(Fraction):
+    """A Fraction subclass: equal to its value as a Fraction, but not of its type."""
+
+
+# Each entry type: how it writes a Fraction, and which Fractions it can hold.
+_ENTRY_TYPES = {
+    "Fraction": (lambda x: x, lambda x: True),
+    "int": (int, lambda x: x.denominator == 1),
+    "bool": (bool, lambda x: x in (0, 1)),
+    "text": (str, lambda x: True),
+    "subclass": (_Rational, lambda x: True),
+}
+
+
+def _exact_results(rows, points, entry):
+    """(indices, entries) of everything the exact layers return for one
+    matrix and one point set, given with `entry` applied to every Fraction:
+    `rref` in both modes, `nullspace`, `dd_rays` on the rows and the unit
+    rows, an LP on the rows and its normalized fields, `labelled_points`.
+    The entries are nested tuples whose leaves should all be Fractions."""
+    ncols = len(rows[0])
+    cone = rows + [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
+    rows, cone = ([[entry(x) for x in r] for r in m] for m in (rows, cone))
+    reduced, pivots = rref(rows)
+    echelon, echelon_pivots = rref(rows, echelon=True)
+    rays = dd_rays(cone, ncols)
+    lp = LinearProgram(ncols, rows[-1], eq=[(rows[0], rows[0][0])], le=[(r, r[-1]) for r in rows[1:]], nonneg=True)
+    result = solve(lp)
+    ids, coords = labelled_points((label, [entry(x) for x in p]) for label, p in points.items())
+    indices = (pivots, echelon_pivots, [tight for _, tight in rays], result.status, ids)
+    optimum = (result.value, result.point) if result.status == OPTIMAL else ()
+    entries = (reduced, echelon, nullspace(rows, ncols), [ray for ray, _ in rays],
+               (lp.objective, lp.eq, lp.le), optimum, coords)
+    return indices, entries
+
+
+def _leaves(obj):
+    if isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _leaves(x)
+    else:
+        yield obj
+
+
+def test_every_entry_type_gives_the_same_fractions():
+    """The same seeded matrices and points, given as Fractions, ints, bools,
+    "p/q" text and a Fraction subclass wherever the type can hold them,
+    give equal results in every exact layer, and every entry of those
+    results is a Fraction itself, never a subclass: the layers keep only
+    entries of type Fraction and convert all others."""
+    rnd = random.Random(2025)
+    draws = {
+        "0/1": lambda: Fraction(rnd.randint(0, 1)),
+        "integer": lambda: Fraction(rnd.randint(-4, 4)),
+        "rational": lambda: Fraction(rnd.randint(-9, 9), rnd.randint(1, 6)),
+    }
+    seen = set()
+    for _ in range(90):
+        draw = draws[rnd.choice(sorted(draws))]
+        nrows, ncols = rnd.randint(1, 5), rnd.randint(1, 5)
+        rows = [[draw() for _ in range(ncols)] for _ in range(nrows)]
+        points = {f"v{i}": [draw() for _ in range(ncols)] for i in range(rnd.randint(1, 4))}
+        want = _exact_results(rows, points, lambda x: x)
+        for name, (entry, holds) in _ENTRY_TYPES.items():
+            if all(holds(x) for r in [*rows, *points.values()] for x in r):
+                seen.add(name)
+                indices, entries = _exact_results(rows, points, entry)
+                assert (indices, entries) == want, name
+                assert all(type(x) is Fraction for x in _leaves(entries)), name
+    assert seen == set(_ENTRY_TYPES)
+
+
+def test_rref_shares_the_fractions_it_is_given_and_pivot_keeps_zeros():
+    """`rref` copies the rows but not their Fraction entries, and `pivot`
+    scales only the nonzeros of the pivot row."""
+    x, y = Fraction(2, 3), Fraction(-5, 7)
+    reduced, _ = rref([[Fraction(1), x, y]])
+    assert reduced[0][1] is x and reduced[0][2] is y
+    zero = Fraction(0)
+    m = [[Fraction(2), zero, Fraction(4)]]
+    pivot(m, 0, 0)
+    assert m == [[1, 0, 2]] and m[0][1] is zero
 
 
 def test_rref_deterministic_pivots():

@@ -238,10 +238,13 @@ def test_hull_frame_of_no_points_and_of_one_point():
 
 
 def test_framework_and_polytope_on_the_same_points_share_the_frame(cp, families):
+    """`framework_of` hands its framework the polytope's frame itself, and
+    that frame is the one the framework would compute on its own."""
     polys = [e.polytope for e in cp.values() if e.polytope is not None] + list(families.values())
     for p in polys:
         fw = framework_of(p)
-        assert fw.hull_frame == p.hull_frame and fw.hull_dim == p.hull_dim
+        assert fw.hull_frame is p.hull_frame and fw.hull_dim == p.hull_dim
+        assert Framework(fw.vertex_ids, fw.coords, fw.edges).hull_frame == p.hull_frame
 
 
 def test_cached_facts_leave_identity_alone(cp):

@@ -110,11 +110,13 @@ def test_bench_compares_the_traced_counts():
 
 
 def test_bench_summarizes_the_ops_each_run_completed():
-    """bench.py records the median and quartiles of passes x ops per pass."""
+    """bench.py records passes x ops per pass for each run, in run order,
+    and their median and quartiles."""
     spec = importlib.util.spec_from_file_location("bench", BENCH)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     runs = [{"run": {"passes": p, "ops_per_pass": 29}} for p in (4, 2, 5, 3, 6)]
+    assert bench.ops_per_run(runs) == [116, 58, 145, 87, 174]
     assert bench.ops_completed(runs) == {"median": 116, "q1": 87, "q3": 145}
 
 

@@ -29,8 +29,8 @@ count also stands beside that metric's runs as `ops_per_run`), the pairs
 the head won and the verdict of the gain rule (head better in at least nine
 tenths of the pairs, by more than the base's interquartile range) and of
 the bound of BENCHMARK.json, plus the machine (nproc, CPU, Python
-version) and both commits.  A metric is
-`unresolved` when the base's interquartile range is wider than its bound
+version), both commits and each side's `src_lines` and `tests_lines`
+(`lines`).  A metric is `unresolved` when the base's interquartile range is wider than its bound
 times its median, unless every head run is better than every base run:
 its runs spread too widely to tell a move within the bound.
 """
@@ -137,6 +137,19 @@ def tree_bases_digest(tree: str) -> dict:
     return json.loads(out.stdout)
 
 
+def line_counts(tree: str) -> dict:
+    """Lines of the Python files under the tree's src/ and tests/, the size
+    the ROADMAP's north star tracks."""
+    counts = {}
+    for sub in ("src", "tests"):
+        counts[f"{sub}_lines"] = 0
+        for d, _, files in os.walk(os.path.join(tree, sub)):
+            for f in (f for f in files if f.endswith(".py")):
+                with open(os.path.join(d, f), "rb") as fh:
+                    counts[f"{sub}_lines"] += fh.read().count(b"\n")
+    return counts
+
+
 def summary(values: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3}
@@ -216,6 +229,7 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="defocone-bench-") as tmp:
         trees = {side: export(rev, os.path.join(tmp, side)) for side, rev in commits.items()}
+        doc["lines"] = {side: line_counts(tree) for side, tree in trees.items()}
         bases = {side: tree_bases_digest(tree) for side, tree in trees.items()}
         doc["bases"] = bases
         doc["bases_identical"] = bases["base"] == bases["head"]

@@ -46,6 +46,7 @@ from .io import (
     certificate_to_obj,
     framework_to_obj,
     load_geometry,
+    load_json,
     polytope_to_obj,
     save_obj,
 )
@@ -160,8 +161,7 @@ CLAIM_NAMES = {"indecomposable_proved": "indecomposability"}
 def cmd_verify(args) -> int:
     obj = load_geometry(args.file)
     fw = _as_framework(obj)
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        cert = json.load(fh)
+    cert = load_json(args.certificate)
     steps = certificate_from_obj(cert)
     state = DeductionState(fw)
     ok, idx, reason = state.replay(steps)
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return GUARD
-    except (InputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
 

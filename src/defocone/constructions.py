@@ -280,15 +280,13 @@ def zonotope(generators) -> Zonotope:
 
 def _cut_functional(p: PolytopeV, x: str, neighbor_ids):
     """Hyperplane through the neighbors of x, oriented toward x; errors out
-    if the neighbors are not coplanar or another vertex sticks past it."""
-    h = p.hull_dim
-    pts = [p.point(v) for v in neighbor_ids]
-    if affine_rank(pts) != h - 1:
-        raise InputError(f"no deep truncation at {x!r}: neighbors are not on a hyperplane")
+    if the neighbors do not span a hyperplane of the hull (the kernel of
+    their hull-coordinate differences is not one line) or another vertex
+    sticks past it."""
     yofs = dict(zip(p.vertex_ids, p.hull_frame[2]))
-    rows = [vec_sub(yofs[v], yofs[neighbor_ids[0]]) for v in neighbor_ids[1:]]
-    normals = nullspace(rows, h)
-    assert len(normals) == 1
+    normals = nullspace([vec_sub(yofs[v], yofs[neighbor_ids[0]]) for v in neighbor_ids[1:]], p.hull_dim)
+    if len(normals) != 1:
+        raise InputError(f"no deep truncation at {x!r}: neighbors are not on a hyperplane")
     a = normals[0]
     c = vec_dot(a, yofs[neighbor_ids[0]])
     if vec_dot(a, yofs[x]) < c:

@@ -36,17 +36,17 @@ def canonical_ray(r) -> Vec:
 
 def _initial_simplicial(rows, dim):
     """Greedy full-rank row subset and the rays of the cone they cut, as
-    primitive integer vectors.
-
-    The rows a left-to-right scan finds independent are the pivot columns
-    of the transposed rows, which their echelon form already gives."""
-    chosen = rref(list(zip(*rows)), len(rows), echelon=True)[1]
+    primitive integer vectors, from one reduction of [rows^T | I]: its pivot
+    columns left of the identity are the rows a left-to-right scan finds
+    independent, and row k of its identity block, the k-th row of the
+    inverse of the chosen rows transposed, is ray k."""
+    m = len(rows)
+    aug = [[*col, *(int(k == j) for j in range(dim))] for k, col in enumerate(zip(*rows))]
+    reduced, pivots = rref(aug, m + dim)
+    chosen = [c for c in pivots if c < m]
     if len(chosen) < dim:
         raise ValueError("cone is not pointed (constraint rows do not span)")
-    aug = [list(rows[i]) + [Fraction(k == j) for j in range(dim)] for k, i in enumerate(chosen)]
-    reduced, pivots = rref(aug, 2 * dim)
-    assert pivots == list(range(dim))
-    return chosen, [primitive([reduced[i][dim + j] for i in range(dim)]) for j in range(dim)]
+    return chosen, [primitive(row[m:]) for row in reduced]
 
 
 def dd_rays(rows, dim: int) -> list[tuple[Vec, frozenset[int]]]:
@@ -64,7 +64,7 @@ def dd_rays(rows, dim: int) -> list[tuple[Vec, frozenset[int]]]:
         raise ValueError("cone is not pointed (no constraints)")
     rows = [primitive(rows[i]) for i in live]
     chosen, rays = _initial_simplicial(rows, dim)
-    # ray k is a column of the inverse: it meets chosen row i in 0 unless i is the k-th
+    # ray k meets chosen row i in 0 unless i is the k-th
     tight = [set(chosen) - {i} for i in chosen]
     for j in [i for i in range(len(rows)) if i not in chosen]:
         a = rows[j]

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import graphs
 from .errors import InputError
-from .exact import Vec, affine_rank, in_span, is_zero_vec, nullspace, primitive, rank, vec_sub
+from .exact import Vec, affine_rank, in_span, is_zero_vec, nullspace, parse_rat, primitive, rank, vec_sub
 from .framework import Edge, Framework, adjacency, components, edge_key
 
 TRIANGLE = "Triangle"
@@ -539,7 +538,7 @@ def _check_rigid_cycle(state: DeductionState, p):
 
 
 def _check_projection_lift(state: DeductionState, p):
-    w = [tuple(Fraction(x) for x in row) for row in p["kernel"]]
+    w = [tuple(parse_rat(x) for x in row) for row in p["kernel"]]
     ea, eb = edge_key(*p["edge_a"]), edge_key(*p["edge_b"])
     if ea not in state.known or eb not in state.known:
         return "lifted edge not known"

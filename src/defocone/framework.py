@@ -186,7 +186,9 @@ class DeformationSpace:
 
 def cycle_equation_rows(fw: Framework, cycles) -> list[list[Fraction]]:
     """One row per cycle per pivot coordinate of the affine hull, plus a
-    forced-zero row per degenerate edge.
+    forced-zero row per degenerate edge.  Each cycle's rows are built as one
+    block: every walk edge adds its hull-coordinate difference into its
+    column.
 
     The rows are read in `fw.hull_frame`'s hull coordinates y, and y(v) -
     y(u) is p(v) - p(u) at the pivot coordinates.  Every edge vector lies
@@ -198,20 +200,15 @@ def cycle_equation_rows(fw: Framework, cycles) -> list[list[Fraction]]:
     """
     eidx = {e: i for i, e in enumerate(fw.edges)}
     ys = dict(zip(fw.vertex_ids, fw.hull_frame[2]))
-    h = fw.hull_dim
     rows: list[list[Fraction]] = []
     for walk in cycles:
-        acc = [[Fraction(0)] * h for _ in fw.edges]
+        block = [[Fraction(0)] * len(fw.edges) for _ in range(fw.hull_dim)]
         for u, v in walk_edges(walk):
             i = eidx[edge_key(u, v)]
-            acc[i] = [a + y - x for a, y, x in zip(acc[i], ys[v], ys[u])]
-        for k in range(h):
-            rows.append([acc[i][k] for i in range(len(fw.edges))])
-    for e in sorted(fw.degenerate_edges):
-        row = [Fraction(0)] * len(fw.edges)
-        row[eidx[e]] = Fraction(1)
-        rows.append(row)
-    return rows
+            for row, y, x in zip(block, ys[v], ys[u]):
+                row[i] = row[i] + y - x
+        rows += block
+    return rows + [[Fraction(e == f) for f in fw.edges] for e in sorted(fw.degenerate_edges)]
 
 
 def _edge_order_basis(kernel, order: list[int]) -> list[Vec]:
@@ -221,23 +218,17 @@ def _edge_order_basis(kernel, order: list[int]) -> list[Vec]:
     so one reduction with the columns scanned right to left pivots on the
     free columns, and its rows are 1 at one free column, 0 at the others.
     """
-    n = len(order)
-    mapped = []
-    for vec in kernel:
-        v = [Fraction(0)] * n
-        for j, x in zip(order, vec):
-            v[j] = x
-        mapped.append(v[::-1])
-    reduced, _ = rref(mapped, n)
+    n, at = len(order), {j: k for k, j in enumerate(order)}
+    reduced, _ = rref([[vec[at[j]] for j in reversed(range(n))] for vec in kernel], n)
     return [tuple(row[::-1]) for row in reversed(reduced)]
 
 
 @lru_cache(maxsize=None)
 def deformation_space(fw: Framework) -> DeformationSpace:
-    """The exact nullspace of the cycle equations, rows sparsest first and
-    chord columns first: each cycle's chord, the closing edge of its walk,
-    lies in that cycle's rows alone, so its pivot fills in no other cycle's
-    rows.  Neither order, nor the left-out coordinate rows, changes the
+    """The exact nullspace of the cycle equations, rows as built and chord
+    columns first: each cycle's chord, the closing edge of its walk, lies in
+    that cycle's rows alone, so its pivot fills in no other cycle's rows.
+    Neither the column order nor the left-out coordinate rows change the
     kernel, so `_edge_order_basis` reads back the one pivot-normalized basis
     in edge order.
 
@@ -251,11 +242,10 @@ def deformation_space(fw: Framework) -> DeformationSpace:
     if shape[1] * shape[1] > MAX_EQ_CELLS:
         raise ResourceLimitError(f"deformation space guard: {shape[1]}x{shape[1]} kernel basis exceeds {MAX_EQ_CELLS} entries")
     cycles = cycle_basis(fw)
-    rows = sorted(cycle_equation_rows(fw, cycles), key=lambda row: len(row) - row.count(0))
     eidx = {e: i for i, e in enumerate(fw.edges)}
     chords = [eidx[edge_key(w[-1], w[0])] for w in cycles]
     order = chords + sorted(set(range(len(fw.edges))).difference(chords))
-    kernel = nullspace([[row[j] for j in order] for row in rows], len(order))
+    kernel = nullspace([[row[j] for j in order] for row in cycle_equation_rows(fw, cycles)], len(order))
     return DeformationSpace(fw, tuple(_edge_order_basis(kernel, order)), fw.degenerate_edges, cycles)
 
 

@@ -64,10 +64,19 @@ def polytope_from_obj(obj: dict, check: bool = True) -> PolytopeV:
     return polytope(_points_from_obj(obj, "polytope"), check=check)
 
 
+def load_json(path: str):
+    """The JSON value in a file; InputError when the file is not UTF-8 JSON
+    or nests too deeply to decode."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"unreadable JSON in {path}: {exc}")
+
+
 def load_geometry(path: str):
     """Read a framework or polytope file; the edge list decides which."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_json(path)
     if not isinstance(obj, dict):
         raise InputError("top-level JSON object expected")
     if "edges" in obj:

@@ -10,8 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defocone.constructions import bipartite_truncation, complete_bipartite, complete_graph, graphical_zonotope
-from defocone.corpus import corpus
 from defocone.ddcore import dd_rays
 from defocone.exact import (
     affine_rank,
@@ -25,8 +23,7 @@ from defocone.exact import (
     rref,
     vec_dot,
 )
-from defocone.framework import cycle_basis, cycle_equation_rows, labelled_points
-from defocone.report import DEDUCTION_PROVABLE
+from defocone.framework import labelled_points
 from defocone.simplex import OPTIMAL, LinearProgram, solve
 
 rationals = st.fractions(
@@ -167,13 +164,6 @@ def _rref_nullspace(rows, ncols):
     return basis
 
 
-def _assert_kernel_matches_rref(rows, ncols):
-    got = nullspace(rows, ncols)
-    assert got == _rref_nullspace(rows, ncols), (rows, ncols)
-    assert all(type(x) is Fraction for v in got for x in v)
-    return got
-
-
 def test_nullspace_by_back_substitution_matches_the_reduced_form():
     """Seeded random matrices, wide, tall, square and empty, with zero,
     duplicate and rank-deficient rows, long entries given as int, str and
@@ -185,7 +175,9 @@ def test_nullspace_by_back_substitution_matches_the_reduced_form():
         rows, ncols = _rank_case(rnd)
         sparse = [[x if rnd.random() < 0.4 else 0 for x in row] for row in rows]
         for case in (rows, sparse):
-            kernel = _assert_kernel_matches_rref(case, ncols)
+            kernel = nullspace(case, ncols)
+            assert kernel == _rref_nullspace(case, ncols), (case, ncols)
+            assert all(type(x) is Fraction for v in kernel for x in v)
             substituted += any(sum(1 for x in v if x) > 1 for v in kernel)
             echelon, pivots = rref(case, ncols, echelon=True)
             assert pivots == rref(case, ncols)[1]
@@ -198,20 +190,6 @@ def test_echelon_form_keeps_the_entries_above_its_pivots():
     assert rref([[1, 1], [0, 1]], echelon=True) == ([(1, 1), (0, 1)], [0, 1])
     assert rref([[0, 2, 4], [1, 1, 1]], echelon=True) == ([(1, 1, 1), (0, 1, 2)], [0, 1])
     assert rref([[2, 4], [1, 2]], echelon=True) == ([(1, 2)], [0])
-
-
-def test_nullspace_matches_the_reduced_form_on_cycle_systems():
-    """The cycle equations `deformation_space` eliminates, sparsest row
-    first: the corpus, the members the deduction engine proves, P/Q_2,3,
-    P_1,5 and the K4 and K_{2,3} zonotopes."""
-    fws = [e.framework for e in corpus().values()]
-    fws += [bipartite_truncation(n, m, kind).framework for kind, n, m in [*DEDUCTION_PROVABLE, ("P", 1, 5)]]
-    fws += [graphical_zonotope(g).framework() for g in (complete_graph(4), complete_bipartite(2, 3))]
-    dims = set()
-    for fw in fws:
-        rows = sorted(cycle_equation_rows(fw, cycle_basis(fw)), key=lambda row: len(row) - row.count(0))
-        dims.add(len(_assert_kernel_matches_rref(rows, len(fw.edges))))
-    assert {1, 2, 3} <= dims
 
 
 def test_rank_entries_stay_minors():

@@ -40,6 +40,7 @@ from defocone.framework import (
     walk_edges,
 )
 from defocone.report import DEDUCTION_PROVABLE
+from test_exact import _rref_nullspace
 
 
 @pytest.fixture(scope="module")
@@ -320,25 +321,28 @@ def _all_coordinate_rows(fw, cycles):
             i = eidx[edge_key(u, v)]
             acc[i] = [a + s for a, s in zip(acc[i], vec_sub(fw.point(v), fw.point(u)))]
         rows += [[acc[i][k] for i in range(len(fw.edges))] for k in range(fw.dim)]
-    for e in sorted(fw.degenerate_edges):
-        rows.append([Fraction(e == f) for f in fw.edges])
-    return rows
+    return rows + [[Fraction(e == f) for f in fw.edges] for e in sorted(fw.degenerate_edges)]
 
 
 def _assert_hull_rows_agree(fw):
     """The hull frame is the reduced point differences with the points read
-    at its pivot columns, the hull-coordinate rows keep the reference rank,
-    and the basis is the reference nullspace, Fraction for Fraction."""
+    at its pivot columns, and the one reference basis, the reduced form's
+    kernel of `_all_coordinate_rows` in edge order, is both `nullspace` of
+    the hull rows as built and the chord-first `deformation_space` basis,
+    Fraction for Fraction.  Returns the basis size and whether rows were
+    left out in hull coordinates."""
     base = fw.coords[0]
     basis, pivots = rref([vec_sub(c, base) for c in fw.coords[1:]], fw.dim)
     ys = tuple(tuple(c[k] - base[k] for k in pivots) for c in fw.coords)
     assert fw.hull_frame == (base, tuple(basis), ys)
     assert fw.hull_dim == len(pivots)
-    cycles = cycle_basis(fw)
-    reference = _all_coordinate_rows(fw, cycles)
-    n = len(fw.edges)
-    assert rank(cycle_equation_rows(fw, cycles), n) == rank(reference, n)
-    assert deformation_space(fw).basis == tuple(nullspace(reference, n))
+    cycles, n = cycle_basis(fw), len(fw.edges)
+    reference_rows, rows = _all_coordinate_rows(fw, cycles), cycle_equation_rows(fw, cycles)
+    reference = tuple(_rref_nullspace(reference_rows, n))
+    kernel = tuple(nullspace(rows, n))
+    assert kernel == reference == deformation_space(fw).basis
+    assert all(type(x) is Fraction for v in kernel + deformation_space(fw).basis for x in v)
+    return len(reference), len(rows) < len(reference_rows)
 
 
 def _family_frameworks() -> dict:
@@ -352,13 +356,46 @@ def _family_frameworks() -> dict:
     return out
 
 
+def _named_frameworks(cp) -> dict:
+    """The corpus, the collapsed cube, the families and DEDUCTION_PROVABLE, by name."""
+    out = {name: e.framework for name, e in cp.items()}
+    out["collapsed_cube"] = _collapsed_cube()
+    out.update(_family_frameworks())
+    out.update({f"{kind}_{n}_{m}": bipartite_truncation(n, m, kind).framework for kind, n, m in DEDUCTION_PROVABLE})
+    return out
+
+
+def _small_cases() -> dict:
+    """Hand-made frameworks: a degenerate chord, a degenerate tree edge, a
+    triangle beside a lone vertex, a tree, and no edges."""
+    return {
+        "degenerate chord": framework({"a": (0, 0), "b": (1, 0), "c": (1, 0)}, [("a", "b"), ("a", "c"), ("b", "c")]),
+        "degenerate tree edge": framework({"a": (0, 0), "b": (0, 0), "c": (1, 0)}, [("a", "b"), ("a", "c"), ("b", "c")]),
+        "triangle and a point": framework({"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (5, 5)},
+                                          [("a", "b"), ("a", "c"), ("b", "c")]),
+        "path": framework({"a": (0,), "b": (1,), "c": (3,)}, [("a", "b"), ("b", "c")]),
+        "no edges": framework({"a": (0, 1), "b": (2, 3)}, []),
+    }
+
+
+def _chords(fw):
+    return {edge_key(w[-1], w[0]) for w in cycle_basis(fw)}
+
+
 def test_hull_rows_agree_with_all_coordinate_rows(cp):
-    fws = [e.framework for e in cp.values()] + [_collapsed_cube()] + list(_family_frameworks().values())
-    for fw in fws:
-        _assert_hull_rows_agree(fw)
+    """Each distinct framework of the corpus, the collapsed cube, the
+    families, DEDUCTION_PROVABLE, P_1,5 and the hand-made cases, once."""
+    named = {**_named_frameworks(cp), "P_1_5": bipartite_truncation(1, 5, "P").framework, **_small_cases()}
+    fws = dict.fromkeys(named.values())
+    checked = [_assert_hull_rows_agree(fw) for fw in fws]
+    assert {1, 2, 3} <= {dim for dim, _ in checked}
     # the families lie in hyperplanes, so rows were left out on them
-    assert any(len(cycle_equation_rows(fw, cycle_basis(fw))) < len(_all_coordinate_rows(fw, cycle_basis(fw)))
-               for fw in fws)
+    assert any(shorter for _, shorter in checked)
+    assert _chords(named["degenerate chord"]) == {("b", "c")} <= named["degenerate chord"].degenerate_edges
+    assert ("a", "b") in named["degenerate tree edge"].degenerate_edges - _chords(named["degenerate tree edge"])
+    # the chords are not a prefix of the edges on the families, so the
+    # column order really changed
+    assert any(sorted(fw.edges.index(e) for e in _chords(fw)) != list(range(len(_chords(fw)))) for fw in fws)
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -388,62 +425,6 @@ def _subspace_frameworks(draw):
 @settings(max_examples=200, deadline=None)
 def test_hull_rows_agree_on_frameworks_in_subspaces(fw):
     _assert_hull_rows_agree(fw)
-
-
-def _sorted_rows_nullspace(fw):
-    """The reference basis: the kernel of the sorted cycle equations,
-    eliminated with the columns in edge order."""
-    rows = sorted(cycle_equation_rows(fw, cycle_basis(fw)), key=lambda row: len(row) - row.count(0))
-    return tuple(nullspace(rows, len(fw.edges)))
-
-
-def _named_frameworks(cp) -> dict:
-    """The corpus, the collapsed cube, the families and DEDUCTION_PROVABLE, by name."""
-    out = {name: e.framework for name, e in cp.items()}
-    out["collapsed_cube"] = _collapsed_cube()
-    out.update(_family_frameworks())
-    out.update({f"{kind}_{n}_{m}": bipartite_truncation(n, m, kind).framework for kind, n, m in DEDUCTION_PROVABLE})
-    return out
-
-
-def _small_cases() -> dict:
-    """Hand-made frameworks: a degenerate chord, a degenerate tree edge, a
-    triangle beside a lone vertex, a tree, and no edges."""
-    return {
-        "degenerate chord": framework({"a": (0, 0), "b": (1, 0), "c": (1, 0)}, [("a", "b"), ("a", "c"), ("b", "c")]),
-        "degenerate tree edge": framework({"a": (0, 0), "b": (0, 0), "c": (1, 0)}, [("a", "b"), ("a", "c"), ("b", "c")]),
-        "triangle and a point": framework({"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (5, 5)},
-                                          [("a", "b"), ("a", "c"), ("b", "c")]),
-        "path": framework({"a": (0,), "b": (1,), "c": (3,)}, [("a", "b"), ("b", "c")]),
-        "no edges": framework({"a": (0, 1), "b": (2, 3)}, []),
-    }
-
-
-def _chords(fw):
-    return {edge_key(w[-1], w[0]) for w in cycle_basis(fw)}
-
-
-def test_chord_first_basis_is_the_edge_order_nullspace(cp):
-    """The chord-first elimination, read back in edge order, gives the
-    basis of the sorted rows eliminated in edge order, element for element."""
-    fws = {**_named_frameworks(cp), **_small_cases()}
-    for name, fw in fws.items():
-        basis = deformation_space(fw).basis
-        assert basis == _sorted_rows_nullspace(fw), name
-        assert all(type(x) is Fraction for v in basis for x in v), name
-    small = _small_cases()
-    assert _chords(small["degenerate chord"]) == {("b", "c")} <= small["degenerate chord"].degenerate_edges
-    assert ("a", "b") in small["degenerate tree edge"].degenerate_edges - _chords(small["degenerate tree edge"])
-    # the chords are not a prefix of the edges on the families, so the
-    # column order really changed
-    assert any(sorted(fw.edges.index(e) for e in _chords(fw)) != list(range(len(_chords(fw))))
-               for fw in fws.values())
-
-
-@given(_subspace_frameworks())
-@settings(max_examples=200, deadline=None)
-def test_chord_first_basis_on_frameworks_in_subspaces(fw):
-    assert deformation_space(fw).basis == _sorted_rows_nullspace(fw)
 
 
 def test_edge_order_read_back_on_permuted_random_kernels():

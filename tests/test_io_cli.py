@@ -225,16 +225,38 @@ def test_cli_verify_rejects_malformed_certificates(tmp_path, cp, name):
     assert out.stderr.startswith("error: ")
 
 
+# A lift on the square that `verify` accepts.
+SQUARE_LIFT = {"kernel": [["1", "0"]], "edge_a": ["B", "C"], "edge_b": ["A", "D"],
+               "path_a": ["B", "A"], "path_b": ["C", "D"]}
+
+
+def _verify_square_lift(tmp_path, cp, text):
+    sq, cert = tmp_path / "sq.json", tmp_path / "sq.cert.json"
+    sq.write_text(json.dumps(framework_to_obj(cp["square"].framework)))
+    cert.write_text(text)
+    return run_cli("verify", str(sq), str(cert))
+
+
 @pytest.mark.parametrize("path", ["path_a", "path_b"])
 def test_cli_verify_rejects_an_empty_identification_path(tmp_path, cp, capsys, path):
-    sq = tmp_path / "sq.json"
-    sq.write_text(json.dumps(framework_to_obj(cp["square"].framework)))
-    lift = {"kernel": [["1", "0"]], "edge_a": ["B", "C"], "edge_b": ["A", "D"],
-            "path_a": ["B", "A"], "path_b": ["C", "D"], path: []}
-    cert = tmp_path / "sq.cert.json"
-    cert.write_text(json.dumps(certificate_to_obj([Step(PROJECTION_LIFT, lift)])))
-    assert run_cli("verify", str(sq), str(cert)) == 1
+    lift = {**SQUARE_LIFT, path: []}
+    assert _verify_square_lift(tmp_path, cp, json.dumps(certificate_to_obj([Step(PROJECTION_LIFT, lift)]))) == 1
     assert capsys.readouterr().err == "invalid certificate: step 0: identification path is empty\n"
+
+
+# Kernel entries that are not "p" or "p/q" text, as they stand in the
+# certificate file in place of SQUARE_LIFT's "1", and how the refusal names them.
+BAD_KERNEL_ENTRIES = {"0.5": "0.5", '"0.5"': "'0.5'", '"1e3"': "'1e3'", "1e400": "inf"}
+
+
+@pytest.mark.parametrize("entry", sorted(BAD_KERNEL_ENTRIES))
+def test_cli_verify_reads_kernel_entries_as_rational_text(tmp_path, cp, capsys, entry):
+    text = json.dumps(certificate_to_obj([Step(PROJECTION_LIFT, SQUARE_LIFT)]))
+    assert _verify_square_lift(tmp_path, cp, text) == 0
+    capsys.readouterr()
+    assert _verify_square_lift(tmp_path, cp, text.replace('[["1", "0"]]', f'[[{entry}, "0"]]')) == 1
+    reason = f"malformed payload: not a rational literal: {BAD_KERNEL_ENTRIES[entry]}"
+    assert capsys.readouterr().err == f"invalid certificate: step 0: {reason}\n"
 
 
 BAD_INVOCATIONS = {
@@ -248,11 +270,14 @@ BAD_INVOCATIONS = {
     "truncate without input": ["construct", "truncate", "-o", "{out}"],
     "truncate without vertices": ["construct", "truncate", "--input", "{cube}", "-o", "{out}"],
     "truncate unknown vertex": ["construct", "truncate", "--input", "{cube}", "--vertices", "zz", "-o", "{out}"],
+    "truncate a point": ["construct", "truncate", "--input", "{point}", "--vertices", "a", "-o", "{out}"],
     "empty complete graph": ["construct", "zonotope", "--complete", "0", "-o", "{out}"],
     "empty bipartite side": ["construct", "zonotope", "--bipartite", "0", "2", "-o", "{out}"],
     "negative uniform rank": ["construct", "matroid", "--uniform", "-1", "3", "-o", "{out}"],
     "analyze a directory": ["analyze", "{dir}"],
     "analyze non-UTF-8 file": ["analyze", "{binary}"],
+    "analyze a 100000-deep array": ["analyze", "{deep}"],
+    "verify a 100000-deep certificate": ["verify", "{cube}", "{deep}"],
     "polytope file with a repeated id": ["analyze", "{repeated_polytope}"],
     "framework file with a repeated id": ["analyze", "{repeated_framework}"],
     "polytope file with no vertices": ["analyze", "{empty_polytope}"],
@@ -273,6 +298,7 @@ BAD_INVOCATION_LINES = {
     "polytope file with no vertices": "error: polytope file has no vertices\n",
     "framework file with no vertices": "error: framework file has no vertices\n",
     "product labels that collide": "error: duplicate vertex label\n",
+    "truncate a point": "error: no deep truncation at 'a': neighbors are not on a hyperplane\n",
     "seedless is not an option": "error: unrecognized arguments: --seedless\n",
     "corpus with a size": "error: unrecognized arguments: --n 3\n",
     "corpus with a wedge option": "error: unrecognized arguments: --coord 2\n",
@@ -350,6 +376,8 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
         "repeated_framework": _points(*square, edges=[["a", "b"], ["b", "c"], ["a", "c"]]),
         "empty_polytope": json.dumps({"dim": 2, "vertices": []}),
         "empty_framework": json.dumps({"dim": 2, "vertices": [], "edges": []}),
+        "point": _points(("a", (1, 2))),
+        "deep": "[" * 100_000 + "]" * 100_000,
         "seg_a": _points(("x|", (0,)), ("x", (1,))),
         "seg_b": _points(("y", (0,)), ("|y", (1,))),
         "grid": _grid(24),

@@ -19,6 +19,14 @@ CENSUS = os.path.join(os.path.dirname(SRC), "scripts", "family_census.py")
 BENCH = os.path.join(os.path.dirname(SRC), "scripts", "bench.py")
 
 
+def _script(name, path):
+    """The module of a script, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _member_rows(text):
     return [line for line in text.splitlines() if line[:1] in ("P", "Q")]
 
@@ -42,9 +50,7 @@ def test_family_census_smoke():
 
 def test_family_census_prints_guard_rows(monkeypatch, capsys):
     """A member past the vertex guard gets a guard row; the census goes on."""
-    spec = importlib.util.spec_from_file_location("family_census", CENSUS)
-    census = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(census)
+    census = _script("family_census", CENSUS)
     monkeypatch.setattr(defocone.polytope, "MAX_VERTICES", 12)
     census.main(["--max-total", "4"])
     rows = _member_rows(capsys.readouterr().out)
@@ -68,9 +74,7 @@ def test_bench_gain_rule_bound_and_spread():
     pairs by more than the base's interquartile range, and calls a metric
     unresolved when that range is wider than the bound allows and the runs
     of the two sides overlap."""
-    spec = importlib.util.spec_from_file_location("bench", BENCH)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _script("bench", BENCH)
     metric = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.24}
     base = [10, 11, 12, 13, 14, 10, 11, 12, 13, 14]
     faster = bench.compare(base, [20] * 9 + [9], metric)
@@ -91,9 +95,7 @@ def test_bench_gain_rule_bound_and_spread():
 def test_bench_compares_the_traced_counts():
     """bench.py calls the traced runs identical only when both carry the same
     exact-counts digest, and names each counter whose values differ."""
-    spec = importlib.util.spec_from_file_location("bench", BENCH)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _script("bench", BENCH)
 
     def traced(digest, **metrics):
         return {"run": {"exact_counts_digest": digest} if digest else {}, "metrics": metrics}
@@ -112,9 +114,7 @@ def test_bench_compares_the_traced_counts():
 def test_bench_summarizes_the_ops_each_run_completed():
     """bench.py records passes x ops per pass for each run, in run order,
     and their median and quartiles."""
-    spec = importlib.util.spec_from_file_location("bench", BENCH)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _script("bench", BENCH)
     runs = [{"run": {"passes": p, "ops_per_pass": 29}} for p in (4, 2, 5, 3, 6)]
     assert bench.ops_per_run(runs) == [116, 58, 145, 87, 174]
     assert bench.ops_completed(runs) == {"median": 116, "q1": 87, "q3": 145}
@@ -123,9 +123,7 @@ def test_bench_summarizes_the_ops_each_run_completed():
 def test_bench_digests_the_deformation_bases(monkeypatch):
     """bench.py hashes every corpus basis (and, per seeded variant, every
     workload input's), so a changed basis entry changes the digest."""
-    spec = importlib.util.spec_from_file_location("bench", BENCH)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _script("bench", BENCH)
     root = os.path.dirname(SRC)
     first = bench.bases_digest(root, variants=())
     assert first == bench.bases_digest(root, variants=())
@@ -138,3 +136,15 @@ def test_bench_digests_the_deformation_bases(monkeypatch):
 
     monkeypatch.setattr(defocone.framework, "deformation_space", shifted)
     assert bench.bases_digest(root, variants=())["digest"] != first["digest"]
+
+
+def test_bench_counts_the_python_lines_of_src_and_tests(tmp_path):
+    """bench.py counts the lines of every .py file under a tree's src/ and
+    tests/, nested ones too, and nothing else."""
+    bench = _script("bench", BENCH)
+    files = {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/sub/b.py": "z = 3\n", "src/pkg/notes.txt": "a\nb\n",
+             "tests/test_a.py": "def test():\n    pass\n", "scripts/c.py": "w = 4\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert bench.line_counts(str(tmp_path)) == {"src_lines": 3, "tests_lines": 2}

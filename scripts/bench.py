@@ -30,14 +30,16 @@ the head won and the verdict of the gain rule (head better in at least nine
 tenths of the pairs, by more than the base's interquartile range) and of
 the bound of BENCHMARK.json, plus the machine (nproc, CPU, Python
 version), both commits and each side's `src_lines` and `tests_lines`
-(`lines`).  A metric is `unresolved` when the base's interquartile range is wider than its bound
-times its median, unless every head run is better than every base run:
-its runs spread too widely to tell a move within the bound.
+(`lines`).  A metric is `unresolved` when the base's interquartile range
+is wider than its bound times its median, unless every head run is better
+than every base run: its runs spread too widely to tell a move within the
+bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import importlib
 import json
@@ -143,10 +145,9 @@ def line_counts(tree: str) -> dict:
     counts = {}
     for sub in ("src", "tests"):
         counts[f"{sub}_lines"] = 0
-        for d, _, files in os.walk(os.path.join(tree, sub)):
-            for f in (f for f in files if f.endswith(".py")):
-                with open(os.path.join(d, f), "rb") as fh:
-                    counts[f"{sub}_lines"] += fh.read().count(b"\n")
+        for path in glob.glob(os.path.join(tree, sub, "**", "*.py"), recursive=True):
+            with open(path, "rb") as fh:
+                counts[f"{sub}_lines"] += fh.read().count(b"\n")
     return counts
 
 

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate."""
 
+import functools
 import math
 import random
 import sys
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defocone.constructions import bipartite_truncation, complete_bipartite, complete_graph, graphical_zonotope
+from defocone.corpus import corpus
 from defocone.ddcore import dd_rays
 from defocone.exact import (
     affine_rank,
@@ -22,8 +25,10 @@ from defocone.exact import (
     rat_str,
     rref,
     vec_dot,
+    vec_sub,
 )
-from defocone.framework import labelled_points
+from defocone.framework import cycle_basis, cycle_equation_rows, edge_key, labelled_points, walk_edges
+from defocone.report import DEDUCTION_PROVABLE
 from defocone.simplex import OPTIMAL, LinearProgram, solve
 
 rationals = st.fractions(
@@ -190,6 +195,48 @@ def test_echelon_form_keeps_the_entries_above_its_pivots():
     assert rref([[1, 1], [0, 1]], echelon=True) == ([(1, 1), (0, 1)], [0, 1])
     assert rref([[0, 2, 4], [1, 1, 1]], echelon=True) == ([(1, 1, 1), (0, 1, 2)], [0, 1])
     assert rref([[2, 4], [1, 2]], echelon=True) == ([(1, 2)], [0])
+
+
+def _all_coordinate_rows(fw, cycles):
+    """The reference system: one row per cycle per ambient coordinate, in
+    cycle order, then a forced-zero row per degenerate edge."""
+    eidx = {e: i for i, e in enumerate(fw.edges)}
+    rows = []
+    for walk in cycles:
+        acc = [[Fraction(0)] * fw.dim for _ in fw.edges]
+        for u, v in walk_edges(walk):
+            i = eidx[edge_key(u, v)]
+            acc[i] = [a + s for a, s in zip(acc[i], vec_sub(fw.point(v), fw.point(u)))]
+        rows += [[acc[i][k] for i in range(len(fw.edges))] for k in range(fw.dim)]
+    return rows + [[Fraction(e == f) for f in fw.edges] for e in sorted(fw.degenerate_edges)]
+
+
+@functools.cache
+def cycle_system_kernels(fw):
+    """The one reference for a framework's deformation basis, the reduced
+    form's kernel of `_all_coordinate_rows` (every ambient coordinate, edge
+    order), beside `nullspace` of the hull-coordinate rows as built and
+    whether rows were left out in hull coordinates.  Computed once per
+    framework and shared by every test that checks a basis against it."""
+    cycles, n = cycle_basis(fw), len(fw.edges)
+    reference_rows, rows = _all_coordinate_rows(fw, cycles), cycle_equation_rows(fw, cycles)
+    return tuple(_rref_nullspace(reference_rows, n)), tuple(nullspace(rows, n)), len(rows) < len(reference_rows)
+
+
+def test_nullspace_matches_the_reduced_form_on_cycle_systems():
+    """The cycle equations `deformation_space` eliminates, as built: the
+    corpus, the members the deduction engine proves, P/Q_2,3, P_1,5 and
+    the K4 and K_{2,3} zonotopes."""
+    fws = [e.framework for e in corpus().values()]
+    fws += [bipartite_truncation(n, m, kind).framework for kind, n, m in [*DEDUCTION_PROVABLE, ("P", 1, 5)]]
+    fws += [graphical_zonotope(g).framework() for g in (complete_graph(4), complete_bipartite(2, 3))]
+    dims = set()
+    for fw in fws:
+        reference, kernel, _ = cycle_system_kernels(fw)
+        assert kernel == reference
+        assert all(type(x) is Fraction for v in kernel for x in v)
+        dims.add(len(kernel))
+    assert {1, 2, 3} <= dims
 
 
 def test_rank_entries_stay_minors():

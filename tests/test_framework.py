@@ -37,10 +37,9 @@ from defocone.framework import (
     is_indecomposable,
     quotient_degenerate,
     realize,
-    walk_edges,
 )
 from defocone.report import DEDUCTION_PROVABLE
-from test_exact import _rref_nullspace
+from test_exact import cycle_system_kernels
 
 
 @pytest.fixture(scope="module")
@@ -310,39 +309,29 @@ def test_extra_cycles_do_not_change_rank(cp):
         assert rank(rows, len(fw.edges)) == base_rank
 
 
-def _all_coordinate_rows(fw, cycles):
-    """The reference system: one row per cycle per ambient coordinate, in
-    cycle order, then a forced-zero row per degenerate edge."""
-    eidx = {e: i for i, e in enumerate(fw.edges)}
-    rows = []
-    for walk in cycles:
-        acc = [[Fraction(0)] * fw.dim for _ in fw.edges]
-        for u, v in walk_edges(walk):
-            i = eidx[edge_key(u, v)]
-            acc[i] = [a + s for a, s in zip(acc[i], vec_sub(fw.point(v), fw.point(u)))]
-        rows += [[acc[i][k] for i in range(len(fw.edges))] for k in range(fw.dim)]
-    return rows + [[Fraction(e == f) for f in fw.edges] for e in sorted(fw.degenerate_edges)]
-
-
 def _assert_hull_rows_agree(fw):
     """The hull frame is the reduced point differences with the points read
-    at its pivot columns, and the one reference basis, the reduced form's
-    kernel of `_all_coordinate_rows` in edge order, is both `nullspace` of
-    the hull rows as built and the chord-first `deformation_space` basis,
-    Fraction for Fraction.  Returns the basis size and whether rows were
-    left out in hull coordinates."""
+    at its pivot columns, and `nullspace` of the hull rows as built is the
+    reference basis, the reduced form's kernel of every ambient
+    coordinate's rows, Fraction for Fraction.  Returns the basis size and
+    whether rows were left out in hull coordinates."""
     base = fw.coords[0]
     basis, pivots = rref([vec_sub(c, base) for c in fw.coords[1:]], fw.dim)
     ys = tuple(tuple(c[k] - base[k] for k in pivots) for c in fw.coords)
     assert fw.hull_frame == (base, tuple(basis), ys)
     assert fw.hull_dim == len(pivots)
-    cycles, n = cycle_basis(fw), len(fw.edges)
-    reference_rows, rows = _all_coordinate_rows(fw, cycles), cycle_equation_rows(fw, cycles)
-    reference = tuple(_rref_nullspace(reference_rows, n))
-    kernel = tuple(nullspace(rows, n))
-    assert kernel == reference == deformation_space(fw).basis
-    assert all(type(x) is Fraction for v in kernel + deformation_space(fw).basis for x in v)
-    return len(reference), len(rows) < len(reference_rows)
+    reference, kernel, shorter = cycle_system_kernels(fw)
+    assert kernel == reference
+    assert all(type(x) is Fraction for v in kernel for x in v)
+    return len(reference), shorter
+
+
+def _assert_chord_first_basis(fw):
+    """The chord-first elimination, read back in edge order, is the
+    reference basis, Fraction for Fraction."""
+    basis = deformation_space(fw).basis
+    assert basis == cycle_system_kernels(fw)[0]
+    assert all(type(x) is Fraction for v in basis for x in v)
 
 
 def _family_frameworks() -> dict:
@@ -382,15 +371,25 @@ def _chords(fw):
     return {edge_key(w[-1], w[0]) for w in cycle_basis(fw)}
 
 
+def _reference_frameworks(cp) -> dict:
+    """The corpus, the collapsed cube, the families, DEDUCTION_PROVABLE,
+    P_1,5 and the hand-made cases, by name."""
+    return {**_named_frameworks(cp), "P_1_5": bipartite_truncation(1, 5, "P").framework, **_small_cases()}
+
+
 def test_hull_rows_agree_with_all_coordinate_rows(cp):
-    """Each distinct framework of the corpus, the collapsed cube, the
-    families, DEDUCTION_PROVABLE, P_1,5 and the hand-made cases, once."""
-    named = {**_named_frameworks(cp), "P_1_5": bipartite_truncation(1, 5, "P").framework, **_small_cases()}
-    fws = dict.fromkeys(named.values())
-    checked = [_assert_hull_rows_agree(fw) for fw in fws]
+    """Each distinct framework of `_reference_frameworks`, once."""
+    checked = [_assert_hull_rows_agree(fw) for fw in dict.fromkeys(_reference_frameworks(cp).values())]
     assert {1, 2, 3} <= {dim for dim, _ in checked}
     # the families lie in hyperplanes, so rows were left out on them
     assert any(shorter for _, shorter in checked)
+
+
+def test_chord_first_basis_is_the_edge_order_nullspace(cp):
+    named = _reference_frameworks(cp)
+    fws = dict.fromkeys(named.values())
+    for fw in fws:
+        _assert_chord_first_basis(fw)
     assert _chords(named["degenerate chord"]) == {("b", "c")} <= named["degenerate chord"].degenerate_edges
     assert ("a", "b") in named["degenerate tree edge"].degenerate_edges - _chords(named["degenerate tree edge"])
     # the chords are not a prefix of the edges on the families, so the
@@ -425,6 +424,12 @@ def _subspace_frameworks(draw):
 @settings(max_examples=200, deadline=None)
 def test_hull_rows_agree_on_frameworks_in_subspaces(fw):
     _assert_hull_rows_agree(fw)
+
+
+@given(_subspace_frameworks())
+@settings(max_examples=200, deadline=None)
+def test_chord_first_basis_on_frameworks_in_subspaces(fw):
+    _assert_chord_first_basis(fw)
 
 
 def test_edge_order_read_back_on_permuted_random_kernels():

@@ -55,9 +55,10 @@ def dd_rays(rows, dim: int) -> list[tuple[Vec, frozenset[int]]]:
 
     ResourceLimitError as soon as one insertion holds more than MAX_DD_RAYS
     rays."""
-    rows = [tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows]
-    zero = frozenset(i for i, r in enumerate(rows) if not any(r))
-    live = [i for i in range(len(rows)) if i not in zero]
+    # `primitive` reads ints and Fractions as they are; "p/q" text is parsed
+    rows = [[x if type(x) in (int, Fraction) else Fraction(x) for x in r] for r in rows]
+    live = [i for i, r in enumerate(rows) if any(r)]
+    zero = frozenset(range(len(rows))).difference(live)
     if dim == 0:
         return []
     if not live:

@@ -10,7 +10,8 @@ Edges are read off the facet incidences by the combinatorial adjacency
 test of double description: two vertices span an edge exactly when the
 facets containing both meet in those two vertices only.  The test is exact
 and uses no linear programming; LPs remain only in `hull_vertices`, the
-vertex check that `polytope` runs at the input trust boundary.  Every
+vertex check that `polytope` runs at the input trust boundary, one
+phase-one LP per point with h + 1 rows in the hull coordinates.  Every
 other face, and so the f-vector, is an intersection of facets.
 """
 
@@ -62,7 +63,7 @@ def polytope(points, check: bool = True) -> PolytopeV:
     p = PolytopeV(*labelled_points(points))
     if check and len(p.vertex_ids) > 1:
         _check_guard(len(p.vertex_ids), p.dim)
-        for v, vertex in zip(p.vertex_ids, hull_vertices(p.coords)):
+        for v, vertex in zip(p.vertex_ids, hull_vertices(p.hull_frame[2])):
             if not vertex:
                 raise InputError(f"point {v!r} is not a vertex (inside the hull of the others)")
     return p
@@ -71,7 +72,9 @@ def polytope(points, check: bool = True) -> PolytopeV:
 def hull_vertices(points):
     """Yield, point by point, whether it lies outside the convex hull of the
     other points: one LP each, solved only when the next answer is asked
-    for, so a caller that stops at the first False solves no more."""
+    for, so a caller that stops at the first False solves no more.  An
+    affine bijection changes no answer, so `polytope` passes its hull
+    coordinates, and each LP has h + 1 rows for a hull of dimension h."""
     points = list(points)
     for i, x in enumerate(points):
         others = points[:i] + points[i + 1 :]

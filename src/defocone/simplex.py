@@ -2,11 +2,13 @@
 
 Textbook two-phase simplex over Fractions with Bland's pivot rule, which
 guarantees termination without perturbation.  The tableau is one matrix:
-the constraint rows [A | b], then the row [reduced costs | -value].  Every
-step, from pricing out a basis to driving artificials out after phase 1,
-is a pivot on it through `exact.pivot`.  It serves the vertex check on
-polytope input, at desk scale, so exactness beats speed; no question
-about a deformation cone solves an LP.
+the constraint rows [A | b], then the row [reduced costs | -value].  Phase
+one's cost row is priced out as minus the column sums; every later step is
+a pivot on the tableau through `exact.pivot`.  A program with no objective,
+as `feasible` poses, stops after phase one.  It serves the vertex check on
+polytope input, in hull coordinates with h + 1 rows for a hull of
+dimension h, at desk scale, so exactness beats speed; no question about a
+deformation cone solves an LP.
 """
 
 from __future__ import annotations
@@ -79,42 +81,44 @@ def _bland_loop(t, basis):
 def _solve_standard(A, b, c):
     """min c.x st A x = b, x >= 0.  Returns (status, value, point)."""
     m, n = len(A), len(c)
-    # Phase 1: rows [A | I | b] with b >= 0 and the artificial columns I.
+    # Phase 1: rows [A | I | b] with b >= 0 and the artificial columns I, with
+    # the cost row priced out: minus the column sums of A and b, 0 over I.
     t = []
     for i, (row, bi) in enumerate(zip(A, b)):
         if bi < 0:
             row, bi = [-x for x in row], -bi
         t.append(list(row) + [Fraction(1 if j == i else 0) for j in range(m)] + [bi])
-    t.append([Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)])
+    sums = [-sum((row[j] for row in t), Fraction(0)) for j in (*range(n), -1)]
+    t.append(sums[:-1] + [Fraction(0)] * m + sums[-1:])
     basis = list(range(n, n + m))
-    for i, j in enumerate(basis):  # price out the initial basis
-        pivot(t, i, j)
     status = _bland_loop(t, basis)
     assert status == OPTIMAL  # phase-1 objective is bounded below by 0
     if t[-1][-1] != 0:
         return INFEASIBLE, None, None
-    # Drive leftover artificials out of the basis; a row with no structural
-    # entry left is redundant.
-    drop_rows = []
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if t[i][j] != 0), None)
-            if col is None:
-                drop_rows.append(i)
-            else:
-                pivot(t, i, col)
-                basis[i] = col
-    for i in reversed(drop_rows):
-        del t[i], basis[i]
-    # Phase 2 on the structural columns, with the cost row priced out.
-    t = [row[:n] + row[-1:] for row in t[:-1]] + [list(c) + [Fraction(0)]]
-    for i, j in enumerate(basis):
-        pivot(t, i, j)
-    if _bland_loop(t, basis) == UNBOUNDED:
-        return UNBOUNDED, None, None
+    if any(c):  # with no cost to minimize, phase one's point is optimal
+        # Drive leftover artificials out of the basis; a row with no
+        # structural entry left is redundant.
+        drop_rows = []
+        for i in range(m):
+            if basis[i] >= n:
+                col = next((j for j in range(n) if t[i][j] != 0), None)
+                if col is None:
+                    drop_rows.append(i)
+                else:
+                    pivot(t, i, col)
+                    basis[i] = col
+        for i in reversed(drop_rows):
+            del t[i], basis[i]
+        # Phase 2 on the structural columns, with the cost row priced out.
+        t = [row[:n] + row[-1:] for row in t[:-1]] + [list(c) + [Fraction(0)]]
+        for i, j in enumerate(basis):
+            pivot(t, i, j)
+        if _bland_loop(t, basis) == UNBOUNDED:
+            return UNBOUNDED, None, None
     x = [Fraction(0)] * n
     for i, j in enumerate(basis):
-        x[j] = t[i][-1]
+        if j < n:
+            x[j] = t[i][-1]
     return OPTIMAL, -t[-1][-1], tuple(x)
 
 
@@ -146,4 +150,5 @@ def solve(lp: LinearProgram) -> LPResult:
 
 
 def feasible(lp: LinearProgram) -> bool:
-    return solve(LinearProgram(lp.n, (Fraction(0),) * lp.n, lp.eq, lp.le, lp.nonneg)).status == OPTIMAL
+    """Whether some point meets lp's constraints."""
+    return solve(lp).status != INFEASIBLE

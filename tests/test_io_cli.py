@@ -329,6 +329,9 @@ GUARDED_INVOCATIONS = {
     "oracle on a 3000-vertex path": ["oracle", "{path}"],
     # the cyclic polytope C(30, 8): 17,250 facets, refused while DD inserts
     "analyze on 30 moment-curve points in R^8": ["analyze", "{moment}"],
+    # the polytope guard comes before the hull frame's elimination and any LP
+    "analyze on a 3000-point file in R^2": ["analyze", "{parabola}"],
+    "analyze on 9 points in R^9": ["analyze", "{units}"],
 }
 
 # The guard each of these inputs must meet first.
@@ -339,6 +342,10 @@ GUARDED_INVOCATION_LINES = {
         "resource guard: deformation space guard: 2999x2999 kernel basis exceeds 50000 entries\n",
     "analyze on 30 moment-curve points in R^8":
         f"resource guard: double description guard: more than {MAX_DD_RAYS} rays\n",
+    "analyze on a 3000-point file in R^2":
+        "resource guard: polytope guard: 3000 vertices in dimension 2 exceeds 200/8\n",
+    "analyze on 9 points in R^9":
+        "resource guard: polytope guard: 9 vertices in dimension 9 exceeds 200/8\n",
 }
 
 
@@ -383,6 +390,8 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
         "grid": _grid(24),
         "path": _path(3000),
         "moment": _points(*[(f"t{t}", [t**k for k in range(1, 9)]) for t in range(30)]),
+        "parabola": _points(*[(f"t{t}", (t, t * t)) for t in range(3000)]),
+        "units": _points(*[(f"e{i}", [int(i == j) for j in range(9)]) for i in range(9)]),
     }
     for key, text in files.items():
         paths[key] = tmp_path / f"{key}.json"

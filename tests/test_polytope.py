@@ -18,7 +18,7 @@ from defocone.constructions import (
 from defocone.corpus import corpus
 from defocone.errors import InputError
 from defocone.exact import rref, vec_dot, vec_sub
-from defocone.framework import Framework, deformation_space, edge_key, framework
+from defocone.framework import Framework, deformation_space, edge_key, framework, labelled_points
 from defocone.polytope import (
     PolytopeV,
     edges,
@@ -165,6 +165,52 @@ def test_vertex_validation(monkeypatch):
     with pytest.raises(InputError, match="'m' is not a vertex"):
         polytope([("m", centre)] + [(f"s{i}", c) for i, c in enumerate(square)])
     assert len(lps) == 1
+
+
+# point sets that are not all vertices, in ambient spaces their hulls do
+# not span, with the verdict of each point
+NON_VERTEX_INPUTS = {
+    # a square on the plane z = x + y, and its centre
+    "interior point": ([(0, 0, 0), (1, 0, 1), (1, 1, 2), (0, 1, 1), (Fraction(1, 2), Fraction(1, 2), 1)],
+                       [True] * 4 + [False]),
+    # the unit cube on the hyperplane w = x + 2y - z, and the centre of its
+    # face z = 0
+    "facet-interior point": ([(x, y, z, x + 2 * y - z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+                             + [(Fraction(1, 2), Fraction(1, 2), 0, Fraction(3, 2))], [True] * 8 + [False]),
+    "repeated point": ([(1, 0, 1), (0, 1, 1), (1, 0, 1), (0, 0, 0)], [False, True, False, True]),
+    "all points equal": ([(2, -1, 3)] * 3, [False] * 3),
+    "single point": ([(2, -1, 3)], [True]),
+}
+
+
+def test_hull_frame_vertex_checks_match_the_ambient_lp(cp, families):
+    """The vertex check in hull coordinates, as `polytope` runs it with
+    h + 1 rows per LP, gives the verdicts of the LP on the ambient
+    coordinates, which has d + 1 rows."""
+    points = {name: e.polytope for name, e in cp.items() if e.polytope is not None}
+    points.update((name, families[name]) for name in ("P_1,4", "Q_1,4", "U(2,5)", "M(K4)", "Z(K4)"))
+    for name, (coords, verdicts) in NON_VERTEX_INPUTS.items():
+        points[name] = PolytopeV(*labelled_points((f"x{i}", c) for i, c in enumerate(coords)))
+        assert list(hull_vertices(points[name].coords)) == verdicts, name
+    assert any(p.hull_dim < p.dim for p in points.values())
+    for name, p in points.items():
+        ambient = list(hull_vertices(p.coords))
+        assert list(hull_vertices(p.hull_frame[2])) == ambient, name
+        assert ambient == [True] * len(p.vertex_ids) or name in NON_VERTEX_INPUTS, name
+
+
+def test_polytope_checks_vertices_with_hull_rows(families, monkeypatch):
+    """Each LP of `polytope`'s vertex check has one row per hull coordinate
+    and the row of weights summing to 1."""
+    lps = []
+    solve = polytope_module.feasible
+    monkeypatch.setattr(polytope_module, "feasible", lambda lp: lps.append(lp) or solve(lp))
+    for name in ("Z(K4)", "U(2,5)"):
+        p = families[name]
+        lps.clear()
+        assert polytope(zip(p.vertex_ids, p.coords)) == p
+        assert p.hull_dim < p.dim and len(lps) == len(p.vertex_ids), name
+        assert all(len(lp.eq) == p.hull_dim + 1 and not lp.le for lp in lps), name
 
 
 def test_supporting_functional_agrees_with_midpoint_route(cp):

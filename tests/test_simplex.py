@@ -248,3 +248,17 @@ def test_solve_matches_reference_simplex(monkeypatch):
     assert got == want
     statuses = {r.status for r in got}
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_feasible_is_a_zero_objective_solve(monkeypatch):
+    """`feasible` keeps its old definition, a zero-objective `solve` that is
+    optimal, and that solve, which stops after phase one, returns the value
+    and point of the reference's two phases."""
+    rng = random.Random(20261018)
+    lps = [_random_lp(rng) for _ in range(600)]
+    zero = [LinearProgram(lp.n, (0,) * lp.n, lp.eq, lp.le, lp.nonneg) for lp in lps]
+    got = [solve(lp) for lp in zero]
+    assert [feasible(lp) for lp in lps] == [r.status == OPTIMAL for r in got]
+    assert {r.status for r in got} == {OPTIMAL, INFEASIBLE}
+    monkeypatch.setattr(simplex, "_solve_standard", _ref_solve_standard)
+    assert got == [solve(lp) for lp in zero]

@@ -55,7 +55,7 @@ def dd_rays(rows, dim: int) -> list[tuple[Vec, frozenset[int]]]:
 
     ResourceLimitError as soon as one insertion holds more than MAX_DD_RAYS
     rays."""
-    # `primitive` reads ints and Fractions as they are; "p/q" text is parsed
+    # `primitive` reads ints and Fractions as they are; only others convert
     rows = [[x if type(x) in (int, Fraction) else Fraction(x) for x in r] for r in rows]
     live = [i for i, r in enumerate(rows) if any(r)]
     zero = frozenset(range(len(rows))).difference(live)

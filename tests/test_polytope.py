@@ -167,8 +167,8 @@ def test_vertex_validation(monkeypatch):
     assert len(lps) == 1
 
 
-# point sets that are not all vertices, in ambient spaces their hulls do
-# not span, with the verdict of each point
+# point sets that a vertex check meets besides vertex lists, in ambient
+# spaces their hulls do not span, with the verdict of each point
 NON_VERTEX_INPUTS = {
     # a square on the plane z = x + y, and its centre
     "interior point": ([(0, 0, 0), (1, 0, 1), (1, 1, 2), (0, 1, 1), (Fraction(1, 2), Fraction(1, 2), 1)],
@@ -203,8 +203,8 @@ def test_polytope_checks_vertices_with_hull_rows(families, monkeypatch):
     """Each LP of `polytope`'s vertex check has one row per hull coordinate
     and the row of weights summing to 1."""
     lps = []
-    solve = polytope_module.feasible
-    monkeypatch.setattr(polytope_module, "feasible", lambda lp: lps.append(lp) or solve(lp))
+    check = polytope_module.feasible
+    monkeypatch.setattr(polytope_module, "feasible", lambda lp: lps.append(lp) or check(lp))
     for name in ("Z(K4)", "U(2,5)"):
         p = families[name]
         lps.clear()

@@ -32,7 +32,7 @@ from .framework import (
     realize,
 )
 
-MAX_EDGES = 60
+MAX_EDGES = 80
 MAX_SPAN_DIM = 12
 
 
@@ -47,12 +47,12 @@ class Cone:
     rays: tuple[Vec, ...]
 
 
-def enumerate_rays(ds: DeformationSpace, max_edges: int = MAX_EDGES) -> Cone:
+def enumerate_rays(ds: DeformationSpace) -> Cone:
     fw = ds.framework
     ne = len(fw.edges)
-    if ne > max_edges:
+    if ne > MAX_EDGES:
         raise ResourceLimitError(
-            f"ray enumeration guard: {ne} edges exceeds limit {max_edges}"
+            f"ray enumeration guard: {ne} edges exceeds limit {MAX_EDGES}"
         )
     if ds.dim > MAX_SPAN_DIM:
         raise ResourceLimitError(

@@ -97,9 +97,14 @@ class DeductionState:
         merges, joins the log and gives None; a rejected one changes
         nothing and gives the reason."""
         try:
-            check = _CHECKS.get(step.kind)
-            if check is None:
+            if step.kind not in _CHECKS:
                 return f"unknown step kind {step.kind!r}"
+            check, lists, nested = _CHECKS[step.kind]
+            for key in lists:
+                value = step.payload[key] if key in step.payload else None
+                for x in () if value is None else [value, *(value if key in nested else ())]:
+                    if not isinstance(x, (list, tuple)):
+                        raise TypeError(f"{key} must be a list")
             merged = check(self, step.payload)
         except (KeyError, ValueError, TypeError) as exc:
             return f"malformed payload: {exc}"
@@ -648,14 +653,16 @@ def _check_dim_bound(state: DeductionState, p):
     return []
 
 
+# Each step kind's check, its payload's list fields and those of them whose
+# entries are lists; `apply` refuses a string there, "AB" read as edge A-B.
 _CHECKS = {
-    TRIANGLE: _check_triangle,
-    RIGID_CYCLE: _check_rigid_cycle,
-    PROJECTION_LIFT: _check_projection_lift,
-    DEGENERATE_CONTRACTION: _check_degenerate_contraction,
-    IMPLICIT_FROM_PATH: _check_implicit_from_path,
-    COVERING_CONCLUSION: _check_covering_conclusion,
-    DIM_BOUND: _check_dim_bound,
+    TRIANGLE: (_check_triangle, ("vertices",), ()),
+    RIGID_CYCLE: (_check_rigid_cycle, ("cycle", "skip"), ("skip",)),
+    PROJECTION_LIFT: (_check_projection_lift, ("kernel", "edge_a", "edge_b", "path_a", "path_b"), ("kernel",)),
+    DEGENERATE_CONTRACTION: (_check_degenerate_contraction, ("degenerate", "pivot", "new"), ()),
+    IMPLICIT_FROM_PATH: (_check_implicit_from_path, ("path",), ()),
+    COVERING_CONCLUSION: (_check_covering_conclusion, ("S", "witness_edge", "flats"), ("flats",)),
+    DIM_BOUND: (_check_dim_bound, ("classes", "S", "flats"), ("classes", "flats")),
 }
 
 

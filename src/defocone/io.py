@@ -27,12 +27,21 @@ def _points_to_obj(p: Points) -> dict:
     }
 
 
+def _listed(x, what: str) -> list:
+    """x when it is a JSON list; a string would be read letter by letter."""
+    if type(x) is not list:
+        raise TypeError(f"{what} must be a list")
+    return x
+
+
 def _points_from_obj(obj: dict, kind: str) -> list:
     """The (id, coords) rows of a file object, in file order, so that a
     repeated id reaches `labelled_points`."""
     try:
         dim = obj["dim"]
-        pairs = [(row["id"], [parse_rat(c) for c in row["coords"]]) for row in obj["vertices"]]
+        if type(dim) is not int:
+            raise TypeError("dim must be an integer")
+        pairs = [(row["id"], [parse_rat(c) for c in _listed(row["coords"], "coords")]) for row in obj["vertices"]]
         dict(pairs)  # a list or object id is unhashable, hence malformed
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed {kind} file: {exc}")
@@ -50,7 +59,7 @@ def framework_to_obj(fw: Framework) -> dict:
 def framework_from_obj(obj: dict) -> Framework:
     pairs = _points_from_obj(obj, "framework")
     try:
-        edges = [(u, v) for u, v in obj["edges"]]
+        edges = [(u, v) for u, v in (_listed(e, "an edge") for e in obj["edges"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed framework file: {exc}")
     return framework(pairs, edges)

@@ -263,7 +263,7 @@ def _factor_law(fw, provenance, fa, fb):
     dimensions add up, the blocks are lifts, and the rays are the lifted
     factor rays."""
     (da, db, dw), lifts = factorization(fw, provenance, fa, fb)
-    cone = enumerate_rays(deformation_space(fw), max_edges=80)
+    cone = enumerate_rays(deformation_space(fw))
     lifted = {
         lift_ray(fw, provenance, f, side, r)
         for side, f in enumerate((fa, fb))

@@ -1,11 +1,18 @@
 """Exact rational linear programming.
 
 Textbook two-phase simplex over Fractions with Bland's pivot rule, which
-guarantees termination without perturbation.  The tableau is one matrix:
-the constraint rows [A | b], then the row [reduced costs | -value].  Phase
-one's cost row is priced out as minus the column sums; every later step is
-a pivot on the tableau through `exact.pivot`.  A program with no objective,
-as `feasible` poses, stops after phase one.  It serves the vertex check on
+guarantees termination without perturbation.  Both phases share one
+tableau: the constraint rows [A | b], signed so that b >= 0, then the row
+[reduced costs | -value].  Phase one's cost row is priced out as minus the
+column sums of [A | b]; every later step is a pivot on the tableau through
+`exact.pivot`.  Artificial variables are only basis labels, with no
+columns, so one that leaves the basis is dropped for good (Bertsimas and
+Tsitsiklis, Introduction to Linear Optimization, 3.5).  That is sound: any
+point of A x = b, x >= 0 has every artificial at 0, so phase one's minimum
+is 0 exactly when the program is feasible, with or without the dropped
+ones; and Bland's rule ends on each fixed program while the column set
+only shrinks, at most m times.  A program with no objective, as
+`feasible` poses, stops after phase one.  It serves the vertex check on
 polytope input, in hull coordinates with h + 1 rows for a hull of
 dimension h, at desk scale, so exactness beats speed; no question about a
 deformation cone solves an LP.
@@ -66,53 +73,40 @@ def _bland_loop(t, basis):
         col = next((j for j in range(ncols) if t[-1][j] < 0), None)
         if col is None:
             return OPTIMAL
-        best = None
-        for i in range(len(t) - 1):
-            if t[i][col] > 0:
-                key = (t[i][-1] / t[i][col], basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
+        # the least ratio, ties to the least basis label
+        rows = [(t[i][-1] / t[i][col], basis[i], i) for i in range(len(t) - 1) if t[i][col] > 0]
+        if not rows:
             return UNBOUNDED
-        pivot(t, best[1], col)
-        basis[best[1]] = col
+        r = min(rows)[2]
+        pivot(t, r, col)
+        basis[r] = col
 
 
 def _solve_standard(A, b, c):
     """min c.x st A x = b, x >= 0.  Returns (status, value, point)."""
     m, n = len(A), len(c)
-    # Phase 1: rows [A | I | b] with b >= 0 and the artificial columns I, with
-    # the cost row priced out: minus the column sums of A and b, 0 over I.
-    t = []
-    for i, (row, bi) in enumerate(zip(A, b)):
-        if bi < 0:
-            row, bi = [-x for x in row], -bi
-        t.append(list(row) + [Fraction(1 if j == i else 0) for j in range(m)] + [bi])
-    sums = [-sum((row[j] for row in t), Fraction(0)) for j in (*range(n), -1)]
-    t.append(sums[:-1] + [Fraction(0)] * m + sums[-1:])
+    # Phase 1: rows [A | b] with b >= 0, under the cost row priced out as
+    # minus the column sums; artificial i is only the basis label n + i.
+    t = [list(row) + [bi] if bi >= 0 else [-x for x in row] + [-bi] for row, bi in zip(A, b)]
+    t.append([-sum((row[j] for row in t), Fraction(0)) for j in range(n + 1)])
     basis = list(range(n, n + m))
     status = _bland_loop(t, basis)
     assert status == OPTIMAL  # phase-1 objective is bounded below by 0
     if t[-1][-1] != 0:
         return INFEASIBLE, None, None
     if any(c):  # with no cost to minimize, phase one's point is optimal
-        # Drive leftover artificials out of the basis; a row with no
-        # structural entry left is redundant.
-        drop_rows = []
+        # Drive leftover artificials out of the basis.  A row with no
+        # structural entry left is redundant: all zeros, no pivot touches it.
         for i in range(m):
-            if basis[i] >= n:
-                col = next((j for j in range(n) if t[i][j] != 0), None)
-                if col is None:
-                    drop_rows.append(i)
-                else:
-                    pivot(t, i, col)
-                    basis[i] = col
-        for i in reversed(drop_rows):
-            del t[i], basis[i]
-        # Phase 2 on the structural columns, with the cost row priced out.
-        t = [row[:n] + row[-1:] for row in t[:-1]] + [list(c) + [Fraction(0)]]
+            col = next((j for j in range(n) if t[i][j] != 0), None) if basis[i] >= n else None
+            if col is not None:
+                pivot(t, i, col)
+                basis[i] = col
+        # Phase 2 on the same rows, with the cost row priced out.
+        t[-1] = list(c) + [Fraction(0)]
         for i, j in enumerate(basis):
-            pivot(t, i, j)
+            if j < n:
+                pivot(t, i, j)
         if _bland_loop(t, basis) == UNBOUNDED:
             return UNBOUNDED, None, None
     x = [Fraction(0)] * n
@@ -123,29 +117,19 @@ def _solve_standard(A, b, c):
 
 
 def solve(lp: LinearProgram) -> LPResult:
-    n = lp.n
-    if n == 0:
-        ok = all(rhs == 0 for _, rhs in lp.eq) and all(rhs >= 0 for _, rhs in lp.le)
-        return LPResult(OPTIMAL, Fraction(0), ()) if ok else LPResult(INFEASIBLE)
-    # Standard-form columns: either x_j >= 0 directly, or the split x = u - v.
-    width = n if lp.nonneg else 2 * n
-
-    def widen(row):
-        return list(row) if lp.nonneg else [y for x in row for y in (x, -x)]
-
-    A = [widen(row) for row, _ in lp.eq]
-    b = [rhs for _, rhs in lp.eq]
+    # Standard-form columns: x_j >= 0 directly or the split x = u - v, then
+    # one slack per inequality row.
     nle = len(lp.le)
-    for k, (row, rhs) in enumerate(lp.le):
-        A.append(widen(row) + [Fraction(0)] * k + [Fraction(1)] + [Fraction(0)] * (nle - k - 1))
-        b.append(rhs)
-    # pad rows without slack entries up to the full column count
-    A = [row + [Fraction(0)] * (width + nle - len(row)) for row in A]
-    c = widen(lp.objective) + [Fraction(0)] * nle
-    status, value, point = _solve_standard(A, b, c)
+
+    def widen(row, k=None):
+        cols = list(row) if lp.nonneg else [y for x in row for y in (x, -x)]
+        return cols + [Fraction(s == k) for s in range(nle)]
+
+    A = [widen(row) for row, _ in lp.eq] + [widen(row, k) for k, (row, _) in enumerate(lp.le)]
+    status, value, point = _solve_standard(A, [rhs for _, rhs in lp.eq + lp.le], widen(lp.objective))
     if status != OPTIMAL:
         return LPResult(status)
-    x = point[:n] if lp.nonneg else tuple(point[2 * j] - point[2 * j + 1] for j in range(n))
+    x = point[:lp.n] if lp.nonneg else tuple(point[2 * j] - point[2 * j + 1] for j in range(lp.n))
     return LPResult(OPTIMAL, value, x)
 
 

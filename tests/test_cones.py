@@ -96,16 +96,16 @@ def test_ray_count_versus_dimension(cp):
             assert sorted(vectors) == sorted(cone.rays)
 
 
-def test_resource_guard(cp):
+def test_resource_guard(cp, monkeypatch):
     # a path deforms edge by edge: 13 edges give dc = 13 > MAX_SPAN_DIM
     points = {f"v{i}": (i, i * i) for i in range(14)}
     path = framework(points, [(f"v{i}", f"v{i + 1}") for i in range(13)])
     assert dc_dimension(path) == 13
     with pytest.raises(ResourceLimitError, match="span dimension 13"):
         enumerate_rays(deformation_space(path))
-    ds = deformation_space(cp["hexagon"].framework)
-    with pytest.raises(ResourceLimitError):
-        enumerate_rays(ds, max_edges=3)
+    monkeypatch.setattr(cones, "MAX_EDGES", 3)
+    with pytest.raises(ResourceLimitError, match="6 edges exceeds limit 3"):
+        enumerate_rays(deformation_space(cp["hexagon"].framework))
 
 
 def test_autonomous_examples(cp):

@@ -309,7 +309,31 @@ def _rejected_steps(cp):
     lift = {"edge_a": ["B", "C"], "edge_b": ["A", "D"], "path_a": ["B", "A"], "path_b": ["C", "D"]}
     contraction = {"degenerate": ["A", "B"], "pivot": ["A", "C"], "new": ["B", "C"]}
     trivial = {"trivial": True, "S": ["a", "b"], "flats": []}
+    # every list field of every step kind with a string in place of a list,
+    # which read letter by letter would name labels: "AB" the edge A-B, a
+    # kernel row "10" the row (1, 0)
+    shapes = {
+        TRIANGLE: (tri, {"vertices": ["A", "B", "C"]}),
+        RIGID_CYCLE: (sq, {"cycle": ["A", "B", "C", "D"], "skip": [["A", "B"]]}),
+        PROJECTION_LIFT: (sq, {"kernel": [["1", "0"]], **lift}),
+        DEGENERATE_CONTRACTION: (tri, contraction),
+        IMPLICIT_FROM_PATH: (tri, {"path": ["A", "B", "C"]}),
+        COVERING_CONCLUSION: (tri, {"S": ["A", "B", "C"], "witness_edge": ["A", "B"], "flats": [["A"], ["B"], ["C"]]}),
+        DIM_BOUND: (tri, {"bound": 1, "classes": [["A", "B"]], "S": ["A", "B", "C"], "flats": [["A"], ["B"], ["C"]]}),
+    }
+    text_lists = {
+        f"{kind} with text {key}": (
+            fw,
+            Step(kind, {**payload, key: [
+                "".join(x) for x in value] if isinstance(value[0], list) else "".join(value)}),
+            f"malformed payload: {key} must be a list",
+        )
+        for kind, (fw, payload) in shapes.items()
+        for key, value in payload.items()
+        if isinstance(value, list)
+    }
     return {
+        **text_lists,
         "collinear triangle": (
             collinear, Step(TRIANGLE, {"vertices": ["a", "b", "c"]}), "affinely independent"
         ),
@@ -392,6 +416,28 @@ def test_verify_refuses_forged_geometry_with_the_kernels_reason(tmp_path, cp, na
     )
     assert out.returncode == 1
     assert out.stderr == f"invalid certificate: step 0: {reason}\n"
+
+
+def test_verify_refuses_text_where_a_list_belongs(tmp_path, cp):
+    """Read letter by letter, a triangle over "ABC" and a conclusion over
+    S = "ABC" and the flats "A", "B", "C" would replay on the triangle; the
+    kernel refuses them, and `defocone verify` with it."""
+    tri = cp["triangle"].framework
+    text_conclusion = Step(COVERING_CONCLUSION, {"S": "ABC", "witness_edge": "AB", "flats": ["A", "B", "C"]})
+    fw_file, cert_file = tmp_path / "fw.json", tmp_path / "cert.json"
+    fw_file.write_text(json.dumps(framework_to_obj(tri)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(defocone.__file__)))
+    for vertices, index, key in (("ABC", 0, "vertices"), (["A", "B", "C"], 1, "S")):
+        steps = [Step(TRIANGLE, {"vertices": vertices}), text_conclusion]
+        reason = f"malformed payload: {key} must be a list"
+        assert verify_certificate(tri, steps) == (False, index, reason)
+        cert_file.write_text(json.dumps(certificate_to_obj(steps)))
+        out = subprocess.run(
+            [sys.executable, "-m", "defocone", "verify", str(fw_file), str(cert_file)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 1
+        assert out.stderr == f"invalid certificate: step {index}: {reason}\n"
 
 
 def test_conclusion_states_what_the_replay_established(cp):

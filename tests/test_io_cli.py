@@ -282,6 +282,9 @@ BAD_INVOCATIONS = {
     "framework file with a repeated id": ["analyze", "{repeated_framework}"],
     "polytope file with no vertices": ["analyze", "{empty_polytope}"],
     "framework file with no vertices": ["analyze", "{empty_framework}"],
+    "polytope file with text coordinates": ["analyze", "{text_coords}"],
+    "framework file with text edges": ["analyze", "{text_edges}"],
+    "polytope file with a boolean dim": ["analyze", "{bool_dim}"],
     "product labels that collide": ["construct", "product", "--inputs", "{seg_a}", "{seg_b}", "-o", "{out}"],
     "seedless is not an option": ["construct", "corpus", "--name", "cube", "--seedless", "-o", "{out}"],
     # each family takes only the options its builder reads, unabbreviated
@@ -297,6 +300,9 @@ BAD_INVOCATION_LINES = {
     "framework file with a repeated id": "error: duplicate vertex label\n",
     "polytope file with no vertices": "error: polytope file has no vertices\n",
     "framework file with no vertices": "error: framework file has no vertices\n",
+    "polytope file with text coordinates": "error: malformed polytope file: coords must be a list\n",
+    "framework file with text edges": "error: malformed framework file: an edge must be a list\n",
+    "polytope file with a boolean dim": "error: malformed polytope file: dim must be an integer\n",
     "product labels that collide": "error: duplicate vertex label\n",
     "truncate a point": "error: no deep truncation at 'a': neighbors are not on a hyperplane\n",
     "seedless is not an option": "error: unrecognized arguments: --seedless\n",
@@ -376,7 +382,8 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
     binary.write_bytes(b"\xff\xfe\x00{}")
     paths = {"cube": cube, "out": tmp_path / "out.json", "dir": tmp_path, "binary": binary}
     # a square whose fourth vertex reuses the id "a", once without and once
-    # with edges; and two segments whose "u|w" product labels collide
+    # with edges; two segments whose "u|w" product labels collide; and three
+    # files with a string or a boolean where a list or an integer belongs
     square = [("a", (0, 0)), ("b", (1, 0)), ("c", (1, 1)), ("a", (0, 1))]
     files = {
         "repeated_polytope": _points(*square),
@@ -384,6 +391,10 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
         "empty_polytope": json.dumps({"dim": 2, "vertices": []}),
         "empty_framework": json.dumps({"dim": 2, "vertices": [], "edges": []}),
         "point": _points(("a", (1, 2))),
+        # "00" would read as (0, 0), "ab" as the edge a-b and true as dim 1
+        "text_coords": json.dumps({"dim": 2, "vertices": [{"id": "a", "coords": "00"}, {"id": "b", "coords": ["1", "0"]}]}),
+        "text_edges": _points(("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1)), edges=["ab", "bc", "ca"]),
+        "bool_dim": json.dumps({"dim": True, "vertices": [{"id": "a", "coords": ["0"]}, {"id": "b", "coords": ["1"]}]}),
         "deep": "[" * 100_000 + "]" * 100_000,
         "seg_a": _points(("x|", (0,)), ("x", (1,))),
         "seg_b": _points(("y", (0,)), ("|y", (1,))),

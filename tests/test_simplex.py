@@ -4,6 +4,7 @@ lists."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from defocone.simplex import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    LPResult,
     feasible,
     solve,
 )
@@ -262,3 +264,44 @@ def test_feasible_is_a_zero_objective_solve(monkeypatch):
     assert {r.status for r in got} == {OPTIMAL, INFEASIBLE}
     monkeypatch.setattr(simplex, "_solve_standard", _ref_solve_standard)
     assert got == [solve(lp) for lp in zero]
+
+
+def test_both_phases_run_on_a_b_over_the_cost_row(monkeypatch):
+    """Artificial variables are basis labels with no column: every tableau
+    `_bland_loop` minimizes, in phase one as in phase two, has n + 1 columns
+    for the n standard-form columns."""
+    runs = []
+    solve_standard, bland_loop = simplex._solve_standard, simplex._bland_loop
+
+    def standard(A, b, c):
+        runs.append((len(c) + 1, []))
+        return solve_standard(A, b, c)
+
+    def loop(t, basis):
+        runs[-1][1].append({len(row) for row in t})
+        return bland_loop(t, basis)
+
+    monkeypatch.setattr(simplex, "_solve_standard", standard)
+    monkeypatch.setattr(simplex, "_bland_loop", loop)
+    rng = random.Random(20261018)
+    for _ in range(200):
+        solve(_random_lp(rng))
+    assert all(widths and all(w == {width} for w in widths) for width, widths in runs)
+    assert {len(widths) for _, widths in runs} == {1, 2}  # phase two ran too
+
+
+def test_programs_with_no_variables():
+    """With n = 0, every program with up to two equality and two inequality
+    rows over the right-hand sides -1, 0 and 2, free or nonnegative: optimal
+    at value 0 and the empty point exactly when every equality right-hand
+    side is 0 and every inequality one is at least 0, and infeasible
+    otherwise."""
+    programs = 0
+    for neq, nle, nonneg in product(range(3), range(3), (False, True)):
+        for rhs in product((-1, 0, 2), repeat=neq + nle):
+            lp = LinearProgram(n=0, eq=[((), r) for r in rhs[:neq]], le=[((), r) for r in rhs[neq:]], nonneg=nonneg)
+            ok = all(r == 0 for r in rhs[:neq]) and all(r >= 0 for r in rhs[neq:])
+            assert solve(lp) == (LPResult(OPTIMAL, Fraction(0), ()) if ok else LPResult(INFEASIBLE))
+            assert feasible(lp) == ok
+            programs += 1
+    assert programs == 338

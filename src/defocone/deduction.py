@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from . import graphs
 from .errors import InputError
-from .exact import Vec, affine_rank, in_span, is_zero_vec, nullspace, parse_rat, primitive, rank, vec_sub
+from .exact import Vec, affine_rank, in_span, is_zero_vec, nullspace, parse_rat, primitive, rank, rref, vec_sub
 from .framework import Edge, Framework, adjacency, components, edge_key
 
 TRIANGLE = "Triangle"
@@ -544,6 +544,8 @@ def _check_rigid_cycle(state: DeductionState, p):
 
 def _check_projection_lift(state: DeductionState, p):
     w = [tuple(parse_rat(x) for x in row) for row in p["kernel"]]
+    if len(w) > 1:  # a basis of the same span, at most dim rows, for every check below to rank
+        w = rref(w, state.base.dim)[0]
     ea, eb = edge_key(*p["edge_a"]), edge_key(*p["edge_b"])
     if ea not in state.known or eb not in state.known:
         return "lifted edge not known"

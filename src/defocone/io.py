@@ -34,6 +34,13 @@ def _listed(x, what: str) -> list:
     return x
 
 
+def _text(x, what: str) -> str:
+    """x when it is a JSON string; another value would be named by its str."""
+    if type(x) is not str:
+        raise TypeError(f"{what} must be a string")
+    return x
+
+
 def _points_from_obj(obj: dict, kind: str) -> list:
     """The (id, coords) rows of a file object, in file order, so that a
     repeated id reaches `labelled_points`."""
@@ -41,8 +48,8 @@ def _points_from_obj(obj: dict, kind: str) -> list:
         dim = obj["dim"]
         if type(dim) is not int:
             raise TypeError("dim must be an integer")
-        pairs = [(row["id"], [parse_rat(c) for c in _listed(row["coords"], "coords")]) for row in obj["vertices"]]
-        dict(pairs)  # a list or object id is unhashable, hence malformed
+        pairs = [(_text(row["id"], "a vertex id"), [parse_rat(c) for c in _listed(row["coords"], "coords")])
+                 for row in obj["vertices"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed {kind} file: {exc}")
     if not pairs:
@@ -59,7 +66,8 @@ def framework_to_obj(fw: Framework) -> dict:
 def framework_from_obj(obj: dict) -> Framework:
     pairs = _points_from_obj(obj, "framework")
     try:
-        edges = [(u, v) for u, v in (_listed(e, "an edge") for e in obj["edges"])]
+        edges = [(_text(u, "an edge endpoint"), _text(v, "an edge endpoint"))
+                 for u, v in (_listed(e, "an edge") for e in obj["edges"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed framework file: {exc}")
     return framework(pairs, edges)

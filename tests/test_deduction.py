@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import defocone
+from defocone import deduction
 from defocone.constructions import (
     bipartite_truncation,
     complete_graph,
@@ -40,7 +41,7 @@ from defocone.deduction import (
 )
 from defocone.errors import InputError
 from defocone.io import certificate_to_obj, framework_to_obj
-from defocone.exact import Vec, is_zero_vec, nullspace, rank
+from defocone.exact import Vec, in_span, is_zero_vec, nullspace, rank
 from defocone.framework import dc_dimension, dependency_partition, framework
 from defocone.report import DEDUCTION_PROVABLE
 
@@ -267,6 +268,30 @@ def test_projection_lift_requires_parallel_paths(cp):
     bad = Step(PROJECTION_LIFT, {**good.payload, "kernel": [["0", "1"]]})
     ok, _, reason = verify_certificate(sq, [bad])
     assert not ok and "parallel" in reason
+
+
+def test_projection_lift_replays_a_long_kernel_as_a_basis(cp, monkeypatch):
+    """A kernel of 2000 repeated rows is replayed as the basis of its span:
+    no check ranks more rows than the dimension, and the verdicts are
+    those of the one-row kernels."""
+    sq = cp["square"].framework
+    lift = {"edge_a": ["B", "C"], "edge_b": ["A", "D"], "path_a": ["B", "A"], "path_b": ["C", "D"]}
+    sizes = []
+
+    def counted(vectors, target):
+        sizes.append(len(vectors))
+        return in_span(vectors, target)
+
+    monkeypatch.setattr(deduction, "in_span", counted)
+    for row, verdict in ((["1", "0"], (True, None, None)),
+                         (["0", "1"], (False, 0, "identification path not parallel to kernel")),
+                         (["2", "0"], (True, None, None))):
+        assert verify_certificate(sq, [Step(PROJECTION_LIFT, {"kernel": [row], **lift})]) == verdict
+        assert verify_certificate(sq, [Step(PROJECTION_LIFT, {"kernel": [row] * 2000, **lift})]) == verdict
+    assert sizes and max(sizes) <= sq.dim
+    kernel = [["1", "0"]] * 1000 + [["0", "1"]]
+    reason = "lifted edge is parallel to the kernel"
+    assert verify_certificate(sq, [Step(PROJECTION_LIFT, {"kernel": kernel, **lift})]) == (False, 0, reason)
 
 
 def test_projection_lift_along_a_path():

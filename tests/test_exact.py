@@ -29,7 +29,7 @@ from defocone.exact import (
 )
 from defocone.framework import cycle_basis, cycle_equation_rows, edge_key, labelled_points, walk_edges
 from defocone.report import DEDUCTION_PROVABLE
-from defocone.simplex import OPTIMAL, LinearProgram, solve
+from defocone.simplex import LinearProgram, solve
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -334,8 +334,8 @@ def test_eliminations_leave_the_callers_rows_unchanged():
         rref(rows, echelon=True)
         nullspace(rows, 4)
         dd_rays(rows, 4)
-        lp = LinearProgram(4, [-1] * 4, eq=[(rows[0], 1)], le=[(row, 9) for row in rows[1:]], nonneg=True)
-        assert solve(lp).status == OPTIMAL
+        lp = LinearProgram(4, eq=[(rows[0], 1)], le=[(row, 9) for row in rows[1:]], nonneg=True)
+        assert solve(lp) is not None
         assert rows == before and all(a is b for a, b in zip(rows, lists))
 
 
@@ -357,21 +357,21 @@ def _exact_results(rows, points, entry):
     """(indices, entries) of everything the exact layers return for one
     matrix and one point set, given with `entry` applied to every Fraction:
     `rref` in both modes, `nullspace`, `dd_rays` on the rows and the unit
-    rows, an LP on the rows and its normalized fields, `labelled_points`.
-    The entries are nested tuples whose leaves should all be Fractions."""
+    rows, a feasibility program on the rows and its normalized fields,
+    `labelled_points`.  The entries are nested tuples whose leaves should
+    all be Fractions."""
     ncols = len(rows[0])
     cone = rows + [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
     rows, cone = ([[entry(x) for x in r] for r in m] for m in (rows, cone))
     reduced, pivots = rref(rows)
     echelon, echelon_pivots = rref(rows, echelon=True)
     rays = dd_rays(cone, ncols)
-    lp = LinearProgram(ncols, rows[-1], eq=[(rows[0], rows[0][0])], le=[(r, r[-1]) for r in rows[1:]], nonneg=True)
-    result = solve(lp)
+    lp = LinearProgram(ncols, eq=[(rows[0], rows[0][0])], le=[(r, r[-1]) for r in rows[1:]], nonneg=True)
+    point = solve(lp)
     ids, coords = labelled_points((label, [entry(x) for x in p]) for label, p in points.items())
-    indices = (pivots, echelon_pivots, [tight for _, tight in rays], result.status, ids)
-    optimum = (result.value, result.point) if result.status == OPTIMAL else ()
+    indices = (pivots, echelon_pivots, [tight for _, tight in rays], point is None, ids)
     entries = (reduced, echelon, nullspace(rows, ncols), [ray for ray, _ in rays],
-               (lp.objective, lp.eq, lp.le), optimum, coords)
+               (lp.eq, lp.le), point or (), coords)
     return indices, entries
 
 

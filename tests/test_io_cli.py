@@ -285,6 +285,9 @@ BAD_INVOCATIONS = {
     "polytope file with text coordinates": ["analyze", "{text_coords}"],
     "framework file with text edges": ["analyze", "{text_edges}"],
     "polytope file with a boolean dim": ["analyze", "{bool_dim}"],
+    "polytope file with null, boolean and integer ids": ["analyze", "{json_ids}"],
+    "framework file with an integer id": ["analyze", "{int_id_framework}"],
+    "framework file with integer edge endpoints": ["analyze", "{int_endpoints}"],
     "product labels that collide": ["construct", "product", "--inputs", "{seg_a}", "{seg_b}", "-o", "{out}"],
     "seedless is not an option": ["construct", "corpus", "--name", "cube", "--seedless", "-o", "{out}"],
     # each family takes only the options its builder reads, unabbreviated
@@ -303,6 +306,10 @@ BAD_INVOCATION_LINES = {
     "polytope file with text coordinates": "error: malformed polytope file: coords must be a list\n",
     "framework file with text edges": "error: malformed framework file: an edge must be a list\n",
     "polytope file with a boolean dim": "error: malformed polytope file: dim must be an integer\n",
+    "polytope file with null, boolean and integer ids": "error: malformed polytope file: a vertex id must be a string\n",
+    "framework file with an integer id": "error: malformed framework file: a vertex id must be a string\n",
+    "framework file with integer edge endpoints":
+        "error: malformed framework file: an edge endpoint must be a string\n",
     "product labels that collide": "error: duplicate vertex label\n",
     "truncate a point": "error: no deep truncation at 'a': neighbors are not on a hyperplane\n",
     "seedless is not an option": "error: unrecognized arguments: --seedless\n",
@@ -382,8 +389,9 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
     binary.write_bytes(b"\xff\xfe\x00{}")
     paths = {"cube": cube, "out": tmp_path / "out.json", "dir": tmp_path, "binary": binary}
     # a square whose fourth vertex reuses the id "a", once without and once
-    # with edges; two segments whose "u|w" product labels collide; and three
-    # files with a string or a boolean where a list or an integer belongs
+    # with edges; two segments whose "u|w" product labels collide; three
+    # files with a string or a boolean where a list or an integer belongs;
+    # and three with a null, a boolean or a number where a string belongs
     square = [("a", (0, 0)), ("b", (1, 0)), ("c", (1, 1)), ("a", (0, 1))]
     files = {
         "repeated_polytope": _points(*square),
@@ -395,6 +403,10 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
         "text_coords": json.dumps({"dim": 2, "vertices": [{"id": "a", "coords": "00"}, {"id": "b", "coords": ["1", "0"]}]}),
         "text_edges": _points(("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1)), edges=["ab", "bc", "ca"]),
         "bool_dim": json.dumps({"dim": True, "vertices": [{"id": "a", "coords": ["0"]}, {"id": "b", "coords": ["1"]}]}),
+        # null, true and 1 would read as the vertices "None", "True" and "1"
+        "json_ids": _points((None, (0, 0)), (True, (1, 0)), (1, (0, 1))),
+        "int_id_framework": _points(("a", (0, 0)), (1, (1, 0)), edges=[["a", "1"]]),
+        "int_endpoints": _points(("1", (0, 0)), ("2", (1, 0)), edges=[[1, 2]]),
         "deep": "[" * 100_000 + "]" * 100_000,
         "seg_a": _points(("x|", (0,)), ("x", (1,))),
         "seg_b": _points(("y", (0,)), ("|y", (1,))),

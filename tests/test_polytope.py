@@ -29,7 +29,7 @@ from defocone.polytope import (
     matroid_coordinate_test,
     polytope,
 )
-from defocone.simplex import OPTIMAL, LinearProgram, feasible, solve
+from defocone.simplex import LinearProgram, feasible
 
 
 # ---------------------------------------------------------------------------
@@ -37,19 +37,24 @@ from defocone.simplex import OPTIMAL, LinearProgram, feasible, solve
 
 
 def midpoint_is_edge(p, u, v):
-    """u, v span an edge exactly when their midpoint draws no weight from
-    any other vertex in a convex representation."""
+    """u, v span an edge exactly when their midpoint m draws no weight from
+    any other vertex in a convex representation.
+
+    It draws weight from them exactly when {lambda >= 0, s >= 0 :
+    sum_w lambda_w p_w = s m, sum_w lambda_w = s, sum_{w not u, v} lambda_w
+    = 1} is feasible: a representation mu with weight tau > 0 on the others
+    gives lambda = mu / tau and s = 1 / tau; conversely s = 0 would force
+    lambda = 0 against the last row, so s > 0 and lambda / s represents m
+    with weight 1 / s on the others."""
     others = [w for w in p.vertex_ids if w not in (u, v)]
     if not others:
         return True
     order = [u, v] + others
     m = tuple((a + b) / 2 for a, b in zip(p.point(u), p.point(v)))
-    eq = [(tuple(p.point(w)[t] for w in order), m[t]) for t in range(p.dim)]
-    eq.append(((Fraction(1),) * len(order), Fraction(1)))
-    obj = (Fraction(0), Fraction(0)) + (Fraction(-1),) * len(others)
-    res = solve(LinearProgram(n=len(order), objective=obj, eq=eq, nonneg=True))
-    assert res.status == OPTIMAL  # the midpoint itself is always representable
-    return res.value == 0  # minus the largest weight on the others
+    eq = [(tuple(p.point(w)[t] for w in order) + (-m[t],), 0) for t in range(p.dim)]
+    eq.append(((1,) * len(order) + (-1,), 0))
+    eq.append(((0, 0) + (1,) * len(others) + (0,), 1))
+    return not feasible(LinearProgram(n=len(order) + 1, eq=eq, nonneg=True))
 
 
 def supporting_functional_is_edge(p, u, v):

@@ -1,6 +1,6 @@
-"""Exact LP: spec examples, anti-cycling, duality spot check, and a
-differential check against a reference simplex with separate b and cost
-lists."""
+"""Exact feasibility: spec examples, a degenerate instance, Farkas'
+alternative, and a differential check against a reference phase one with
+separate b and cost lists."""
 
 import random
 from fractions import Fraction
@@ -10,41 +10,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defocone import simplex
-from defocone.simplex import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    LinearProgram,
-    LPResult,
-    feasible,
-    solve,
-)
+from defocone.simplex import LinearProgram, feasible, solve
 
 
-def test_min_x_nonnegative():
-    lp = LinearProgram(n=1, objective=(1,), le=[((-1,), 0)])
-    res = solve(lp)
-    assert res.status == OPTIMAL and res.value == 0 and res.point == (0,)
+def meets(lp: LinearProgram, x) -> bool:
+    """Whether x is a point of lp's constraints, checked exactly."""
+    def dot(row):
+        return sum((a * b for a, b in zip(row, x)), Fraction(0))
+
+    return (len(x) == lp.n and all(type(c) is Fraction for c in x) and (not lp.nonneg or min(x, default=0) >= 0)
+            and all(dot(row) == b for row, b in lp.eq) and all(dot(row) <= b for row, b in lp.le))
 
 
 def test_infeasible_pair():
-    lp = LinearProgram(n=1, objective=(1,), le=[((1,), -1), ((-1,), 0)])
-    assert solve(lp).status == INFEASIBLE
+    assert solve(LinearProgram(n=1, le=[((1,), -1), ((-1,), 0)])) is None
 
 
 def test_unit_square_corner():
-    lp = LinearProgram(
-        n=2,
-        objective=(-1, -1),
-        le=[((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)],
-    )
-    res = solve(lp)  # max x + y is 2
-    assert res.status == OPTIMAL and -res.value == 2 and res.point == (1, 1)
+    # the one point of the unit square with x + y >= 2
+    lp = LinearProgram(n=2, le=[((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0), ((-1, -1), -2)])
+    assert solve(lp) == (1, 1)
 
 
 def test_unbounded():
-    lp = LinearProgram(n=1, objective=(-1,), le=[((-1,), 0)])
-    assert solve(lp).status == UNBOUNDED
+    # the half-line x >= 0 of a free variable: phase one stops at a point
+    lp = LinearProgram(n=1, le=[((-1,), 0)])
+    assert solve(lp) == (0,) and meets(lp, solve(lp))
 
 
 def test_feasibility_examples():
@@ -67,62 +58,50 @@ def test_square_diagonal_has_no_supporting_functional():
     assert feasible(LinearProgram(n=3, eq=rows_eq, le=rows_le))
 
 
+BEALE_ROWS = [
+    ((Fraction(1, 4), -60, Fraction(-1, 25), 9), 0),
+    ((Fraction(1, 2), -90, Fraction(-1, 50), 3), 0),
+    ((0, 0, 1, 0), 1),
+]
+BEALE_COST = (Fraction(-3, 4), 150, Fraction(-1, 50), 6)
+
+
 def test_beale_cycling_instance_terminates():
-    lp = LinearProgram(
-        n=4,
-        objective=(Fraction(-3, 4), 150, Fraction(-1, 50), 6),
-        le=[
-            ((Fraction(1, 4), -60, Fraction(-1, 25), 9), 0),
-            ((Fraction(1, 2), -90, Fraction(-1, 50), 3), 0),
-            ((0, 0, 1, 0), 1),
-        ],
-        nonneg=True,
-    )
-    res = solve(lp)
-    assert res.status == OPTIMAL
-    assert res.value == Fraction(-1, 20)
+    """Beale's rows, on which the textbook rule cycles, are degenerate at 0,
+    and Bland's rule ends on them in phase one too.  Their program's minimum
+    cost is -1/20, at (1/25, 0, 1, 0): adding cost <= -1/20 leaves that
+    point, and cost <= -1/19 leaves none."""
+    lp = LinearProgram(n=4, le=BEALE_ROWS, nonneg=True)
+    assert solve(lp) == (Fraction(2, 125), 0, 1, Fraction(1, 250)) and meets(lp, solve(lp))
+    at_min = LinearProgram(n=4, le=BEALE_ROWS + [(BEALE_COST, Fraction(-1, 20))], nonneg=True)
+    assert solve(at_min) == (Fraction(1, 25), 0, 1, 0) and meets(at_min, solve(at_min))
+    assert solve(LinearProgram(n=4, le=BEALE_ROWS + [(BEALE_COST, Fraction(-1, 19))], nonneg=True)) is None
 
 
 coef = st.integers(min_value=-5, max_value=5)
 
 
-@given(
-    st.lists(st.tuples(st.lists(coef, min_size=2, max_size=2), st.integers(0, 8)), min_size=1, max_size=4),
-    st.lists(coef, min_size=2, max_size=2),
-)
-@settings(max_examples=40, deadline=None)
-def test_weak_and_strong_duality(rows, obj):
-    """min c.x st A x >= b ... posed as max b.y st A^T y <= c, y >= 0 for
-    the primal min c.x st A x >= b, x >= 0 (hand-built dual)."""
-    # primal: min c.x, -A x <= -b, x >= 0
-    primal = LinearProgram(
-        n=2,
-        objective=obj,
-        le=[(tuple(-a for a in row), -rhs) for row, rhs in rows],
-        nonneg=True,
-    )
-    pres = solve(primal)
+@given(st.lists(st.tuples(st.lists(coef, min_size=2, max_size=2), st.integers(-8, 8)), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_farkas_alternative(rows):
+    """Exactly one of {x >= 0 : A x <= b} and {y >= 0 : A^T y >= 0,
+    b . y <= -1} is feasible (Farkas' lemma, scaled), and a returned point
+    meets its program."""
+    primal = LinearProgram(n=2, le=rows, nonneg=True)
     dual = LinearProgram(
         n=len(rows),
-        objective=tuple(-rhs for _, rhs in rows),  # max b.y as min -b.y
-        le=[
-            (tuple(rows[i][0][j] for i in range(len(rows))), obj[j])
-            for j in range(2)
-        ],
+        le=[(tuple(-row[j] for row, _ in rows), 0) for j in range(2)] + [(tuple(b for _, b in rows), -1)],
         nonneg=True,
     )
-    dres = solve(dual)
-    if pres.status == OPTIMAL and dres.status == OPTIMAL:
-        assert pres.value == -dres.value
-    if pres.status == UNBOUNDED:
-        assert dres.status == INFEASIBLE
-    if dres.status == UNBOUNDED:
-        assert pres.status == INFEASIBLE
+    points = [solve(primal), solve(dual)]
+    assert sum(x is not None for x in points) == 1
+    assert all(meets(lp, x) for lp, x in zip((primal, dual), points) if x is not None)
 
 
 # ---------------------------------------------------------------------------
-# reference: the same two phases and Bland's rule, with b and the reduced
-# costs kept in side lists that each pivot updates by hand
+# reference: the same phase one and Bland's rule over the full tableau, the
+# artificial columns kept, with b and the reduced costs kept in side lists
+# that each pivot updates by hand
 
 
 def _ref_pivot(A, b, cost, basis, r, col):
@@ -143,81 +122,48 @@ def _ref_pivot(A, b, cost, basis, r, col):
     basis[r] = col
 
 
-def _ref_bland_loop(A, b, cost, basis):
-    """Minimize; cost holds reduced costs (last entry = -objective value)."""
-    ncols = len(cost) - 1
-    while True:
-        col = next((j for j in range(ncols) if cost[j] < 0), None)
-        if col is None:
-            return OPTIMAL
-        best = None
-        for i in range(len(A)):
-            if A[i][col] > 0:
-                ratio = b[i] / A[i][col]
-                key = (ratio, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
-            return UNBOUNDED
-        _ref_pivot(A, b, cost, basis, best[1], col)
-
-
-def _ref_solve_standard(A, b, c):
-    """min c.x st A x = b, x >= 0.  Returns (status, value, point)."""
-    m, n = len(A), len(c)
+def _ref_phase_one(A, b, n):
+    """A point x >= 0 with A x = b, for A with n columns, or None."""
+    m = len(A)
     A = [list(row) for row in A]
     b = list(b)
     for i in range(m):
         if b[i] < 0:
             A[i] = [-x for x in A[i]]
             b[i] = -b[i]
-    art = list(range(n, n + m))
     tab = [A[i] + [Fraction(1 if j == i else 0) for j in range(m)] for i in range(m)]
-    basis = art[:]
-    cost = [Fraction(0)] * (n + m) + [Fraction(0)]
-    for j in range(n, n + m):
-        cost[j] = Fraction(1)
+    basis = list(range(n, n + m))
+    cost = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
     for i in range(m):
         for j in range(n + m):
             cost[j] -= tab[i][j]
         cost[-1] -= b[i]
-    status = _ref_bland_loop(tab, b, cost, basis)
-    assert status == OPTIMAL
-    if -cost[-1] != 0:
-        return INFEASIBLE, None, None
-    drop_rows = []
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j] != 0), None)
-            if col is None:
-                drop_rows.append(i)
-            else:
-                _ref_pivot(tab, b, cost, basis, i, col)
-    for i in sorted(drop_rows, reverse=True):
-        del tab[i], b[i], basis[i]
-    tab = [row[:n] for row in tab]
-    cost = list(c) + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        if cost[bi] != 0:
-            f = cost[bi]
-            for j in range(n):
-                cost[j] -= f * tab[i][j]
-            cost[-1] -= f * b[i]
-    status = _ref_bland_loop(tab, b, cost, basis)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None
+    while True:
+        col = next((j for j in range(n + m) if cost[j] < 0), None)
+        if col is None:
+            break
+        best = None
+        for i in range(m):
+            if tab[i][col] > 0:
+                key = (b[i] / tab[i][col], basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        _ref_pivot(tab, b, cost, basis, best[1], col)
+    if cost[-1] != 0:
+        return None
     x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        x[bi] = b[i]
-    return OPTIMAL, -cost[-1], tuple(x)
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = b[i]
+    return tuple(x)
 
 
 def _random_lp(rng: random.Random) -> LinearProgram:
     """1-5 free or nonnegative variables, 0-3 equality rows (sometimes a
-    repeated or scaled copy, so phase 1 leaves artificials to drive out or
-    rows to drop) and 0-5 inequality rows, the objective negated half the
-    time.  Half of the LPs take their right-hand sides from a point with
-    small entries, so they are feasible and often degenerate there."""
+    repeated or scaled copy, so phase one ends with artificials in the
+    basis) and 0-5 inequality rows.  Half of the programs take their
+    right-hand sides from a point with small entries, so they are feasible
+    and often degenerate there."""
     n = rng.randint(1, 5)
     x0 = [rng.randint(0, 2) for _ in range(n)] if rng.random() < 0.5 else None
 
@@ -235,73 +181,58 @@ def _random_lp(rng: random.Random) -> LinearProgram:
         k = rng.choice((1, -1, 2))
         eq.insert(rng.randint(0, len(eq)), (tuple(k * x for x in a), k * b))
     le = [(a, rhs(a, rng.randint(0, 2))) for a in (row() for _ in range(rng.randint(0, 5)))]
-    obj = row()
-    if rng.random() < 0.5:
-        obj = tuple(-x for x in obj)
-    return LinearProgram(n=n, objective=obj, eq=eq, le=le, nonneg=rng.random() < 0.5)
+    return LinearProgram(n=n, eq=eq, le=le, nonneg=rng.random() < 0.5)
 
 
 def test_solve_matches_reference_simplex(monkeypatch):
+    """On 3000 seeded programs with equality and inequality rows, free and
+    nonnegative variables, `solve` returns the reference phase one's point,
+    Fraction for Fraction, or None with it; each point meets its program
+    exactly, both verdicts occur, and `feasible` is whether a point came."""
     rng = random.Random(20261018)
-    lps = [_random_lp(rng) for _ in range(600)]
+    lps = [_random_lp(rng) for _ in range(3000)]
     got = [solve(lp) for lp in lps]
-    monkeypatch.setattr(simplex, "_solve_standard", _ref_solve_standard)
-    want = [solve(lp) for lp in lps]
-    assert got == want
-    statuses = {r.status for r in got}
-    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert all(meets(lp, x) for lp, x in zip(lps, got) if x is not None)
+    assert [feasible(lp) for lp in lps] == [x is not None for x in got]
+    assert 500 < sum(x is None for x in got) < 2500
+    monkeypatch.setattr(simplex, "_phase_one", _ref_phase_one)
+    assert got == [solve(lp) for lp in lps]
 
 
-def test_feasible_is_a_zero_objective_solve(monkeypatch):
-    """`feasible` keeps its old definition, a zero-objective `solve` that is
-    optimal, and that solve, which stops after phase one, returns the value
-    and point of the reference's two phases."""
-    rng = random.Random(20261018)
-    lps = [_random_lp(rng) for _ in range(600)]
-    zero = [LinearProgram(lp.n, (0,) * lp.n, lp.eq, lp.le, lp.nonneg) for lp in lps]
-    got = [solve(lp) for lp in zero]
-    assert [feasible(lp) for lp in lps] == [r.status == OPTIMAL for r in got]
-    assert {r.status for r in got} == {OPTIMAL, INFEASIBLE}
-    monkeypatch.setattr(simplex, "_solve_standard", _ref_solve_standard)
-    assert got == [solve(lp) for lp in zero]
-
-
-def test_both_phases_run_on_a_b_over_the_cost_row(monkeypatch):
+def test_phase_one_runs_on_a_b_over_the_cost_row(monkeypatch):
     """Artificial variables are basis labels with no column: every tableau
-    `_bland_loop` minimizes, in phase one as in phase two, has n + 1 columns
-    for the n standard-form columns."""
+    phase one pivots on has n + 1 columns for the n standard-form columns."""
     runs = []
-    solve_standard, bland_loop = simplex._solve_standard, simplex._bland_loop
+    phase_one, pivot = simplex._phase_one, simplex.pivot
 
-    def standard(A, b, c):
-        runs.append((len(c) + 1, []))
-        return solve_standard(A, b, c)
+    def wrapped_phase_one(A, b, n):
+        runs.append((n + 1, []))
+        return phase_one(A, b, n)
 
-    def loop(t, basis):
+    def wrapped_pivot(t, r, col):
         runs[-1][1].append({len(row) for row in t})
-        return bland_loop(t, basis)
+        return pivot(t, r, col)
 
-    monkeypatch.setattr(simplex, "_solve_standard", standard)
-    monkeypatch.setattr(simplex, "_bland_loop", loop)
+    monkeypatch.setattr(simplex, "_phase_one", wrapped_phase_one)
+    monkeypatch.setattr(simplex, "pivot", wrapped_pivot)
     rng = random.Random(20261018)
     for _ in range(200):
         solve(_random_lp(rng))
-    assert all(widths and all(w == {width} for w in widths) for width, widths in runs)
-    assert {len(widths) for _, widths in runs} == {1, 2}  # phase two ran too
+    assert all(w == {width} for width, widths in runs for w in widths)
+    assert sum(len(widths) for _, widths in runs) > 200
 
 
 def test_programs_with_no_variables():
     """With n = 0, every program with up to two equality and two inequality
-    rows over the right-hand sides -1, 0 and 2, free or nonnegative: optimal
-    at value 0 and the empty point exactly when every equality right-hand
-    side is 0 and every inequality one is at least 0, and infeasible
-    otherwise."""
+    rows over the right-hand sides -1, 0 and 2, free or nonnegative: the
+    empty point exactly when every equality right-hand side is 0 and every
+    inequality one is at least 0, and None otherwise."""
     programs = 0
     for neq, nle, nonneg in product(range(3), range(3), (False, True)):
         for rhs in product((-1, 0, 2), repeat=neq + nle):
             lp = LinearProgram(n=0, eq=[((), r) for r in rhs[:neq]], le=[((), r) for r in rhs[neq:]], nonneg=nonneg)
             ok = all(r == 0 for r in rhs[:neq]) and all(r >= 0 for r in rhs[neq:])
-            assert solve(lp) == (LPResult(OPTIMAL, Fraction(0), ()) if ok else LPResult(INFEASIBLE))
+            assert solve(lp) == (() if ok else None)
             assert feasible(lp) == ok
             programs += 1
     assert programs == 338

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: analyze, certify, verify, oracle, construct, report.
+Subcommands: analyze, certify, verify, construct, report.  On a polytope
+file `analyze` adds the matroid decision and `certify` covers with facets.
 Exit codes: 0 success, 1 validation or verification failure, 2 resource
 guard exceeded.
 """
@@ -34,7 +35,6 @@ from .errors import InputError, ResourceLimitError
 from .exact import rat_str
 from .framework import (
     Framework,
-    dc_dimension,
     dependency_partition,
     deformation_space,
     is_connected,
@@ -50,7 +50,7 @@ from .io import (
     polytope_to_obj,
     save_obj,
 )
-from .polytope import PolytopeV, facets, framework_of, matroid_coordinate_test
+from .polytope import PolytopeV, facets, framework_of, matroid_homothet
 
 OK, FAILURE, GUARD = 0, 1, 2
 
@@ -59,29 +59,6 @@ def _as_framework(obj) -> Framework:
     if isinstance(obj, PolytopeV):
         return framework_of(obj)
     return obj
-
-
-def _analysis(obj, descriptor, want_rays, want_deps) -> AnalysisReport:
-    t0 = time.time()
-    fw = _as_framework(obj)
-    ds = deformation_space(fw)
-    blocks = [sorted([list(e) for e in b]) for b in dependency_partition(fw)]
-    rays = None
-    if want_rays:
-        cone = enumerate_rays(ds)
-        rays = [[rat_str(x) for x in r] for r in cone.rays]
-    return AnalysisReport(
-        descriptor=descriptor,
-        n_vertices=len(fw.vertex_ids),
-        n_edges=len(fw.edges),
-        dim=fw.dim,
-        connected=is_connected(fw),
-        dc_dimension=ds.dim,
-        indecomposable=is_indecomposable(fw),
-        blocks=blocks if want_deps else [],
-        rays=rays,
-        seconds=round(time.time() - t0, 6),
-    )
 
 
 def _print_report(rep: AnalysisReport, as_json: bool):
@@ -93,6 +70,8 @@ def _print_report(rep: AnalysisReport, as_json: bool):
     print(f"connected: {rep.connected}")
     print(f"deformation cone dimension: {rep.dc_dimension}")
     print(f"indecomposable: {rep.indecomposable}")
+    if rep.matroid_homothet is not None:
+        print(f"matroid polytope up to homothety: {rep.matroid_homothet}")
     if rep.blocks:
         print(f"dependency blocks ({len(rep.blocks)}):")
         for b in rep.blocks:
@@ -106,45 +85,35 @@ def _print_report(rep: AnalysisReport, as_json: bool):
 
 def cmd_analyze(args) -> int:
     obj = load_geometry(args.file)
-    rep = _analysis(obj, args.file, args.rays, args.deps)
+    t0 = time.time()
+    fw = _as_framework(obj)
+    ds = deformation_space(fw)
+    blocks = [sorted([list(e) for e in b]) for b in dependency_partition(fw)]
+    rays = None
+    if args.rays:
+        rays = [[rat_str(x) for x in r] for r in enumerate_rays(ds).rays]
+    indecomposable = is_indecomposable(fw)
+    matroid = matroid_homothet(obj) if indecomposable and isinstance(obj, PolytopeV) else None
+    rep = AnalysisReport(
+        descriptor=args.file,
+        n_vertices=len(fw.vertex_ids),
+        n_edges=len(fw.edges),
+        dim=fw.dim,
+        connected=is_connected(fw),
+        dc_dimension=ds.dim,
+        indecomposable=indecomposable,
+        blocks=blocks,
+        rays=rays,
+        matroid_homothet=matroid,
+        seconds=round(time.time() - t0, 6),
+    )
     _print_report(rep, args.json)
     return OK
 
 
-def cmd_oracle(args) -> int:
-    obj = load_geometry(args.file)
-    fw = _as_framework(obj)
-    verdict = is_indecomposable(fw)
-    dc = dc_dimension(fw)
-    if args.json:
-        print(json.dumps({"indecomposable": verdict, "dc_dimension": dc}))
-    else:
-        print(f"indecomposable: {verdict}")
-        print(f"deformation cone dimension: {dc}")
-    return OK
-
-
-def cmd_matroid_test(args) -> int:
-    """Necessary-condition check: can the input be normally equivalent to a
-    0/1 deformed permutahedron?  Only meaningful for indecomposable inputs,
-    so the oracle gates it."""
-    obj = _load_polytope(args.file)
-    if not is_indecomposable(framework_of(obj)):
-        print("not applicable: input is decomposable", file=sys.stderr)
-        return FAILURE
-    verdict = matroid_coordinate_test(obj)
-    if verdict:
-        print("inconclusive: every coordinate takes at most two values")
-    else:
-        print("not normally equivalent to a matroid polytope "
-              "(a coordinate takes three or more values)")
-    return OK
-
-
 def cmd_certify(args) -> int:
-    facet = args.flats == "facets"
-    obj = _load_polytope(args.file) if facet else load_geometry(args.file)
-    flats = facet_flats(obj) if facet else None
+    obj = load_geometry(args.file)
+    flats = facet_flats(obj) if isinstance(obj, PolytopeV) else None
     state = saturate(_as_framework(obj))
     proved, _ = conclude_indecomposable(state, flats)
     out = args.output or (args.file + ".cert.json")
@@ -271,18 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("analyze", cmd_analyze, "deformation-cone analysis of a file")
     p.add_argument("file")
     p.add_argument("--rays", action="store_true")
-    p.add_argument("--deps", action="store_true")
     p.add_argument("--json", action="store_true")
-
-    p = command("oracle", cmd_oracle, "ground-truth decomposability only")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-
-    command("matroid-test", cmd_matroid_test, "two-value coordinate test (gated on the oracle)").add_argument("file")
 
     p = command("certify", cmd_certify, "run the deduction engine, write a certificate")
     p.add_argument("file")
-    p.add_argument("--flats", choices=["facets"], default=None)
     p.add_argument("-o", "--output")
 
     p = command("verify", cmd_verify, "replay a certificate")

@@ -7,7 +7,7 @@ gcd-reduced); decimals are rejected on input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .deduction import STEP_KINDS, Step
 from .errors import InputError
@@ -145,6 +145,7 @@ class AnalysisReport:
     connected: bool
     dc_dimension: int
     indecomposable: bool
-    blocks: list[list[list[str]]] = field(default_factory=list)
-    rays: list[list[str]] | None = None
-    seconds: float = 0.0
+    blocks: list[list[list[str]]]
+    rays: list[list[str]] | None
+    matroid_homothet: bool | None  # null unless the input is an indecomposable polytope
+    seconds: float

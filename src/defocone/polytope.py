@@ -197,14 +197,24 @@ def is_deformed_permutahedron(p: PolytopeV):
     return True, None
 
 
-def matroid_coordinate_test(p: PolytopeV) -> bool:
-    """Necessary condition for being normally equivalent to a 0/1 deformed
-    permutahedron: False means "impossible" (some coordinate takes three or
-    more values over the vertices); True is inconclusive.
+def matroid_homothet(p: PolytopeV) -> bool:
+    """Whether p = s·Q + t for a matroid polytope Q, a ratio s > 0 and a
+    translation t: p is a deformed permutahedron, every coordinate takes
+    at most two values, and every coordinate that takes two takes them the
+    same gap s apart.
 
-    Only meaningful for indecomposable inputs; the CLI checks that first.
+    The 0/1 polytopes whose edges are all parallel to some e_i − e_j are
+    exactly the matroid polytopes (Gelfand, Goresky, MacPherson &
+    Serganova 1987).  If p = s·Q + t, each coordinate of p takes t_i, or
+    t_i + s, or both, and p's edges are Q's, scaled.  Conversely, with t_i
+    the least value of coordinate i, (p − t)/s is a 0/1 polytope with p's
+    edge directions.  A polytope normally equivalent to p lies in p's
+    deformation cone, which for an indecomposable p holds only p's
+    homothets; so on indecomposable inputs this decides normal equivalence
+    to a matroid polytope.
     """
-    for i in range(p.dim):
-        if len({c[i] for c in p.coords}) > 2:
-            return False
-    return True
+    values = [{c[i] for c in p.coords} for i in range(p.dim)]
+    if any(len(v) > 2 for v in values):
+        return False
+    gaps = {max(v) - min(v) for v in values if len(v) == 2}
+    return len(gaps) <= 1 and is_deformed_permutahedron(p)[0]

@@ -27,6 +27,7 @@ from defocone.io import (
     polytope_from_obj,
     polytope_to_obj,
 )
+from defocone.polytope import facets
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,7 @@ def test_analysis_report_roundtrip():
         indecomposable=True,
         blocks=[[["a", "b"], ["b", "c"]]],
         rays=[["1", "1", "1"]],
+        matroid_homothet=False,
         seconds=0.01,
     )
     again = AnalysisReport(**json.loads(json.dumps(dataclasses.asdict(rep))))
@@ -113,13 +115,14 @@ def test_cli_construct_analyze_roundtrip(tmp_path, capsys):
     out = tmp_path / "tri.json"
     assert run_cli("construct", "corpus", "--name", "triangle", "-o", str(out)) == 0
     capsys.readouterr()
-    assert run_cli("analyze", str(out), "--deps", "--rays", "--json") == 0
+    assert run_cli("analyze", str(out), "--rays", "--json") == 0
     first = json.loads(capsys.readouterr().out)
     assert first["dc_dimension"] == 1 and first["indecomposable"]
-    assert run_cli("analyze", str(out), "--deps", "--rays", "--json") == 0
+    assert first["blocks"] == [[["A", "B"], ["A", "C"], ["B", "C"]]]
+    assert run_cli("analyze", str(out), "--rays", "--json") == 0
     second = json.loads(capsys.readouterr().out)
     a, b = AnalysisReport(**first), AnalysisReport(**second)
-    for key in ("dc_dimension", "indecomposable", "blocks", "rays"):
+    for key in ("dc_dimension", "indecomposable", "blocks", "rays", "matroid_homothet"):
         assert getattr(a, key) == getattr(b, key)
 
 
@@ -133,16 +136,66 @@ def test_cli_oracle_on_constructed_family(tmp_path, capsys):
         == 0
     )
     capsys.readouterr()
-    assert run_cli("oracle", str(out), "--json") == 0
-    verdict = json.loads(capsys.readouterr().out)
-    assert verdict == {"indecomposable": False, "dc_dimension": 2}
+    assert run_cli("analyze", str(out), "--json") == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["indecomposable"], rep["dc_dimension"], rep["matroid_homothet"]) == (False, 2, None)
+
+
+def test_cli_has_one_command_per_question():
+    assert sorted(_subcommands(build_parser())) == ["analyze", "certify", "construct", "report", "verify"]
+
+
+# (what `analyze` is given, dc, number of blocks, matroid_homothet): the
+# decision is made only for an indecomposable polytope.
+ANALYZED = {
+    "square": (["corpus", "--name", "square"], 2, 2, None),
+    "triangle": (["corpus", "--name", "triangle"], 1, 1, False),
+    "Q_1,3": (["bipartite-trunc", "--n", "1", "--m", "3", "--kind", "Q"], 1, 1, True),
+    "P_2,3": (["bipartite-trunc", "--n", "2", "--m", "3"], 1, 1, False),
+    "q_2_2": (["corpus", "--name", "q_2_2"], 2, 2, None),
+    "triangle framework": (None, 1, 1, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZED))
+def test_cli_analyze_reports_blocks_and_the_matroid_decision(tmp_path, cp, capsys, name):
+    family, dc, blocks, matroid = ANALYZED[name]
+    path = tmp_path / "in.json"
+    if family is None:
+        path.write_text(json.dumps(framework_to_obj(cp["triangle"].framework)))
+    else:
+        assert run_cli("construct", *family, "-o", str(path)) == 0
+    capsys.readouterr()
+    assert run_cli("analyze", str(path), "--json") == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["dc_dimension"], len(rep["blocks"]), rep["matroid_homothet"]) == (dc, blocks, matroid)
+    assert run_cli("analyze", str(path)) == 0
+    shown = f"matroid polytope up to homothety: {matroid}\n"
+    assert (shown in capsys.readouterr().out) == (matroid is not None)
+
+
+def test_cli_certify_covers_with_facets_or_single_vertices(tmp_path, cp):
+    """A polytope file is covered by its facets, a framework file by its
+    vertices one by one."""
+    for fixture, obj, flats in (
+        ("kallay_skew", polytope_to_obj(cp["kallay_skew"].polytope),
+         [sorted(f.vertex_ids) for f in facets(cp["kallay_skew"].polytope)]),
+        ("p_3_1", framework_to_obj(cp["p_3_1"].framework), [[v] for v in cp["p_3_1"].framework.vertex_ids]),
+    ):
+        path, cert = tmp_path / f"{fixture}.json", tmp_path / f"{fixture}.cert.json"
+        path.write_text(json.dumps(obj))
+        assert run_cli("certify", str(path), "-o", str(cert)) == 0
+        last = json.loads(cert.read_text())["steps"][-1]
+        assert last["kind"] == "CoveringConclusion"
+        assert sorted(last["payload"]["flats"]) == sorted(flats)
+        assert run_cli("verify", str(path), str(cert)) == 0
 
 
 def test_cli_certify_verify_cycle(tmp_path, capsys):
     poly = tmp_path / "p31.json"
     cert = tmp_path / "p31.cert.json"
     assert run_cli("construct", "bipartite-trunc", "--n", "3", "--m", "1", "-o", str(poly)) == 0
-    assert run_cli("certify", str(poly), "--flats", "facets", "-o", str(cert)) == 0
+    assert run_cli("certify", str(poly), "-o", str(cert)) == 0
     assert run_cli("verify", str(poly), str(cert)) == 0
     blob = json.loads(cert.read_text())
     assert blob["conclusion"]["indecomposable_proved"] is True
@@ -163,8 +216,9 @@ def test_cli_verify_checks_the_conclusion(tmp_path, capsys):
     sq = tmp_path / "sq.json"
     assert run_cli("construct", "corpus", "--name", "square", "-o", str(sq)) == 0
     capsys.readouterr()
-    assert run_cli("oracle", str(sq), "--json") == 0
-    assert json.loads(capsys.readouterr().out) == {"indecomposable": False, "dc_dimension": 2}
+    assert run_cli("analyze", str(sq), "--json") == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["indecomposable"], rep["dc_dimension"]) == (False, 2)
     forged = tmp_path / "sq.cert.json"
     forged.write_text(json.dumps(certificate_to_obj([], {"indecomposable_proved": True})))
     assert run_cli("verify", str(sq), str(forged)) == 1
@@ -182,7 +236,7 @@ def test_cli_verify_checks_every_claim(tmp_path, capsys, edit, code):
     poly = tmp_path / "ks.json"
     cert = tmp_path / "ks.cert.json"
     assert run_cli("construct", "corpus", "--name", "kallay_skew", "-o", str(poly)) == 0
-    assert run_cli("certify", str(poly), "--flats", "facets", "-o", str(cert)) == 0
+    assert run_cli("certify", str(poly), "-o", str(cert)) == 0
     blob = json.loads(cert.read_text())
     assert blob["conclusion"] == {"indecomposable_proved": True, "classes": 1}
     if edit == "classes 17":
@@ -295,6 +349,11 @@ BAD_INVOCATIONS = {
     "corpus with a wedge option": ["construct", "corpus", "--name", "cube", "--coord", "2", "-o", "{out}"],
     "zonotope of two graphs": ["construct", "zonotope", "--complete", "4", "--bipartite", "2", "2", "-o", "{out}"],
     "matroid of two kinds": ["construct", "matroid", "--uniform", "2", "4", "--graphic-complete", "4", "-o", "{out}"],
+    # `analyze` says all they said, and the file decides the flats
+    "oracle is not a command": ["oracle", "{cube}", "--json"],
+    "matroid-test is not a command": ["matroid-test", "{cube}"],
+    "analyze with --deps": ["analyze", "{cube}", "--deps"],
+    "certify with --flats facets": ["certify", "{cube}", "--flats", "facets", "-o", "{out}"],
 }
 
 # The error line of the invocations that must name their fault exactly.
@@ -315,6 +374,8 @@ BAD_INVOCATION_LINES = {
     "seedless is not an option": "error: unrecognized arguments: --seedless\n",
     "corpus with a size": "error: unrecognized arguments: --n 3\n",
     "corpus with a wedge option": "error: unrecognized arguments: --coord 2\n",
+    "analyze with --deps": "error: unrecognized arguments: --deps\n",
+    "certify with --flats facets": "error: unrecognized arguments: --flats facets\n",
 }
 
 # Inputs refused by a resource guard, which exits 2.
@@ -336,10 +397,9 @@ GUARDED_INVOCATIONS = {
     # the points of a hyperorder polytope lie in R^n, refused above dimension 8
     "hyperorder in dimension 100000": ["construct", "hyperorder", "--n", "100000", "--k", "1", "-o", "{out}"],
     # 1058 cycle equations on 1104 edges, refused before any row is built
-    "oracle on a 24 x 24 grid": ["oracle", "{grid}"],
+    "analyze on a 24 x 24 grid": ["analyze", "{grid}"],
     # no cycle equations, but a 2999 x 2999 kernel basis
     "analyze on a 3000-vertex path": ["analyze", "{path}"],
-    "oracle on a 3000-vertex path": ["oracle", "{path}"],
     # the cyclic polytope C(30, 8): 17,250 facets, refused while DD inserts
     "analyze on 30 moment-curve points in R^8": ["analyze", "{moment}"],
     # the polytope guard comes before the hull frame's elimination and any LP
@@ -350,8 +410,6 @@ GUARDED_INVOCATIONS = {
 # The guard each of these inputs must meet first.
 GUARDED_INVOCATION_LINES = {
     "analyze on a 3000-vertex path":
-        "resource guard: deformation space guard: 2999x2999 kernel basis exceeds 50000 entries\n",
-    "oracle on a 3000-vertex path":
         "resource guard: deformation space guard: 2999x2999 kernel basis exceeds 50000 entries\n",
     "analyze on 30 moment-curve points in R^8":
         f"resource guard: double description guard: more than {MAX_DD_RAYS} rays\n",
@@ -446,8 +504,6 @@ POLYTOPE_SITES = {
     "product": ["construct", "product", "--inputs", "{cube}", "{fw}", "-o", "{out}"],
     "stack": ["construct", "stack", "--input", "{fw}", "-o", "{out}"],
     "truncate": ["construct", "truncate", "--input", "{fw}", "--vertices", "a", "-o", "{out}"],
-    "matroid-test": ["matroid-test", "{fw}"],
-    "certify with facet flats": ["certify", "{fw}", "--flats", "facets", "-o", "{out}"],
 }
 
 
@@ -545,14 +601,14 @@ def test_cli_remaining_construct_families(tmp_path, capsys):
     hexa = tmp_path / "hex.json"
     assert run_cli("construct", "zonotope", "--bipartite", "2", "2", "-o", str(hexa)) == 0
     capsys.readouterr()
-    assert run_cli("oracle", str(hexa), "--json") == 0
+    assert run_cli("analyze", str(hexa), "--json") == 0
     assert json.loads(capsys.readouterr().out)["dc_dimension"] == 4
     hyper = tmp_path / "hyper.json"
     assert run_cli("construct", "hyperorder", "--n", "4", "--k", "2", "-o", str(hyper)) == 0
     mat = tmp_path / "mat.json"
     assert run_cli("construct", "matroid", "--uniform", "2", "4", "-o", str(mat)) == 0
     capsys.readouterr()
-    assert run_cli("oracle", str(mat), "--json") == 0
+    assert run_cli("analyze", str(mat), "--json") == 0
     assert json.loads(capsys.readouterr().out)["indecomposable"] is True
     cube = tmp_path / "cube.json"
     assert run_cli("construct", "zonotope", "--bipartite", "1", "3", "-o", str(cube)) == 0
@@ -563,9 +619,7 @@ def test_cli_remaining_construct_families(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("analyze", str(stacked), "--json") == 0
     blob = json.loads(capsys.readouterr().out)
-    assert (blob["n_vertices"], blob["n_edges"]) == (9, 16)
-    assert run_cli("oracle", str(stacked), "--json") == 0
-    assert json.loads(capsys.readouterr().out) == {"indecomposable": False, "dc_dimension": 2}
+    assert (blob["n_vertices"], blob["n_edges"], blob["indecomposable"], blob["dc_dimension"]) == (9, 16, False, 2)
     # two adjacent stacked facets: the pyramid triangles join the two squares
     # into one class, and the parallelograms carry it to every edge
     stacked2 = tmp_path / "stacked2.json"
@@ -573,11 +627,9 @@ def test_cli_remaining_construct_families(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("analyze", str(stacked2), "--json") == 0
     blob = json.loads(capsys.readouterr().out)
-    assert (blob["n_vertices"], blob["n_edges"]) == (10, 20)
-    assert run_cli("oracle", str(stacked2), "--json") == 0
-    assert json.loads(capsys.readouterr().out) == {"indecomposable": True, "dc_dimension": 1}
+    assert (blob["n_vertices"], blob["n_edges"], blob["indecomposable"], blob["dc_dimension"]) == (10, 20, True, 1)
     cert = tmp_path / "stacked2.cert.json"
-    assert run_cli("certify", str(stacked2), "--flats", "facets", "-o", str(cert)) == 0
+    assert run_cli("certify", str(stacked2), "-o", str(cert)) == 0
     assert json.loads(cert.read_text())["conclusion"]["indecomposable_proved"] is True
     assert run_cli("verify", str(stacked2), str(cert)) == 0
     # a stacked point never takes the label of an input vertex: q0 is taken,
@@ -614,7 +666,7 @@ def test_cli_wedge_and_product(tmp_path, capsys):
     sq = tmp_path / "sq.json"
     assert run_cli("construct", "product", "--inputs", str(seg), str(seg), "-o", str(sq)) == 0
     capsys.readouterr()
-    assert run_cli("oracle", str(sq), "--json") == 0
+    assert run_cli("analyze", str(sq), "--json") == 0
     assert json.loads(capsys.readouterr().out)["dc_dimension"] == 2
     wedge = tmp_path / "w.json"
     assert run_cli("construct", "wedge", "--input", str(sq), "--coord", "1", "-o", str(wedge)) == 0

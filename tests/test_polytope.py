@@ -1,6 +1,7 @@
 """Polytope face detection and the framework bridge."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from defocone.constructions import (
     complete_graph,
     graphic_matroid,
     graphical_zonotope,
+    matroid_direct_sum,
     matroid_polytope,
     uniform_matroid,
 )
@@ -26,7 +28,7 @@ from defocone.polytope import (
     framework_of,
     hull_vertices,
     is_deformed_permutahedron,
-    matroid_coordinate_test,
+    matroid_homothet,
     polytope,
 )
 from defocone.simplex import LinearProgram, feasible
@@ -328,19 +330,19 @@ def test_deformed_permutahedron_checks(cp):
         assert is_deformed_permutahedron(tr.polytope)[0]
 
 
-def test_matroid_coordinate_test(cp):
+def test_matroid_homothet_examples(cp):
     # persimmon: some coordinate takes in-degrees 0, 1, 2
     p22 = bipartite_truncation(2, 2, "P")
-    assert matroid_coordinate_test(p22.polytope) is False
-    # octahedron member: inconclusive (it is a matroid polytope)
+    assert matroid_homothet(p22.polytope) is False
+    # the octahedron member is the matroid polytope of U(2,4)
     q31 = bipartite_truncation(3, 1, "Q")
-    assert matroid_coordinate_test(q31.polytope) is True
-    assert matroid_coordinate_test(cp["cube"].polytope) is True
+    assert matroid_homothet(q31.polytope) is True
+    # 0/1 coordinates, but the cube's edges are the unit vectors
+    assert matroid_homothet(cp["cube"].polytope) is False
 
 
 def test_pq_verdict_table():
-    """The small-member table: indecomposability and the 0/1-coordinate
-    necessary condition."""
+    """The small-member table: indecomposability and the matroid decision."""
     from defocone.framework import is_indecomposable
 
     expectations = {
@@ -351,10 +353,70 @@ def test_pq_verdict_table():
         ("Q", 1, 3): (True, True),
         ("Q", 2, 2): (False, False),
     }
-    for (kind, n, m), (indec, coord_ok) in expectations.items():
+    for (kind, n, m), (indec, matroid) in expectations.items():
         tr = bipartite_truncation(n, m, kind)
-        if len(tr.polytope.vertex_ids) == 1:
-            assert indec
-            continue
         assert is_indecomposable(tr.framework) == indec, (kind, n, m)
-        assert matroid_coordinate_test(tr.polytope) == coord_ok, (kind, n, m)
+        assert matroid_homothet(tr.polytope) == matroid, (kind, n, m)
+
+
+def homothet_of_a_matroid_polytope(p) -> bool:
+    """Brute-force reference for `matroid_homothet`: is p = s·Q + t for a
+    0/1 polytope Q whose edges are all parallel to some e_i − e_j?
+
+    t may be the least value of each coordinate, since a coordinate of Q
+    that is 1 throughout may as well be 0 throughout; then s is one of the
+    positive gaps, and each is tried.  Q is an affine image of p, so its
+    points are its vertices, and its edges are found afresh."""
+    low = [min(c[i] for c in p.coords) for i in range(p.dim)]
+    for s in {c[i] - low[i] for c in p.coords for i in range(p.dim)} - {0} or {1}:
+        q = PolytopeV(*labelled_points({v: [(x - t) / s for x, t in zip(p.point(v), low)] for v in p.vertex_ids}))
+        if all(x in (0, 1) for c in q.coords for x in c) and all(
+            sorted(x for x in vec_sub(q.point(u), q.point(v)) if x) == [-1, 1] for u, v in edges(q)
+        ):
+            return True
+    return False
+
+
+def _moved(p, point_map) -> PolytopeV:
+    return PolytopeV(*labelled_points({v: point_map(p.point(v)) for v in p.vertex_ids}))
+
+
+def matroid_inputs():
+    """(name, polytope, the known decision or None) as pytest params for the
+    corpus polytopes, the P/Q members with N <= 5, matroid polytopes under
+    seeded dilations and translations, each of those with the upper value
+    of one coordinate moved, and a product of two segments of different
+    lengths: a deformed permutahedron with two gaps."""
+    out = [(name, e.polytope, None) for name, e in sorted(corpus().items()) if e.polytope is not None]
+    known = {"P_1,2": True, "Q_1,3": True, "P_1,3": False, "P_2,2": False, "P_1,4": False,
+             "Q_1,4": False, "P_2,3": False, "Q_2,3": False, "triangle": False}
+    for total in range(2, 6):
+        for n in range(1, total // 2 + 1):
+            for kind in ("P", "Q") if n * (total - n) > 2 else ("P",):
+                out.append((f"{kind}_{n},{total - n}", bipartite_truncation(n, total - n, kind).polytope, None))
+    u12 = uniform_matroid(1, 2)
+    matroids = {"U(2,4)": uniform_matroid(2, 4), "U(2,5)": uniform_matroid(2, 5),
+                "M(K4)": graphic_matroid(complete_graph(4)),
+                **{f"U(1,2)^{r}": matroid_direct_sum(*[u12] * r) for r in (1, 2, 3)}}
+    rng = random.Random(30)
+    for name, mb in matroids.items():
+        p = matroid_polytope(mb).polytope
+        s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        t = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(p.dim)]
+        image = _moved(p, lambda c: [s * x + ti for x, ti in zip(c, t)])
+        out.append((f"{name} dilated", image, True))
+        i = rng.choice([i for i in range(p.dim) if len({c[i] for c in p.coords}) == 2])
+        hi = max(c[i] for c in image.coords)
+        out.append((f"{name} dilated, coordinate {i} moved", _moved(image, lambda c: [
+            x + s / 2 if k == i and x == hi else x for k, x in enumerate(c)]), False))
+    two = matroid_polytope(matroid_direct_sum(u12, u12)).polytope
+    out.append(("U(1,2) x 2U(1,2)", _moved(two, lambda c: [c[0], c[1], 2 * c[2], 2 * c[3]]), False))
+    return [pytest.param(p, known.get(name, want), id=name) for name, p, want in out]
+
+
+@pytest.mark.parametrize("p, want", matroid_inputs())
+def test_matroid_homothet_matches_the_brute_force_reference(p, want):
+    got = matroid_homothet(p)
+    assert got == homothet_of_a_matroid_polytope(p)
+    if want is not None:
+        assert got is want

@@ -32,31 +32,48 @@ def _member_rows(text):
 
 
 def test_family_census_smoke():
+    """The members up to N = 5, and after each N the count of indecomposable
+    members with n < m that are not matroid polytopes up to homothety,
+    beside the abstract's 2*floor((N-1)/2): P_1,2 and Q_1,3 are matroid
+    polytopes and Q_1,2 does not exist, so N = 3 and 4 fall short."""
     out = subprocess.run(
-        [sys.executable, CENSUS, "--max-total", "4"],
+        [sys.executable, CENSUS, "--max-total", "5"],
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr
     expected = [
-        ("P_1, 1", "()"),
-        ("P_1, 2", "(3, 3)"),
-        ("P_1, 3", "(7, 12, 7)"),
-        ("Q_1, 3", "(6, 12, 8)"),
-        ("P_2, 2", "(13, 24, 13)"),
-        ("Q_2, 2", "(12, 24, 14)"),
+        ("P_1, 1", "()", "-"),
+        ("P_1, 2", "(3, 3)", "True"),
+        ("P_1, 3", "(7, 12, 7)", "False"),
+        ("Q_1, 3", "(6, 12, 8)", "True"),
+        ("P_2, 2", "(13, 24, 13)", "False"),
+        ("Q_2, 2", "(12, 24, 14)", "-"),
+        ("P_1, 4", "(15, 34, 28, 9)", "False"),
+        ("Q_1, 4", "(14, 36, 32, 10)", "False"),
+        ("P_2, 3", "(45, 111, 89, 23)", "False"),
+        ("Q_2, 3", "(44, 114, 94, 24)", "False"),
     ]
     rows = _member_rows(out.stdout)
-    assert [r[:29] for r in rows] == [f"{member} {fv:>22}" for member, fv in expected]
+    assert [r[:47] for r in rows] == [f"{member} {fv:>22}     True {m:>8}" for member, fv, m in expected]
+    counts = [line for line in out.stdout.splitlines() if line.startswith("N = ")]
+    assert counts == [
+        f"N = {n}: indecomposable, n < m, not a matroid polytope up to homothety: {c}; 2*floor((N-1)/2) = {f}"
+        for n, c, f in ((2, 0, 0), (3, 0, 2), (4, 1, 2), (5, 4, 4))
+    ]
+
 
 def test_family_census_prints_guard_rows(monkeypatch, capsys):
-    """A member past the vertex guard gets a guard row; the census goes on."""
+    """A member past the vertex guard gets a guard row, the census goes on,
+    and the count line of its N names it."""
     census = _script("family_census", CENSUS)
     monkeypatch.setattr(defocone.polytope, "MAX_VERTICES", 12)
     census.main(["--max-total", "4"])
-    rows = _member_rows(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    rows = _member_rows(text)
     assert len(rows) == 6
     assert rows[4].startswith("P_2, 2 guard: polytope guard: 13 vertices")
     assert rows[5].startswith("Q_2, 2 ") and "guard" not in rows[5]
+    assert text.splitlines()[-1].endswith("2*floor((N-1)/2) = 2 (guarded, not counted: P_2,2)")
 
 
 def test_polytope_guard_holds_on_a_cached_answer(monkeypatch):

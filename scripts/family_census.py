@@ -27,7 +27,7 @@ def _member(n: int, m: int, kind: str):
     """(row text, matroid_homothet or None unless dc = 1)."""
     tr = bipartite_truncation(n, m, kind)
     f = f_vector(tr.polytope)
-    dp = is_deformed_permutahedron(tr.polytope)[0]
+    dp = is_deformed_permutahedron(tr.polytope)
     dim = dc_dimension(tr.framework)
     matroid = matroid_homothet(tr.polytope) if dim == 1 else None
     st = saturate(tr.framework)

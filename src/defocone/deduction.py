@@ -6,11 +6,11 @@ classes, and `DeductionState.apply` is the one place that checks a step's
 literal geometric side conditions, makes its merges and logs it.  The
 rules search for steps and hand each one to `apply`:
 
-  triangles on affinely independent points; quadrilaterals with a parallel
-  opposite pair (a projection lift along that direction); general rigid
-  cycles; transfer across degenerate edges; implicit edges created by
-  paths inside one class; projection lifts along one-dimensional class
-  directions.
+  triangles on affinely independent points (rigid 3-cycles);
+  quadrilaterals with a parallel opposite pair (a projection lift along
+  that direction); general rigid cycles; transfer across degenerate edges;
+  implicit edges created by paths inside one class; projection lifts along
+  one-dimensional class directions.
 
 Conclusions (indecomposability via a covering collection of flats,
 dimension upper bounds) are steps too.  Replaying a certificate applies
@@ -19,6 +19,8 @@ rejects, and `DeductionState.conclusion` says what the replay established.
 No step consults the deformation-space nullspace; the covering test takes
 only the annihilators of the flats, once per state.  A rank of one or two
 edge directions is read off their memoized primitive keys, not eliminated.
+Deduction steps hold only vertex labels: a projection lift is justified by
+the span of its own paths' directions, which it does not restate.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from dataclasses import dataclass
 
 from . import graphs
 from .errors import InputError
-from .exact import Vec, affine_rank, in_span, is_zero_vec, nullspace, parse_rat, primitive, rank, rref, vec_sub
+from .exact import Vec, affine_rank, in_span, is_zero_vec, nullspace, primitive, rank, vec_sub
 from .framework import Edge, Framework, adjacency, components, edge_key
 
-TRIANGLE = "Triangle"
 RIGID_CYCLE = "RigidCycle"
 PROJECTION_LIFT = "ProjectionLift"
 DEGENERATE_CONTRACTION = "DegenerateContraction"
@@ -40,7 +41,6 @@ COVERING_CONCLUSION = "CoveringConclusion"
 DIM_BOUND = "DimBound"
 
 STEP_KINDS = (
-    TRIANGLE,
     RIGID_CYCLE,
     PROJECTION_LIFT,
     DEGENERATE_CONTRACTION,
@@ -200,7 +200,7 @@ def _run_triangles(state: DeductionState) -> bool:
             es = [edge_key(a, b), edge_key(a, c), e_bc]
             if not all(state.tracked(e) for e in es) or len({state.find(e) for e in es}) == 1:
                 continue
-            progress |= state.apply(Step(TRIANGLE, {"vertices": [a, b, c]})) is None
+            progress |= state.apply(Step(RIGID_CYCLE, {"cycle": [a, b, c], "skip": []})) is None
     return progress
 
 
@@ -228,16 +228,7 @@ def _run_parallel_quads(state: DeductionState) -> bool:
                 ea, fb = edge_key(u2, u3), edge_key(u1, u4)
                 if state.same_class(ea, fb) or not (state.tracked(ea) and state.tracked(fb)):
                     continue
-                step = Step(
-                    PROJECTION_LIFT,
-                    {
-                        "kernel": [[str(x) for x in state.direction(e)]],
-                        "edge_a": [u2, u3],
-                        "edge_b": [u1, u4],
-                        "path_a": [u2, u1],
-                        "path_b": [u3, u4],
-                    },
-                )
+                step = Step(PROJECTION_LIFT, {"edge_a": [u2, u3], "edge_b": [u1, u4], "path_a": [u2, u1], "path_b": [u3, u4]})
                 progress |= state.apply(step) is None
     return progress
 
@@ -290,7 +281,7 @@ def _run_rigid_cycles(state: DeductionState) -> bool:
         es = [edge_key(*e) for e in pairs]
         if not all(state.tracked(e) for e in es):
             return False
-        full_rank = state.small_rank(pairs)
+        full_rank = state.small_rank(pairs[:-1])  # the closing pair is minus the sum of the others
         for skip_size in range(0, MAX_SKIP + 1):
             for skip in itertools.combinations(range(k), skip_size):
                 keep = [i for i in range(k) if i not in skip]
@@ -323,8 +314,8 @@ def _run_rigid_cycles(state: DeductionState) -> bool:
 
 
 def _run_projection_lifts(state: DeductionState) -> bool:
-    """Project along a class direction: known edges with identified
-    endpoints and direction off the kernel merge."""
+    """Project along a class direction: known edges off it whose endpoints
+    the projection identifies merge."""
     fw = state.base
     directions: list[Edge] = []
     for rep, es in sorted(state.classes().items()):
@@ -333,7 +324,7 @@ def _run_projection_lifts(state: DeductionState) -> bool:
             directions.append(nz[0])
     progress = False
     for lead_edge in directions:
-        w, k = state.direction(lead_edge), state.direction_key(lead_edge)
+        k = state.direction_key(lead_edge)
         along_w = [e for e in state.known if state.direction_key(e) in (None, k)]
         adj_w = graphs.adjacency(fw.vertex_ids, along_w)
         rep_of = {x: c[0] for c in graphs.components(fw.vertex_ids, adj_w) for x in c}
@@ -355,7 +346,6 @@ def _run_projection_lifts(state: DeductionState) -> bool:
                 step = Step(
                     PROJECTION_LIFT,
                     {
-                        "kernel": [[str(x) for x in w]],
                         "edge_a": list(lead),
                         "edge_b": list(other),
                         "path_a": graphs.bfs_path(adj_w, a, c),
@@ -516,16 +506,6 @@ def _one_piece(fw: Framework, edges, s) -> bool:
     return len({lead[v] for v in s}) == 1
 
 
-def _check_triangle(state: DeductionState, p):
-    a, b, c = p["vertices"]
-    es = [edge_key(a, b), edge_key(a, c), edge_key(b, c)]
-    if any(e not in state.known for e in es):
-        return "triangle edge not known"
-    if state.small_rank([(a, b), (a, c)]) != 2:
-        return "triangle vertices not affinely independent"
-    return es
-
-
 def _check_rigid_cycle(state: DeductionState, p):
     cycle = p["cycle"]
     skip_edges = {edge_key(*e) for e in p["skip"]}
@@ -537,32 +517,34 @@ def _check_rigid_cycle(state: DeductionState, p):
     if not skip_edges <= set(es):
         return "skip set is not part of the cycle"
     skip = [pairs[j] for j in range(k) if es[j] in skip_edges]
-    if k - len(skip) != state.small_rank(pairs) - state.small_rank(skip) + 1:
+    # a closed walk: its closing pair is minus the sum of the others
+    if k - len(skip) != state.small_rank(pairs[:-1]) - state.small_rank(skip) + 1:
         return "cycle rank condition fails"
     return [e for e in es if e not in skip_edges]
 
 
 def _check_projection_lift(state: DeductionState, p):
-    w = [tuple(parse_rat(x) for x in row) for row in p["kernel"]]
-    if len(w) > 1:  # a basis of the same span, at most dim rows, for every check below to rank
-        w = rref(w, state.base.dim)[0]
+    """The closed walk path_a, edge_b, path_b reversed, edge_a projects,
+    modulo the span W of the path directions, onto the two lifted edges
+    alone; off W, they must scale alike."""
     ea, eb = edge_key(*p["edge_a"]), edge_key(*p["edge_b"])
     if ea not in state.known or eb not in state.known:
         return "lifted edge not known"
+    by_key = {}  # one path pair per direction
     for path in (p["path_a"], p["path_b"]):
         if not path:
             return "identification path is empty"
         for x, y in zip(path, path[1:]):
             if edge_key(x, y) not in state.known:
                 return "identification path edge not known"
-            if not in_span(w, state.direction((x, y))):
-                return "identification path not parallel to kernel"
+            by_key.setdefault(state.direction_key((x, y)), (x, y))
     if set(p["edge_a"]) != {p["path_a"][0], p["path_b"][0]}:
         return "paths do not start at the first edge"
     if set(p["edge_b"]) != {p["path_a"][-1], p["path_b"][-1]}:
         return "paths do not end at the second edge"
+    w = [state.direction(e) for k, e in by_key.items() if k is not None]
     if in_span(w, state.direction(ea)) or in_span(w, state.direction(eb)):
-        return "lifted edge is parallel to the kernel"
+        return "lifted edge lies in the span of its paths"
     return [ea, eb]
 
 
@@ -632,6 +614,8 @@ def _check_covering_conclusion(state: DeductionState, p):
 
 def _check_dim_bound(state: DeductionState, p):
     fw = state.base
+    if type(p["bound"]) is not int:  # true and 1.0 both equal 1
+        raise TypeError("bound must be an integer")
     witness_edges = [edge_key(*e) for e in p["classes"]]
     if any(e not in state.known for e in witness_edges):
         return "class witness edge not known"
@@ -658,9 +642,8 @@ def _check_dim_bound(state: DeductionState, p):
 # Each step kind's check, its payload's list fields and those of them whose
 # entries are lists; `apply` refuses a string there, "AB" read as edge A-B.
 _CHECKS = {
-    TRIANGLE: (_check_triangle, ("vertices",), ()),
     RIGID_CYCLE: (_check_rigid_cycle, ("cycle", "skip"), ("skip",)),
-    PROJECTION_LIFT: (_check_projection_lift, ("kernel", "edge_a", "edge_b", "path_a", "path_b"), ("kernel",)),
+    PROJECTION_LIFT: (_check_projection_lift, ("edge_a", "edge_b", "path_a", "path_b"), ()),
     DEGENERATE_CONTRACTION: (_check_degenerate_contraction, ("degenerate", "pivot", "new"), ()),
     IMPLICIT_FROM_PATH: (_check_implicit_from_path, ("path",), ()),
     COVERING_CONCLUSION: (_check_covering_conclusion, ("S", "witness_edge", "flats"), ("flats",)),

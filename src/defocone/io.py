@@ -15,7 +15,7 @@ from .exact import parse_rat, rat_str
 from .framework import Framework, Points, framework
 from .polytope import PolytopeV, polytope
 
-CERT_FORMAT = "edge-dependency-certificate/1"
+CERT_FORMAT = "edge-dependency-certificate/2"
 
 
 def _points_to_obj(p: Points) -> dict:
@@ -49,7 +49,7 @@ def _points_from_obj(obj: dict, kind: str) -> list:
         if type(dim) is not int:
             raise TypeError("dim must be an integer")
         pairs = [(_text(row["id"], "a vertex id"), [parse_rat(c) for c in _listed(row["coords"], "coords")])
-                 for row in obj["vertices"]]
+                 for row in _listed(obj["vertices"], "vertices")]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed {kind} file: {exc}")
     if not pairs:
@@ -67,7 +67,7 @@ def framework_from_obj(obj: dict) -> Framework:
     pairs = _points_from_obj(obj, "framework")
     try:
         edges = [(_text(u, "an edge endpoint"), _text(v, "an edge endpoint"))
-                 for u, v in (_listed(e, "an edge") for e in obj["edges"])]
+                 for u, v in (_listed(e, "an edge") for e in _listed(obj["edges"], "edges"))]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed framework file: {exc}")
     return framework(pairs, edges)

@@ -186,15 +186,14 @@ def framework_of(p: PolytopeV) -> Framework:
     return fw
 
 
-def is_deformed_permutahedron(p: PolytopeV):
-    """(flag, witness): every edge direction must be parallel to a
-    difference of two coordinate directions."""
-    for u, v in edges(p):
-        direction = p.edge_vector((u, v))
-        support = [i for i, x in enumerate(direction) if x != 0]
-        if len(support) != 2 or direction[support[0]] + direction[support[1]] != 0:
-            return False, (u, v)
-    return True, None
+def is_deformed_permutahedron(p: PolytopeV) -> bool:
+    """Is every edge direction parallel to a difference of two coordinate
+    directions?"""
+    for e in edges(p):
+        support = [x for x in p.edge_vector(e) if x != 0]
+        if len(support) != 2 or support[0] + support[1] != 0:
+            return False
+    return True
 
 
 def matroid_homothet(p: PolytopeV) -> bool:
@@ -217,4 +216,4 @@ def matroid_homothet(p: PolytopeV) -> bool:
     if any(len(v) > 2 for v in values):
         return False
     gaps = {max(v) - min(v) for v in values if len(v) == 2}
-    return len(gaps) <= 1 and is_deformed_permutahedron(p)[0]
+    return len(gaps) <= 1 and is_deformed_permutahedron(p)

@@ -311,7 +311,7 @@ def crit_7_matroids(cp):
     ):
         mp = matroid_polytope(mb)
         indec = is_indecomposable(mp.framework)
-        dp = is_deformed_permutahedron(mp.polytope)[0]
+        dp = is_deformed_permutahedron(mp.polytope)
         good = indec == want_indec and dp and len(mp.components) == 1
         ok = ok and good
         details.append(f"{label}: indec={indec} direction_check={dp}")
@@ -319,7 +319,7 @@ def crit_7_matroids(cp):
     for r in range(1, 5):
         mp = matroid_polytope(matroid_direct_sum(*([u12] * r)))
         dc = dc_dimension(mp.framework)
-        dp = is_deformed_permutahedron(mp.polytope)[0]
+        dp = is_deformed_permutahedron(mp.polytope)
         good = dc == r and len(mp.components) == r and dp
         ok = ok and good
         details.append(f"U12^{r}: dc={dc}")
@@ -334,7 +334,7 @@ def crit_8_wedges(cp):
         w = permutahedral_wedge(p13.polytope, i, "min")
         fw = framework_of(w)
         indec = is_indecomposable(fw)
-        dp = is_deformed_permutahedron(w)[0]
+        dp = is_deformed_permutahedron(w)
         ok = ok and indec and dp
         details.append(f"wedge_{i}(P13): indec={indec} deformed_permutahedron={dp}")
     square = cp["square"].polytope
@@ -469,7 +469,8 @@ def crit_9_deduction(cp):
 
 
 def _mutation_checks(cp):
-    """One broken certificate per step kind must be rejected on replay."""
+    """One broken certificate per step kind, and a collinear triangle, must
+    be rejected on replay."""
     failures = []
 
     def expect_reject(fw, steps, tag):
@@ -482,7 +483,7 @@ def _mutation_checks(cp):
         {"a": (0, 0), "b": (1, 0), "c": (2, 0)},
         [("a", "b"), ("b", "c"), ("a", "c")],
     )
-    expect_reject(collinear, [Step(deduction.TRIANGLE, {"vertices": ["a", "b", "c"]})], "Triangle")
+    expect_reject(collinear, [Step(deduction.RIGID_CYCLE, {"cycle": ["a", "b", "c"], "skip": []})], "collinear 3-cycle")
     sq = cp["square"].framework
     expect_reject(
         sq,
@@ -499,13 +500,8 @@ def _mutation_checks(cp):
         [
             Step(
                 deduction.PROJECTION_LIFT,
-                {
-                    "kernel": [["0", "1"]],  # not the direction of path edges
-                    "edge_a": ["B", "C"],
-                    "edge_b": ["A", "D"],
-                    "path_a": ["B", "A"],
-                    "path_b": ["C", "D"],
-                },
+                # the paths span the plane, the lifted edges with it
+                {"edge_a": ["A", "B"], "edge_b": ["B", "C"], "path_a": ["A", "B"], "path_b": ["B", "C"]},
             )
         ],
         "ProjectionLift",

@@ -548,10 +548,10 @@ def test_wedge_preservation_on_corpus():
     cp = corpus()
     for name in ("hexagon", "p_3_1", "q_3_1"):
         p = cp[name].polytope
-        assert is_deformed_permutahedron(p)[0]
+        assert is_deformed_permutahedron(p)
         for side in ("min", "max"):
             w = permutahedral_wedge(p, 1, side)
-            assert is_deformed_permutahedron(w)[0], (name, side)
+            assert is_deformed_permutahedron(w), (name, side)
             if cp[name].expected.get("indecomposable"):
                 assert is_indecomposable(framework_of(w)), (name, side)
 
@@ -585,7 +585,7 @@ def test_wedge_tower_spot_checks():
     prints = {}
     for name, t in towers.items():
         assert is_indecomposable(framework_of(t)), name
-        assert is_deformed_permutahedron(t)[0], name
+        assert is_deformed_permutahedron(t), name
         prints[name] = _normal_fingerprint(t)
     assert len(set(prints.values())) == len(prints)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import defocone
-from defocone import deduction
+from defocone import graphs
 from defocone.constructions import (
     bipartite_truncation,
     complete_graph,
@@ -28,7 +28,6 @@ from defocone.deduction import (
     IMPLICIT_FROM_PATH,
     PROJECTION_LIFT,
     RIGID_CYCLE,
-    TRIANGLE,
     DeductionState,
     Step,
     conclude_indecomposable,
@@ -41,8 +40,8 @@ from defocone.deduction import (
 )
 from defocone.errors import InputError
 from defocone.io import certificate_to_obj, framework_to_obj
-from defocone.exact import Vec, in_span, is_zero_vec, nullspace, rank
-from defocone.framework import dc_dimension, dependency_partition, framework
+from defocone.exact import Vec, is_zero_vec, nullspace, rank
+from defocone.framework import dc_dimension, dependency_partition, edge_key, framework
 from defocone.report import DEDUCTION_PROVABLE
 
 
@@ -241,57 +240,77 @@ def test_rule_budget_configuration(cp):
 
 
 def test_collinear_triangle_rejected(cp):
+    """A triangle is a rigid 3-cycle with no skips: it holds exactly when
+    its vertices are affinely independent."""
     collinear = framework(
         {"a": (0, 0), "b": (1, 0), "c": (2, 0)},
         [("a", "b"), ("b", "c"), ("a", "c")],
     )
-    ok, idx, reason = verify_certificate(
-        collinear, [Step(TRIANGLE, {"vertices": ["a", "b", "c"]})]
-    )
-    assert not ok and "affinely independent" in reason
+    triangle = Step(RIGID_CYCLE, {"cycle": ["a", "b", "c"], "skip": []})
+    assert verify_certificate(collinear, [triangle]) == (False, 0, "cycle rank condition fails")
+    assert verify_certificate(cp["triangle"].framework, [Step(RIGID_CYCLE, {"cycle": ["A", "B", "C"], "skip": []})]) == (
+        True, None, None)
 
 
 def test_projection_lift_requires_parallel_paths(cp):
+    """On the square the two paths of a lift must be parallel: two paths
+    across each other span the plane, and every lifted edge with it."""
     sq = cp["square"].framework
-    good = Step(
-        PROJECTION_LIFT,
-        {
-            "kernel": [["1", "0"]],
-            "edge_a": ["B", "C"],
-            "edge_b": ["A", "D"],
-            "path_a": ["B", "A"],
-            "path_b": ["C", "D"],
-        },
-    )
-    ok, _, _ = verify_certificate(sq, [good])
-    assert ok
-    bad = Step(PROJECTION_LIFT, {**good.payload, "kernel": [["0", "1"]]})
-    ok, _, reason = verify_certificate(sq, [bad])
-    assert not ok and "parallel" in reason
+    good = Step(PROJECTION_LIFT, {"edge_a": ["B", "C"], "edge_b": ["A", "D"], "path_a": ["B", "A"], "path_b": ["C", "D"]})
+    assert verify_certificate(sq, [good]) == (True, None, None)
+    bad = Step(PROJECTION_LIFT, {"edge_a": ["A", "B"], "edge_b": ["B", "C"], "path_a": ["A", "B"], "path_b": ["B", "C"]})
+    assert verify_certificate(sq, [bad]) == (False, 0, "lifted edge lies in the span of its paths")
 
 
-def test_projection_lift_replays_a_long_kernel_as_a_basis(cp, monkeypatch):
-    """A kernel of 2000 repeated rows is replayed as the basis of its span:
-    no check ranks more rows than the dimension, and the verdicts are
-    those of the one-row kernels."""
-    sq = cp["square"].framework
-    lift = {"edge_a": ["B", "C"], "edge_b": ["A", "D"], "path_a": ["B", "A"], "path_b": ["C", "D"]}
-    sizes = []
+def _grown_path(rng, adj, start):
+    """A random walk of 0 to 3 steps from start along the framework's edges."""
+    path = [start]
+    for _ in range(rng.randint(0, 3)):
+        path.append(rng.choice(adj[path[-1]]))
+    return path
 
-    def counted(vectors, target):
-        sizes.append(len(vectors))
-        return in_span(vectors, target)
 
-    monkeypatch.setattr(deduction, "in_span", counted)
-    for row, verdict in ((["1", "0"], (True, None, None)),
-                         (["0", "1"], (False, 0, "identification path not parallel to kernel")),
-                         (["2", "0"], (True, None, None))):
-        assert verify_certificate(sq, [Step(PROJECTION_LIFT, {"kernel": [row], **lift})]) == verdict
-        assert verify_certificate(sq, [Step(PROJECTION_LIFT, {"kernel": [row] * 2000, **lift})]) == verdict
-    assert sizes and max(sizes) <= sq.dim
-    kernel = [["1", "0"]] * 1000 + [["0", "1"]]
-    reason = "lifted edge is parallel to the kernel"
-    assert verify_certificate(sq, [Step(PROJECTION_LIFT, {"kernel": kernel, **lift})]) == (False, 0, reason)
+def _random_framework(rng):
+    """4 to 8 small integer points in the plane or in space, coincident ones
+    allowed, joined by a random spanning tree and at most 40 edges."""
+    dim, n = rng.choice((2, 3)), rng.randint(4, 8)
+    points = {f"v{i}": tuple(rng.randint(-2, 2) for _ in range(dim)) for i in range(n)}
+    ids = list(points)
+    edges = {(ids[rng.randrange(i)], ids[i]) for i in range(1, n)}
+    pairs = [e for e in itertools.combinations(ids, 2) if e not in edges]
+    edges |= set(rng.sample(pairs, min(len(pairs), rng.randint(0, 40 - len(edges)))))
+    return framework(points, sorted(edges))
+
+
+def test_projection_lifts_are_sound_against_the_oracle(cp):
+    """Differential soundness: on the corpus and on seeded random connected
+    frameworks, every lift `apply` accepts on the framework's own edges,
+    with paths grown at random from the ends of a random edge, merges two
+    edges of one `dependency_partition` block."""
+    rng = random.Random(31)
+    fws = [e.framework for _, e in sorted(cp.items())] + [_random_framework(rng) for _ in range(120)]
+    tried, accepted, spanned = 0, 0, 0
+    for fw in fws:
+        if not fw.edges:
+            continue
+        block_of = {e: i for i, b in enumerate(dependency_partition(fw)) for e in b}
+        adj = {v: sorted(ns) for v, ns in graphs.adjacency(fw.vertex_ids, fw.edges).items()}
+        for _ in range(100):
+            u, v = rng.choice(fw.edges)
+            path_a, path_b = _grown_path(rng, adj, u), _grown_path(rng, adj, v)
+            if path_a[-1] == path_b[-1]:
+                continue
+            step = Step(PROJECTION_LIFT, {"edge_a": [u, v], "edge_b": [path_a[-1], path_b[-1]],
+                                          "path_a": path_a, "path_b": path_b})
+            state = DeductionState(fw)
+            reason = state.apply(step)
+            tried += 1
+            spanned += reason == "lifted edge lies in the span of its paths"
+            if reason is None:
+                accepted += 1
+                ea, eb = edge_key(u, v), edge_key(path_a[-1], path_b[-1])
+                assert block_of[ea] == block_of[eb], (fw, step)
+    assert tried > 10_000 and accepted > 2_000 and spanned > 1_000, (tried, accepted, spanned)
 
 
 def test_projection_lift_along_a_path():
@@ -304,7 +323,6 @@ def test_projection_lift_along_a_path():
     )
     st = saturate(fw)
     assert st.log == [Step(PROJECTION_LIFT, {
-        "kernel": [["1", "0"]],
         "edge_a": ["a0", "b0"],
         "edge_b": ["a2", "b1"],
         "path_a": ["a0", "a1", "a2"],
@@ -330,21 +348,21 @@ def _rejected_steps(cp):
         [("A", "A2"), ("A2", "B"), ("B", "C"), ("C", "D"), ("D", "A")],
     )
     sq, tri = cp["square"].framework, cp["triangle"].framework
+    scalene = cp["scalene_quadrilateral"].framework
     two_points = framework({"a": (0,), "b": (1,)}, [])
     lift = {"edge_a": ["B", "C"], "edge_b": ["A", "D"], "path_a": ["B", "A"], "path_b": ["C", "D"]}
     contraction = {"degenerate": ["A", "B"], "pivot": ["A", "C"], "new": ["B", "C"]}
     trivial = {"trivial": True, "S": ["a", "b"], "flats": []}
+    bound = {"classes": [["A", "B"]], "S": ["A", "B", "C"], "flats": [["A"], ["B"], ["C"]]}
     # every list field of every step kind with a string in place of a list,
-    # which read letter by letter would name labels: "AB" the edge A-B, a
-    # kernel row "10" the row (1, 0)
+    # which read letter by letter would name labels: "AB" the edge A-B
     shapes = {
-        TRIANGLE: (tri, {"vertices": ["A", "B", "C"]}),
         RIGID_CYCLE: (sq, {"cycle": ["A", "B", "C", "D"], "skip": [["A", "B"]]}),
-        PROJECTION_LIFT: (sq, {"kernel": [["1", "0"]], **lift}),
+        PROJECTION_LIFT: (sq, lift),
         DEGENERATE_CONTRACTION: (tri, contraction),
         IMPLICIT_FROM_PATH: (tri, {"path": ["A", "B", "C"]}),
         COVERING_CONCLUSION: (tri, {"S": ["A", "B", "C"], "witness_edge": ["A", "B"], "flats": [["A"], ["B"], ["C"]]}),
-        DIM_BOUND: (tri, {"bound": 1, "classes": [["A", "B"]], "S": ["A", "B", "C"], "flats": [["A"], ["B"], ["C"]]}),
+        DIM_BOUND: (tri, {"bound": 1, **bound}),
     }
     text_lists = {
         f"{kind} with text {key}": (
@@ -360,10 +378,10 @@ def _rejected_steps(cp):
     return {
         **text_lists,
         "collinear triangle": (
-            collinear, Step(TRIANGLE, {"vertices": ["a", "b", "c"]}), "affinely independent"
+            collinear, Step(RIGID_CYCLE, {"cycle": ["a", "b", "c"], "skip": []}), "rank condition"
         ),
         "coincident triangle": (
-            coincident, Step(TRIANGLE, {"vertices": ["a", "b", "c"]}), "affinely independent"
+            coincident, Step(RIGID_CYCLE, {"cycle": ["a", "b", "c"], "skip": []}), "rank condition"
         ),
         "square cycle without a skip": (
             sq, Step(RIGID_CYCLE, {"cycle": ["A", "B", "C", "D"], "skip": []}), "rank condition"
@@ -373,20 +391,19 @@ def _rejected_steps(cp):
             Step(RIGID_CYCLE, {"cycle": ["A", "A2", "B", "C", "D"], "skip": [["A", "A2"]]}),
             "rank condition",
         ),
-        "lift along the wrong kernel": (
-            sq, Step(PROJECTION_LIFT, {"kernel": [["0", "1"]], **lift}), "not parallel"
+        "lift of an edge in the span of its paths": (
+            sq,
+            Step(PROJECTION_LIFT, {"edge_a": ["A", "B"], "edge_b": ["B", "C"], "path_a": ["A", "B"], "path_b": ["B", "C"]}),
+            "lifted edge lies in the span of its paths",
         ),
-        "lift along a zero kernel row": (
-            sq, Step(PROJECTION_LIFT, {"kernel": [["0", "0"]], **lift}), "not parallel"
+        # each path alone spans a line that misses both lifted edges
+        "lift across a quadrilateral whose paths span the plane": (
+            scalene,
+            Step(PROJECTION_LIFT, {"edge_a": ["A", "D"], "edge_b": ["B", "C"], "path_a": ["A", "B"], "path_b": ["D", "C"]}),
+            "lifted edge lies in the span of its paths",
         ),
-        "lift along a two-row kernel": (
-            sq, Step(PROJECTION_LIFT, {"kernel": [["1", "0"], ["0", "1"]], **lift}), "lifted edge is parallel"
-        ),
-        "lift with a kernel row too long": (
-            sq, Step(PROJECTION_LIFT, {"kernel": [["1", "0", "0"]], **lift}), "malformed payload"
-        ),
-        "lift with a kernel row too short": (
-            sq, Step(PROJECTION_LIFT, {"kernel": [["1"]], **lift}), "malformed payload"
+        "lift with paths that do not end at the second edge": (
+            sq, Step(PROJECTION_LIFT, {**lift, "path_b": ["C"]}), "paths do not end at the second edge"
         ),
         "degenerate contraction on a triangle": (
             tri, Step(DEGENERATE_CONTRACTION, contraction), "not degenerate"
@@ -397,8 +414,10 @@ def _rejected_steps(cp):
         "forged trivial conclusion": (
             two_points, Step(COVERING_CONCLUSION, trivial), "disconnected"
         ),
+        "bound given as true": (tri, Step(DIM_BOUND, {"bound": True, **bound}), "malformed payload: bound must be an integer"),
+        "bound given as 1.0": (tri, Step(DIM_BOUND, {"bound": 1.0, **bound}), "malformed payload: bound must be an integer"),
         "unknown kind": (tri, Step("Bogus", {}), "unknown step kind"),
-        "malformed payload": (tri, Step(TRIANGLE, {"vertices": ["A", "B"]}), "malformed payload"),
+        "malformed payload": (tri, Step(RIGID_CYCLE, {"cycle": ["A", "B", "C"]}), "malformed payload"),
     }
 
 
@@ -412,17 +431,19 @@ def test_kernel_rejects_a_step_without_changing_the_state(cp):
         assert DeductionState(fw).replay([step]) == (False, 0, reason), name
 
 
-# The forged geometry that `defocone verify` must refuse with the kernel's
-# reason: degenerate triangles, a skip of a zero direction, and kernels of
-# the wrong length, zero or of two rows.
+# The forged steps that `defocone verify` must refuse with the kernel's
+# reason: degenerate triangles, a skip of a zero direction, lifts whose
+# paths span a lifted edge, paths that miss the second edge, and bounds
+# that are not JSON integers.
 FORGED_GEOMETRY = (
     "collinear triangle",
     "coincident triangle",
     "cycle skipping only a degenerate edge",
-    "lift along a zero kernel row",
-    "lift along a two-row kernel",
-    "lift with a kernel row too long",
-    "lift with a kernel row too short",
+    "lift of an edge in the span of its paths",
+    "lift across a quadrilateral whose paths span the plane",
+    "lift with paths that do not end at the second edge",
+    "bound given as true",
+    "bound given as 1.0",
 )
 
 
@@ -444,7 +465,7 @@ def test_verify_refuses_forged_geometry_with_the_kernels_reason(tmp_path, cp, na
 
 
 def test_verify_refuses_text_where_a_list_belongs(tmp_path, cp):
-    """Read letter by letter, a triangle over "ABC" and a conclusion over
+    """Read letter by letter, a 3-cycle over "ABC" and a conclusion over
     S = "ABC" and the flats "A", "B", "C" would replay on the triangle; the
     kernel refuses them, and `defocone verify` with it."""
     tri = cp["triangle"].framework
@@ -452,8 +473,8 @@ def test_verify_refuses_text_where_a_list_belongs(tmp_path, cp):
     fw_file, cert_file = tmp_path / "fw.json", tmp_path / "cert.json"
     fw_file.write_text(json.dumps(framework_to_obj(tri)))
     src = os.path.dirname(os.path.dirname(os.path.abspath(defocone.__file__)))
-    for vertices, index, key in (("ABC", 0, "vertices"), (["A", "B", "C"], 1, "S")):
-        steps = [Step(TRIANGLE, {"vertices": vertices}), text_conclusion]
+    for vertices, index, key in (("ABC", 0, "cycle"), (["A", "B", "C"], 1, "S")):
+        steps = [Step(RIGID_CYCLE, {"cycle": vertices, "skip": []}), text_conclusion]
         reason = f"malformed payload: {key} must be a list"
         assert verify_certificate(tri, steps) == (False, index, reason)
         cert_file.write_text(json.dumps(certificate_to_obj(steps)))
@@ -634,47 +655,49 @@ def _certificate_text(fw, flats) -> str:
 
 
 # sha256 prefixes of `_certificate_text` for the corpus (facet flats when
-# there is a polytope) and for DEDUCTION_PROVABLE, recorded before the edge
-# geometry was memoized on the state and the double description went integer.
+# there is a polytope) and for DEDUCTION_PROVABLE, in certificate format /2:
+# triangles are 3-cycle `RigidCycle` steps and lifts carry no kernel, so
+# steps hold only labels, and certificates of inputs that differ only in
+# coordinates (the square and the parallelogram) coincide.
 CERTIFICATE_DIGESTS = {
-    "chiseled_cube": "86a18a2d59b7c621",
-    "chiseled_square_pyramid": "542219551408618c",
-    "cube": "78cdacf94bb03ff8",
-    "diminished_trapezohedron": "d25cb203ab160cc1",
-    "gyrobifastigium": "1894a98f0094f0d8",
-    "hemicube": "8a9549e8c123cbfb",
-    "hexagon": "e7a4b319aaf82c82",
-    "hexagonal_pyramid": "b2bb90b0e3bec266",
-    "kallay_coplanar": "c4511c9e20082c17",
-    "kallay_skew": "7e8530092464e97f",
-    "p_2_2": "a254021328f21faf",
-    "p_3_1": "01017c059c4763d8",
-    "parallelogram": "aae9f31c07ac5e1b",
-    "prism": "28b3cda902227e72",
-    "q_2_2": "62ef10d172324493",
-    "q_3_1": "1becdf4fd7c4e797",
-    "scalene_quadrilateral": "449c42ffcba413be",
-    "square": "69327a9e75ee3912",
-    "trapezoid": "a62d6c63f1c13f66",
-    "triangle": "77df13924fc8ad4e",
-    "triangle_sum_shared_direction": "0e1ac210a44555c7",
-    "triangular_cupola": "bc97ff4b9012e642",
-    "two_disjoint_triangles": "4fe36bc935eb20c9",
-    "P_1_2": "88961e620cfa1f2e",
-    "P_2_1": "88961e620cfa1f2e",
-    "P_1_3": "f4f7aa1cb5c6f2b9",
-    "P_3_1": "01017c059c4763d8",
-    "P_2_2": "a254021328f21faf",
-    "P_1_4": "d2f707150f5b9808",
-    "P_4_1": "fb89a6bf243a0e34",
-    "P_2_3": "cfb82cd6107244d9",
-    "P_3_2": "5089779d78f9aeda",
-    "Q_1_3": "1becdf4fd7c4e797",
-    "Q_3_1": "1becdf4fd7c4e797",
-    "Q_1_4": "1fdd0de5436e19ac",
-    "Q_4_1": "2e5238fbcec877fd",
-    "Q_2_3": "6b69b363113adc81",
-    "Q_3_2": "df56c00d9317e3b2",
+    "chiseled_cube": "4e0f535ab83e1b28",
+    "chiseled_square_pyramid": "a4647ef9f01a1935",
+    "cube": "db3811835759cf25",
+    "diminished_trapezohedron": "3b5198a3197b1538",
+    "gyrobifastigium": "c77449b1058c7e52",
+    "hemicube": "b2277e7fd68f1003",
+    "hexagon": "f520f0c6126d21e2",
+    "hexagonal_pyramid": "bf2714f5860d37aa",
+    "kallay_coplanar": "967dd735a389fec3",
+    "kallay_skew": "aabdaf9c11268e45",
+    "p_2_2": "0e2ca437188fc22b",
+    "p_3_1": "5fbde82579dcde3b",
+    "parallelogram": "528c3616d1866d05",
+    "prism": "820c80f5a75ce38f",
+    "q_2_2": "a62c041f11824dd8",
+    "q_3_1": "7cbb69ee87b286c6",
+    "scalene_quadrilateral": "fcc295d34b76b197",
+    "square": "528c3616d1866d05",
+    "trapezoid": "518051477888fb5a",
+    "triangle": "b0b8016442f4c64b",
+    "triangle_sum_shared_direction": "7cac887203711905",
+    "triangular_cupola": "5ff965e450c9bfed",
+    "two_disjoint_triangles": "c60384e7163ec5d3",
+    "P_1_2": "05898347d005111d",
+    "P_2_1": "05898347d005111d",
+    "P_1_3": "5fbde82579dcde3b",
+    "P_3_1": "5fbde82579dcde3b",
+    "P_2_2": "0e2ca437188fc22b",
+    "P_1_4": "8dfc46e06d87c8ac",
+    "P_4_1": "8dfc46e06d87c8ac",
+    "P_2_3": "c75f84b6d9913eac",
+    "P_3_2": "e6221718ff79bc2e",
+    "Q_1_3": "7cbb69ee87b286c6",
+    "Q_3_1": "7cbb69ee87b286c6",
+    "Q_1_4": "373f3124d8f33969",
+    "Q_4_1": "373f3124d8f33969",
+    "Q_2_3": "52c1b62fb8c56d76",
+    "Q_3_2": "ed6af0696864c2a6",
 }
 
 

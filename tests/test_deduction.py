@@ -254,11 +254,11 @@ def test_collinear_triangle_rejected(cp):
 
 def test_projection_lift_requires_parallel_paths(cp):
     """On the square the two paths of a lift must be parallel: two paths
-    across each other span the plane, and every lifted edge with it."""
+    along different sides span the plane, and every lifted edge with it."""
     sq = cp["square"].framework
     good = Step(PROJECTION_LIFT, {"edge_a": ["B", "C"], "edge_b": ["A", "D"], "path_a": ["B", "A"], "path_b": ["C", "D"]})
     assert verify_certificate(sq, [good]) == (True, None, None)
-    bad = Step(PROJECTION_LIFT, {"edge_a": ["A", "B"], "edge_b": ["B", "C"], "path_a": ["A", "B"], "path_b": ["B", "C"]})
+    bad = Step(PROJECTION_LIFT, {"edge_a": ["B", "C"], "edge_b": ["A", "B"], "path_a": ["B", "A"], "path_b": ["C", "B"]})
     assert verify_certificate(sq, [bad]) == (False, 0, "lifted edge lies in the span of its paths")
 
 

@@ -3,14 +3,16 @@
 `DeductionState` is a proof kernel: it holds the known non-degenerate
 edges (base edges plus discovered implicit ones) in a union-find of
 classes, and `DeductionState.apply` is the one place that checks a step's
-literal geometric side conditions, makes its merges and logs it.  The
-rules search for steps and hand each one to `apply`:
+literal geometric side conditions, makes its merges and logs it.  Four
+searches look for steps, one per step kind, and hand each one to `apply`:
 
-  triangles on affinely independent points (rigid 3-cycles);
-  quadrilaterals with a parallel opposite pair (a projection lift along
-  that direction); general rigid cycles; transfer across degenerate edges;
-  implicit edges created by paths inside one class; projection lifts along
-  one-dimensional class directions.
+  rigid cycles (`RigidCycle`): 3-cycles, the triangles on affinely
+  independent points, in every round, and longer cycles with skips when
+  the other rules stall;
+  projection lifts (`ProjectionLift`) along every edge direction, which
+  take in the quadrilaterals with a parallel opposite pair;
+  transfer across degenerate edges (`DegenerateContraction`);
+  implicit edges created by paths inside one class (`ImplicitFromPath`).
 
 Conclusions (indecomposability via a covering collection of flats,
 dimension upper bounds) are steps too.  Replaying a certificate applies
@@ -56,9 +58,9 @@ class Step:
     payload: dict
 
 
-# Budgets of the rigid-cycle search, which only runs when the cheap rules
-# stall.  The search strategy is a policy choice; soundness never depends
-# on it.
+# Budgets of the rigid-cycle search: every cheap round looks at 3-cycles,
+# and longer cycles are searched only when the cheap rules stall.  The
+# search strategy is a policy choice; soundness never depends on it.
 MAX_CYCLE_LEN = 6
 MAX_SKIP = 2
 MAX_CYCLES_SCANNED = 200_000
@@ -186,53 +188,6 @@ class DeductionState:
 # to `apply`, which alone decides whether they hold
 
 
-def _run_triangles(state: DeductionState) -> bool:
-    fw = state.base
-    adj = state.known_adjacency()
-    progress = False
-    for a in fw.vertex_ids:
-        for b, c in itertools.combinations(sorted(adj[a]), 2):
-            if not (a < b):
-                continue
-            e_bc = edge_key(b, c)
-            if e_bc not in state.known:
-                continue
-            es = [edge_key(a, b), edge_key(a, c), e_bc]
-            if not all(state.tracked(e) for e in es) or len({state.find(e) for e in es}) == 1:
-                continue
-            progress |= state.apply(Step(RIGID_CYCLE, {"cycle": [a, b, c], "skip": []})) is None
-    return progress
-
-
-def _run_parallel_quads(state: DeductionState) -> bool:
-    """Quadrilaterals with one parallel opposite pair: the other pair maps
-    to a single edge after projecting along the parallel direction."""
-    adj = state.known_adjacency()
-    progress = False
-    for e in sorted(state.known):
-        u1, u2 = e
-        k12 = state.direction_key(e)
-        if k12 is None:
-            continue
-        for u3 in sorted(adj[u2]):
-            if u3 in (u1, u2):
-                continue
-            k23 = state.direction_key((u2, u3))
-            if k23 is None or k23 == k12:
-                continue
-            for u4 in sorted(adj[u3]):
-                if u4 in (u1, u2, u3) or edge_key(u4, u1) not in state.known:
-                    continue
-                if state.direction_key((u3, u4)) != k12:
-                    continue
-                ea, fb = edge_key(u2, u3), edge_key(u1, u4)
-                if state.same_class(ea, fb) or not (state.tracked(ea) and state.tracked(fb)):
-                    continue
-                step = Step(PROJECTION_LIFT, {"edge_a": [u2, u3], "edge_b": [u1, u4], "path_a": [u2, u1], "path_b": [u3, u4]})
-                progress |= state.apply(step) is None
-    return progress
-
-
 def _run_degenerate_transfer(state: DeductionState) -> bool:
     progress = False
     for e in sorted(state.known):
@@ -267,9 +222,11 @@ def _run_implicit_from_paths(state: DeductionState) -> bool:
     return progress
 
 
-def _run_rigid_cycles(state: DeductionState) -> bool:
-    """Cycles whose length exceeds the codimension drop by exactly one
-    after skipping a small subset: the remaining edges merge."""
+def _run_rigid_cycles(state: DeductionState, max_len: int) -> bool:
+    """Cycles of at most max_len edges whose length exceeds the codimension
+    drop by exactly one after skipping a small subset: the remaining edges
+    merge.  A triangle on affinely independent points is the 3-cycle with
+    no skip, the first candidate tried."""
     fw = state.base
     adj = state.known_adjacency()
     progress = False
@@ -308,48 +265,52 @@ def _run_rigid_cycles(state: DeductionState) -> bool:
                     if path[1] < path[-1]:  # one orientation per cycle
                         if handle(path):
                             progress = True
-                elif y not in path and len(path) < MAX_CYCLE_LEN and y > start:
+                elif y not in path and len(path) < max_len and y > start:
                     stack.append((y, path + (y,)))
     return progress
 
 
 def _run_projection_lifts(state: DeductionState) -> bool:
-    """Project along a class direction: known edges off it whose endpoints
-    the projection identifies merge."""
-    fw = state.base
-    directions: list[Edge] = []
-    for rep, es in sorted(state.classes().items()):
-        nz = [e for e in sorted(es) if state.direction_key(e) is not None]
-        if nz and all(state.direction_key(e) == state.direction_key(nz[0]) for e in nz):
-            directions.append(nz[0])
+    """Project along each edge direction: the pieces its edges (and the
+    degenerate ones) connect collapse to points, and known edges off it
+    whose images coincide merge.  Only an edge with an end in such a piece
+    can share its image, since no two edges join the same two vertices."""
+    by_key: dict = {}
+    for e in sorted(state.known):
+        by_key.setdefault(state.direction_key(e), []).append(e)
+    zero = by_key.pop(None, [])
+    adj = state.known_adjacency()
     progress = False
-    for lead_edge in directions:
-        k = state.direction_key(lead_edge)
-        along_w = [e for e in state.known if state.direction_key(e) in (None, k)]
-        adj_w = graphs.adjacency(fw.vertex_ids, along_w)
-        rep_of = {x: c[0] for c in graphs.components(fw.vertex_ids, adj_w) for x in c}
-        buckets: dict[tuple, list[Edge]] = {}
-        for e in sorted(state.known):
-            if state.direction_key(e) in (None, k):
-                continue
-            key = tuple(sorted((rep_of[e[0]], rep_of[e[1]])))
-            buckets.setdefault(key, []).append(e)
-        for key, group in sorted(buckets.items()):
-            lead = group[0]
-            for other in group[1:]:
+    for k, along in by_key.items():  # in the order of each direction's first edge
+        adj_w = graphs.adjacency((), along + zero)
+        parent = graphs.bfs_parents(adj_w, sorted({x for e in along for x in e}))
+        piece = {}
+        for x, p in parent.items():  # a parent is visited before its children
+            piece[x] = x if p is None else piece[p]
+        buckets: dict[tuple, set[Edge]] = {}
+        for x in parent:
+            for y in adj[x]:
+                e = edge_key(x, y)
+                if state.direction_key(e) not in (None, k):
+                    image = tuple(sorted((piece[x], piece.get(y, y))))
+                    buckets.setdefault(image, set()).add(e)
+        for image, group in sorted(buckets.items()):
+            lead, *others = sorted(group)
+            for other in others:
                 if state.same_class(lead, other):
                     continue
                 a, b = lead
                 c, d = other
-                if rep_of[a] != rep_of[c]:
+                if piece.get(a, a) != piece.get(c, c):
                     c, d = d, c
+                # an end the projection leaves alone is shared by both edges
                 step = Step(
                     PROJECTION_LIFT,
                     {
                         "edge_a": list(lead),
                         "edge_b": list(other),
-                        "path_a": graphs.bfs_path(adj_w, a, c),
-                        "path_b": graphs.bfs_path(adj_w, b, d),
+                        "path_a": graphs.tree_path(parent, a, c) if a in parent else [a],
+                        "path_b": graphs.tree_path(parent, b, d) if b in parent else [b],
                     },
                 )
                 progress |= state.apply(step) is None
@@ -359,29 +320,29 @@ def _run_projection_lifts(state: DeductionState) -> bool:
 def _has_spanning_class(state: DeductionState) -> bool:
     fw = state.base
     for rep, comp in state.class_components():
-        if comp == frozenset(fw.vertex_ids):
+        if len(comp) == len(fw.vertex_ids):  # comp is a set of vertices
             if affine_rank([fw.point(v) for v in comp]) >= 2:
                 return True
     return False
 
 
 def saturate(fw: Framework) -> DeductionState:
-    """Run all rules to a fixpoint (cheap rules first, budgeted searches on
-    stall).  Classes only merge and known edges only grow, so this ends."""
+    """Run all rules to a fixpoint: each round transfers across degenerate
+    edges, closes 3-cycles and lifts along every edge direction; implicit
+    edges and the budgeted search for longer cycles run on stall.  Classes
+    only merge and known edges only grow, so this ends."""
     state = DeductionState(fw)
     while True:
         progress = _run_degenerate_transfer(state)
-        progress = _run_triangles(state) or progress
-        progress = _run_parallel_quads(state) or progress
+        progress = _run_rigid_cycles(state, 3) or progress
+        progress = _run_projection_lifts(state) or progress
         if _has_spanning_class(state):
             break
         if progress:
             continue
         if _run_implicit_from_paths(state):
             continue
-        if _run_rigid_cycles(state):
-            continue
-        if _run_projection_lifts(state):
+        if _run_rigid_cycles(state, MAX_CYCLE_LEN):
             continue
         break
     return state
@@ -417,10 +378,13 @@ def covering_pins_all(fw: Framework, flats) -> bool:
     """Does every vertex lie on a flat, with the direction spaces of its
     flats meeting only in 0?  Over Q, (∩ Uᵢ)^⊥ = Σ Uᵢ^⊥, so that is one
     rank per vertex on the stacked annihilators of its flats."""
-    annihilators = {f: nullspace(flat_direction(fw, f), fw.dim) for f in dict.fromkeys(flats)}
+    through: dict = {}  # vertex -> the annihilators of its flats, in flat order
+    for f in dict.fromkeys(flats):
+        ann = nullspace(flat_direction(fw, f), fw.dim)
+        for v in f:
+            through.setdefault(v, []).append(ann)
     for v in fw.vertex_ids:
-        through = [ann for f, ann in annihilators.items() if v in f]
-        if not through or rank([a for ann in through for a in ann], fw.dim) != fw.dim:
+        if v not in through or rank([a for ann in through[v] for a in ann], fw.dim) != fw.dim:
             return False
     return True
 

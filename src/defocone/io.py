@@ -41,6 +41,13 @@ def _text(x, what: str) -> str:
     return x
 
 
+def _object(x, what: str) -> dict:
+    """x when it is a JSON object; a string or a list would be indexed."""
+    if type(x) is not dict:
+        raise TypeError(f"{what} must be an object")
+    return x
+
+
 def _points_from_obj(obj: dict, kind: str) -> list:
     """The (id, coords) rows of a file object, in file order, so that a
     repeated id reaches `labelled_points`."""
@@ -48,8 +55,9 @@ def _points_from_obj(obj: dict, kind: str) -> list:
         dim = obj["dim"]
         if type(dim) is not int:
             raise TypeError("dim must be an integer")
+        rows = [_object(r, "a vertex row") for r in _listed(obj["vertices"], "vertices")]
         pairs = [(_text(row["id"], "a vertex id"), [parse_rat(c) for c in _listed(row["coords"], "coords")])
-                 for row in _listed(obj["vertices"], "vertices")]
+                 for row in rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed {kind} file: {exc}")
     if not pairs:

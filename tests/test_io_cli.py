@@ -325,6 +325,8 @@ BAD_INVOCATIONS = {
     "framework file with integer edge endpoints": ["analyze", "{int_endpoints}"],
     "framework file with an object for edges": ["analyze", "{object_edges}"],
     "polytope file with an object for vertices": ["analyze", "{object_vertices}"],
+    "polytope file with a string for a vertex row": ["analyze", "{text_row}"],
+    "framework file with a list for a vertex row": ["analyze", "{list_row}"],
     "product labels that collide": ["construct", "product", "--inputs", "{seg_a}", "{seg_b}", "-o", "{out}"],
     "seedless is not an option": ["construct", "corpus", "--name", "cube", "--seedless", "-o", "{out}"],
     # each family takes only the options its builder reads, unabbreviated
@@ -354,6 +356,8 @@ BAD_INVOCATION_LINES = {
         "error: malformed framework file: an edge endpoint must be a string\n",
     "framework file with an object for edges": "error: malformed framework file: edges must be a list\n",
     "polytope file with an object for vertices": "error: malformed polytope file: vertices must be a list\n",
+    "polytope file with a string for a vertex row": "error: malformed polytope file: a vertex row must be an object\n",
+    "framework file with a list for a vertex row": "error: malformed framework file: a vertex row must be an object\n",
     "product labels that collide": "error: duplicate vertex label\n",
     "truncate a point": "error: no deep truncation at 'a': neighbors are not on a hyperplane\n",
     "seedless is not an option": "error: unrecognized arguments: --seedless\n",
@@ -435,7 +439,8 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
     # with edges; two segments whose "u|w" product labels collide; three
     # files with a string or a boolean where a list or an integer belongs;
     # three with a null, a boolean or a number where a string belongs; and
-    # two with an object where a list belongs
+    # two with an object where a list belongs, and two with a string or a
+    # list where a vertex row object belongs
     square = [("a", (0, 0)), ("b", (1, 0)), ("c", (1, 1)), ("a", (0, 1))]
     files = {
         "repeated_polytope": _points(*square),
@@ -454,6 +459,8 @@ def test_cli_bad_invocations_end_in_an_error_line(tmp_path, cp, name):
         # {} would read as no edges, and {"id": "a"} as the vertex row "id"
         "object_edges": _points(("a", (0, 0)), ("b", (1, 0)), edges={}),
         "object_vertices": json.dumps({"dim": 1, "vertices": {"id": "a", "coords": ["0"]}}),
+        "text_row": json.dumps({"dim": 1, "vertices": ["a"]}),
+        "list_row": json.dumps({"dim": 1, "vertices": [["a", ["0"]]], "edges": []}),
         "deep": "[" * 100_000 + "]" * 100_000,
         "seg_a": _points(("x|", (0,)), ("x", (1,))),
         "seg_b": _points(("y", (0,)), ("|y", (1,))),

@@ -19,10 +19,22 @@ dimension upper bounds) are steps too.  Replaying a certificate applies
 its steps to a fresh state, so the engine cannot log a step the replay
 rejects, and `DeductionState.conclusion` says what the replay established.
 No step consults the deformation-space nullspace; the covering test takes
-only the annihilators of the flats, once per state.  A rank of one or two
-edge directions is read off their memoized primitive keys, not eliminated.
+only the annihilators of the flats, once per state.  A rank of up to two
+distinct edge directions is read off their memoized primitive keys, not
+eliminated; larger ranks and the lift's span test eliminate the keys, the
+integer multiples of the directions, not the Fraction differences.
 Deduction steps hold only vertex labels: a projection lift is justified by
 the span of its own paths' directions, which it does not restate.
+
+The rigid-cycle search decides a cycle of k edges by its rank gap
+g = k - 1 - rank of its directions.  Every edge it looks at is tracked,
+and a tracked edge is non-degenerate (the base's are, and no step the
+rules log merges a degenerate edge), so a skip set S qualifies exactly
+when |S| - rank(S) = g.  A nonempty S gives at most |S| - 1, so a gap of
+`MAX_SKIP` or more admits no S; and since the rank is at most the hull
+dimension h, no cycle of more than h + `MAX_SKIP` edges qualifies.  The
+search stops its paths at that length, which changes no step, only how
+`MAX_CYCLES_SCANNED` is spent.
 """
 
 from __future__ import annotations
@@ -79,6 +91,14 @@ class DeductionState:
         self._pins: dict[frozenset, bool] = {}
         self._vecs: dict[tuple[str, str], Vec] = {}
         self._keys: dict[Edge, tuple[int, ...] | None] = {}
+        self._neighbours: dict[str, set[str]] = {v: set() for v in fw.vertex_ids}
+        for e in fw.edges:
+            self._link(e)
+
+    def _link(self, e: Edge) -> None:
+        u, v = e
+        self._neighbours[u].add(v)
+        self._neighbours[v].add(u)
 
     # union-find over the non-degenerate known edges ------------------------
     def find(self, e: Edge) -> Edge:
@@ -113,7 +133,9 @@ class DeductionState:
         if isinstance(merged, str):
             return merged
         for e in merged:
-            self.known.add(e)
+            if e not in self.known:
+                self.known.add(e)
+                self._link(e)
             self._classes.add(e)
         for e in merged[1:]:
             self._classes.union(merged[0], e)
@@ -164,14 +186,19 @@ class DeductionState:
         return self._keys[e]
 
     def small_rank(self, pairs) -> int:
-        """Rank of the pairs' differences: up to two of them, the number of
-        distinct nonzero keys; more, by `rank`."""
-        if len(pairs) > 2:
-            return rank([self.direction(e) for e in pairs], self.base.dim)
-        return len({self.direction_key(e) for e in pairs} - {None})
+        """Rank of the pairs' differences, read off their distinct nonzero
+        keys: up to two are independent, more go to `rank` as they are, since
+        a key is a nonzero multiple of its difference."""
+        keys = list({self.direction_key(e) for e in pairs} - {None})
+        return len(keys) if len(keys) <= 2 else rank(keys, self.base.dim)
+
+    def neighbours(self, v: str) -> set[str]:
+        """The other ends of v's known edges, kept current by `apply`."""
+        return self._neighbours[v]
 
     def known_adjacency(self) -> dict[str, tuple[str, ...]]:
-        return graphs.adjacency(self.base.vertex_ids, self.known)
+        """Vertex -> sorted tuple of its neighbours along known edges."""
+        return {v: tuple(sorted(ns)) for v, ns in self._neighbours.items()}
 
     def class_components(self):
         """For each class, the vertex sets of the connected pieces of its
@@ -189,16 +216,14 @@ class DeductionState:
 
 
 def _run_degenerate_transfer(state: DeductionState) -> bool:
+    """The known degenerate edges are the base's, since no step makes one
+    known; each end's known edges are read off the endpoint index, in the
+    order of their other ends, which is their order as sorted pairs."""
     progress = False
-    for e in sorted(state.known):
-        if not is_zero_vec(state.direction(e)):
-            continue
-        u, v = e
+    for u, v in sorted(state.base.degenerate_edges):
         for a, b in ((u, v), (v, u)):
-            for f in sorted(state.known):
-                if a not in f:
-                    continue
-                w = f[0] if f[1] == a else f[1]
+            for w in sorted(state.neighbours(a)):
+                f = edge_key(a, w)
                 if w == b or is_zero_vec(state.direction(f)):
                     continue
                 g = edge_key(b, w)
@@ -223,12 +248,31 @@ def _run_implicit_from_paths(state: DeductionState) -> bool:
 
 
 def _run_rigid_cycles(state: DeductionState, max_len: int) -> bool:
-    """Cycles of at most max_len edges whose length exceeds the codimension
-    drop by exactly one after skipping a small subset: the remaining edges
-    merge.  A triangle on affinely independent points is the 3-cycle with
-    no skip, the first candidate tried."""
+    """Cycles of at most max_len edges that skip a set S of at most
+    `MAX_SKIP` edges such that k - |S| = rank(all) - rank(S) + 1, where k is
+    the cycle's length: the edges left merge.  A triangle on affinely
+    independent points is the 3-cycle with no skip, the first set tried.
+
+    Each cycle is decided by its rank gap g = k - 1 - rank(all), read off
+    the direction keys before any class is looked up.  Here every cycle
+    edge is tracked, and a tracked edge is non-degenerate: the base's are,
+    and no step merges a degenerate edge (a lift refuses one, a degenerate
+    transfer and an implicit edge join points that differ, a cycle keeps
+    only tracked edges).  So rank(S) <= |S|, with equality for |S| <= 1,
+    and S qualifies exactly when |S| - rank(S) = g.  A nonempty S gives at
+    most |S| - 1 <= `MAX_SKIP` - 1, so a gap of `MAX_SKIP` or more admits
+    nothing; g = 0 admits S = {} first, and when every edge left by it
+    already shares one class, so do the edges left by any other S; g >= 1
+    admits only sets of more than g edges (with `MAX_SKIP` = 2, the
+    parallel pairs).  The sets are still tried in the order of size, then
+    of `itertools.combinations`, so the first accepted is the one the full
+    enumeration accepts.  As rank(all) is at most the hull dimension h,
+    g >= k - 1 - h, so no cycle of more than h + `MAX_SKIP` edges
+    qualifies and paths stop there: the cap changes no step, only how
+    `MAX_CYCLES_SCANNED` is spent."""
     fw = state.base
     adj = state.known_adjacency()
+    max_len = min(max_len, fw.hull_dim + MAX_SKIP)
     progress = False
     budget = MAX_CYCLES_SCANNED
 
@@ -236,17 +280,15 @@ def _run_rigid_cycles(state: DeductionState, max_len: int) -> bool:
         k = len(cycle)
         pairs = [(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
         es = [edge_key(*e) for e in pairs]
-        if not all(state.tracked(e) for e in es):
+        if any(state.direction_key(e) is None for e in es):
             return False
-        full_rank = state.small_rank(pairs[:-1])  # the closing pair is minus the sum of the others
-        for skip_size in range(0, MAX_SKIP + 1):
-            for skip in itertools.combinations(range(k), skip_size):
-                keep = [i for i in range(k) if i not in skip]
-                if len(keep) < 2:
+        gap = k - 1 - state.small_rank(pairs[:-1])  # the closing pair is minus the sum of the others
+        for size in range(gap + 1, MAX_SKIP + 1) if gap else (0,):
+            for skip in itertools.combinations(range(k), size):
+                if size - state.small_rank([pairs[i] for i in skip]) != gap:
                     continue
-                if len({state.find(es[i]) for i in keep}) == 1:
-                    continue
-                if k - skip_size != full_rank - state.small_rank([pairs[i] for i in skip]) + 1:
+                keep = [es[i] for i in range(k) if i not in skip]
+                if len(keep) < 2 or len({state.find(e) for e in keep}) == 1:
                     continue
                 step = Step(RIGID_CYCLE, {"cycle": list(cycle), "skip": [list(es[i]) for i in skip]})
                 if state.apply(step) is None:
@@ -274,16 +316,26 @@ def _run_projection_lifts(state: DeductionState) -> bool:
     """Project along each edge direction: the pieces its edges (and the
     degenerate ones) connect collapse to points, and known edges off it
     whose images coincide merge.  Only an edge with an end in such a piece
-    can share its image, since no two edges join the same two vertices."""
+    can share its image, since no two edges join the same two vertices.
+    A piece is grown from the ends of the direction's edges, so only the
+    degenerate edges joined to those ends through degenerate edges are
+    taken in."""
     by_key: dict = {}
     for e in sorted(state.known):
         by_key.setdefault(state.direction_key(e), []).append(e)
     zero = by_key.pop(None, [])
+    zero_adj = graphs.adjacency((), zero)
+    zero_piece = {x: c for c in graphs.components(sorted(zero_adj), zero_adj) for x in c}
+    zero_in: dict = {}  # the degenerate edges inside each piece they connect
+    for e in zero:
+        zero_in.setdefault(zero_piece[e[0]], []).append(e)
     adj = state.known_adjacency()
     progress = False
     for k, along in by_key.items():  # in the order of each direction's first edge
-        adj_w = graphs.adjacency((), along + zero)
-        parent = graphs.bfs_parents(adj_w, sorted({x for e in along for x in e}))
+        ends = sorted({x for e in along for x in e})
+        met = dict.fromkeys(zero_piece[x] for x in ends if x in zero_piece)
+        adj_w = graphs.adjacency((), along + [e for c in met for e in zero_in[c]])
+        parent = graphs.bfs_parents(adj_w, ends)
         piece = {}
         for x, p in parent.items():  # a parent is visited before its children
             piece[x] = x if p is None else piece[p]
@@ -494,20 +546,23 @@ def _check_projection_lift(state: DeductionState, p):
     ea, eb = edge_key(*p["edge_a"]), edge_key(*p["edge_b"])
     if ea not in state.known or eb not in state.known:
         return "lifted edge not known"
-    by_key = {}  # one path pair per direction
+    keys = set()  # one key per path direction
     for path in (p["path_a"], p["path_b"]):
         if not path:
             return "identification path is empty"
         for x, y in zip(path, path[1:]):
             if edge_key(x, y) not in state.known:
                 return "identification path edge not known"
-            by_key.setdefault(state.direction_key((x, y)), (x, y))
+            keys.add(state.direction_key((x, y)))
     if set(p["edge_a"]) != {p["path_a"][0], p["path_b"][0]}:
         return "paths do not start at the first edge"
     if set(p["edge_b"]) != {p["path_a"][-1], p["path_b"][-1]}:
         return "paths do not end at the second edge"
-    w = [state.direction(e) for k, e in by_key.items() if k is not None]
-    if in_span(w, state.direction(ea)) or in_span(w, state.direction(eb)):
+    # keys are nonzero multiples of their directions; a degenerate lifted
+    # edge has none, and the zero vector lies in every span
+    w = sorted(keys - {None})
+    ka, kb = state.direction_key(ea), state.direction_key(eb)
+    if ka is None or kb is None or in_span(w, ka) or in_span(w, kb):
         return "lifted edge lies in the span of its paths"
     return [ea, eb]
 

@@ -2,18 +2,21 @@
 
 import collections
 import hashlib
+import importlib
+import importlib.util
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
 
 import defocone
-from defocone import graphs
+from defocone import deduction, graphs
 from defocone.constructions import (
     bipartite_truncation,
     complete_graph,
@@ -47,6 +50,9 @@ from defocone.exact import Vec, is_zero_vec, nullspace, rank
 from defocone.framework import dc_dimension, dependency_partition, edge_key, framework
 from defocone.polytope import framework_of
 from defocone.report import DEDUCTION_PROVABLE
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(defocone.__file__))))
 
 
 @pytest.fixture(scope="module")
@@ -412,9 +418,123 @@ def test_saturation_work_is_linear_on_a_general_position_path(monkeypatch):
     assert 0 < counts["adjacency vertices"] <= 20 * n and 0 < counts["direction keys"] <= 20 * n, counts
 
 
+def _reference_rigid_cycles(state, max_len):
+    """The exhaustive rigid-cycle search: every cycle of at most max_len
+    edges, every skip set of at most `MAX_SKIP` edges in order of size, the
+    rank condition tested on each.  `_run_rigid_cycles` must log the same
+    steps in the same order."""
+    adj = state.known_adjacency()
+    progress = False
+    budget = deduction.MAX_CYCLES_SCANNED
+
+    def handle(cycle):
+        k = len(cycle)
+        pairs = [(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
+        es = [edge_key(*e) for e in pairs]
+        if not all(state.tracked(e) for e in es):
+            return False
+        full_rank = rank([state.direction(e) for e in pairs], state.base.dim)
+        for skip_size in range(0, deduction.MAX_SKIP + 1):
+            for skip in itertools.combinations(range(k), skip_size):
+                keep = [i for i in range(k) if i not in skip]
+                if len(keep) < 2:
+                    continue
+                if len({state.find(es[i]) for i in keep}) == 1:
+                    continue
+                if k - skip_size != full_rank - rank([state.direction(pairs[i]) for i in skip], state.base.dim) + 1:
+                    continue
+                step = Step(RIGID_CYCLE, {"cycle": list(cycle), "skip": [list(es[i]) for i in skip]})
+                if state.apply(step) is None:
+                    return True
+        return False
+
+    for start in state.base.vertex_ids:
+        if budget <= 0:
+            break
+        stack = [(start, (start,))]
+        while stack and budget > 0:
+            x, path = stack.pop()
+            budget -= 1
+            for y in sorted(adj[x]):
+                if y == start and len(path) >= 3:
+                    if path[1] < path[-1]:
+                        progress |= handle(path)
+                elif y not in path and len(path) < max_len and y > start:
+                    stack.append((y, path + (y,)))
+    return progress
+
+
+def _certify_inputs():
+    """name -> framework of the certify benchmark inputs, at the identity and
+    under the seeded variants 41-43."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pkg = types.SimpleNamespace(**{m: importlib.import_module(f"defocone.{m}") for m in
+                                   ("constructions", "corpus", "framework", "io", "polytope", "report")})
+    base = workloads.build(pkg, "certify")
+    return {
+        f"{name}@{variant}": pkg.io.framework_from_obj(obj["framework"])
+        for variant in (None, 41, 42, 43)
+        for name, obj in workloads.serialize(pkg, "certify", base, variant)
+    }
+
+
+def _random_parallel_framework(rng):
+    """4 to 9 points in R^2, R^3 or R^4 with entries in {-1, 0, 1}, so that
+    points coincide and edges are parallel, joined by a random spanning tree
+    and up to twice as many further edges."""
+    dim, n = rng.randint(2, 4), rng.randint(4, 9)
+    points = {f"v{i}": tuple(rng.randint(-1, 1) for _ in range(dim)) for i in range(n)}
+    ids = list(points)
+    edges = {(ids[rng.randrange(i)], ids[i]) for i in range(1, n)}
+    pairs = [e for e in itertools.combinations(ids, 2) if e not in edges]
+    edges |= set(rng.sample(pairs, min(len(pairs), rng.randint(0, 2 * n))))
+    return framework(points, sorted(edges))
+
+
+def test_rank_gap_search_logs_what_the_exhaustive_search_logs(cp, monkeypatch):
+    """The rank-gap search tries only the skip sets the rank gap admits and
+    stops paths at hull dimension + `MAX_SKIP` edges; the exhaustive search
+    tries them all.  Saturation must log the same steps in the same order
+    on the certify inputs, the DEDUCTION_PROVABLE members and seeded random
+    frameworks with coincident points and parallel edges.  Some random
+    framework must log a skipping cycle of exactly the length cap."""
+    rng = random.Random(33)
+    fws = _certify_inputs()
+    for kind, n, m in DEDUCTION_PROVABLE:
+        fws[f"{kind}_{n}_{m}"] = bipartite_truncation(n, m, kind).framework
+    fws.update((f"random {i}", _random_parallel_framework(rng)) for i in range(500))
+    apply = DeductionState.apply
+
+    def bounded_apply(state, step):
+        # each step saturation logs makes an edge known or merges two
+        # classes, so n vertices allow at most n(n - 1) steps
+        reason = apply(state, step)
+        n = len(state.base.vertex_ids)
+        assert len(state.log) <= n * (n - 1), "saturation repeats a step"
+        return reason
+
+    monkeypatch.setattr(DeductionState, "apply", bounded_apply)
+    rank_gap = {name: [(s.kind, s.payload) for s in saturate(fw).log] for name, fw in fws.items()}
+    monkeypatch.setattr(deduction, "_run_rigid_cycles", _reference_rigid_cycles)
+    at_cap = 0
+    for name, fw in fws.items():
+        log = [(s.kind, s.payload) for s in saturate(fw).log]
+        assert log == rank_gap[name], name
+        at_cap += name.startswith("random") and any(
+            kind == RIGID_CYCLE and p["skip"] and len(p["cycle"]) == fw.hull_dim + deduction.MAX_SKIP
+            for kind, p in log)
+    assert at_cap > 0
+
+
 # Deep truncations of zonotopes with dc = 1 that saturation leaves unproved
-# (generators, truncated vertices, classes left): W1 is proved with a larger
-# rigid-cycle budget (cycles of 12 edges, 4 skips), W2 is not.
+# (generators, truncated vertices, classes left).  W1 is proved with
+# `MAX_SKIP` = 4 at today's `MAX_CYCLE_LEN` of 6: one 6-cycle skipping four
+# edges joins its two classes.  In R^3 no cycle of more than 3 + `MAX_SKIP`
+# edges can qualify, so longer cycles add nothing.  W2 is not proved with
+# `MAX_SKIP` = 4 and `MAX_CYCLE_LEN` = 7 either.
 KNOWN_GAPS = {
     "W1": ([(-1, -2, 1), (-2, -2, 0), (-2, 0, -1), (-1, 0, -2)], ["z1101", "z0010"], 2),
     "W2": ([(-2, 2, 1), (-1, 2, 1), (1, -1, -2), (-2, 2, 2), (1, 2, 2)], ["z10110", "z11100", "z00011"], 3),
@@ -505,6 +625,13 @@ def _rejected_steps(cp):
             Step(PROJECTION_LIFT, {"edge_a": ["A", "D"], "edge_b": ["B", "C"], "path_a": ["A", "B"], "path_b": ["D", "C"]}),
             "lifted edge lies in the span of its paths",
         ),
+        # a degenerate lifted edge has no direction key: the zero vector
+        # lies in every span
+        "lift of a degenerate edge": (
+            doubled_square,
+            Step(PROJECTION_LIFT, {"edge_a": ["A", "A2"], "edge_b": ["B", "C"], "path_a": ["A2", "B"], "path_b": ["A", "D", "C"]}),
+            "lifted edge lies in the span of its paths",
+        ),
         "lift with paths that do not end at the second edge": (
             sq, Step(PROJECTION_LIFT, {**lift, "path_b": ["C"]}), "paths do not end at the second edge"
         ),
@@ -544,6 +671,7 @@ FORGED_GEOMETRY = (
     "cycle skipping only a degenerate edge",
     "lift of an edge in the span of its paths",
     "lift across a quadrilateral whose paths span the plane",
+    "lift of a degenerate edge",
     "lift with paths that do not end at the second edge",
     "bound given as true",
     "bound given as 1.0",
